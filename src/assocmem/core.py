@@ -24,6 +24,12 @@ BIPOLAR_DTYPE = np.int8
 
 PROXIMITY_TOL = 1e-9
 
+# bound on the total absolute weight; see validate_weights
+WEIGHT_TOTAL_LIMIT = 2**62
+
+# float weights beyond this magnitude may not be the integers they were meant to be
+FLOAT_EXACT_LIMIT = 2**53
+
 
 class ValidationError(ValueError):
     """A domain value breaks its invariants (non-bipolar entry, asymmetry, ...)."""
@@ -140,11 +146,20 @@ def validate_memory_set(memories) -> MemorySet:
     return MemorySet(vectors=_frozen(vectors), duplicates=tuple(groups))
 
 
+def _abs_total(w: np.ndarray) -> int:
+    """Exact sum of |w_ij| over an int64 matrix, free of int64 wrap-around."""
+    mag = np.abs(w).view(np.uint64)  # |-2**63| = 2**63 is exact in uint64
+    # each half-sum stays below 2**64 for any n below 65536
+    return (int((mag >> 32).sum()) << 32) + int((mag & 0xFFFFFFFF).sum())
+
+
 def validate_weights(weights) -> np.ndarray:
     """Validate a symmetric, zero-diagonal, integer weight matrix.
 
-    Returns a frozen int64 copy so downstream arithmetic cannot overflow
-    int8 accumulations.
+    Returns a frozen int64 copy. Every field W x and every energy s^T W s
+    is bounded by the total absolute weight, so matrices whose total
+    exceeds WEIGHT_TOTAL_LIMIT (2**62) are refused: int64 arithmetic on an
+    accepted matrix is exact.
     """
     arr = np.asarray(weights)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -154,9 +169,21 @@ def validate_weights(weights) -> np.ndarray:
     if arr.dtype.kind == "f":
         if not np.all(np.isfinite(arr)) or not np.all(arr == np.round(arr)):
             raise ValidationError("weight entries must be integers")
+        if np.any(np.abs(arr) > FLOAT_EXACT_LIMIT):
+            raise ValidationError("float weight entries must lie within +-2**53, where every integer is exact")
+    elif arr.dtype == np.uint64:
+        if int(arr.max()) > np.iinfo(np.int64).max:
+            raise ValidationError("weight entries exceed the int64 range")
     elif arr.dtype.kind not in "iu":
         raise ValidationError(f"weight entries must be numeric, got dtype {arr.dtype}")
     out = arr.astype(np.int64)
+    peak = max(-int(out.min()), int(out.max()))
+    if peak * out.size > WEIGHT_TOTAL_LIMIT:
+        total = _abs_total(out)
+        if total > WEIGHT_TOTAL_LIMIT:
+            raise ValidationError(
+                f"total absolute weight {total} exceeds 2**62; fields could overflow int64"
+            )
     if not np.array_equal(out, out.T):
         i, j = np.argwhere(out != out.T)[0]
         raise ValidationError(f"weight matrix is asymmetric at ({int(i) + 1}, {int(j) + 1})")

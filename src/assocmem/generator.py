@@ -21,6 +21,10 @@ disagree with the value it holds (a noisy seed, for instance). Such
 neurons are surfaced in ``consistency_flags`` rather than resolved; an
 empty flag set is exactly the statement that the final state is a fixed
 point of one synchronous pass.
+
+A spread of n neurons costs O(n^2): the weights are validated and relabeled
+into spread order once, and each step is one dot product over the prefix
+assigned so far.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .core import (
     validate_proximity,
     validate_weights,
 )
-from .hebbian import recall_sync
 
 
 def decompose(weights) -> np.ndarray:
@@ -50,26 +53,6 @@ def decompose(weights) -> np.ndarray:
     gen = np.tril(w, -1)
     gen.setflags(write=False)
     return gen
-
-
-def validate_generator(gen) -> np.ndarray:
-    """Validate a strictly lower-triangular integer generator matrix."""
-    arr = np.asarray(gen)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"generator matrix must be square, got shape {arr.shape}")
-    if arr.dtype.kind == "f":
-        if not np.all(np.isfinite(arr)) or not np.all(arr == np.round(arr)):
-            raise ValidationError("generator entries must be integers")
-    elif arr.dtype.kind not in "iu":
-        raise ValidationError(f"generator entries must be numeric, got dtype {arr.dtype}")
-    out = arr.astype(np.int64)
-    if np.any(np.triu(out) != 0):
-        i, j = np.argwhere(np.triu(out) != 0)[0]
-        raise ValidationError(
-            f"generator must be strictly lower triangular, ({int(i) + 1}, {int(j) + 1}) is nonzero"
-        )
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -106,20 +89,27 @@ class SpreadOrder:
         return int(self.permutation.size)
 
 
-def index_order(n: int, start_set) -> SpreadOrder:
-    """Spread order with no proximity information: plain index order.
-
-    Start neurons first (by index), remaining neurons by index. Equivalent
-    to order_from_proximity on an all-equal distance matrix.
-    """
+def _split_start(n: int, start_set) -> tuple[np.ndarray, np.ndarray]:
+    """Validated start neurons and the remaining neurons, both in index order."""
     start = sorted(int(i) for i in start_set)
     if not start:
         raise ParameterError("start set is empty")
     for i in start:
         if not 0 <= i < n:
             raise ParameterError(f"start index {i} out of range for {n} neurons")
-    rest = [j for j in range(n) if j not in set(start)]
-    return SpreadOrder(np.array(start + rest, dtype=np.int64), frozenset(start))
+    rest = np.ones(n, dtype=bool)
+    rest[start] = False
+    return np.array(start, dtype=np.int64), np.flatnonzero(rest)
+
+
+def index_order(n: int, start_set) -> SpreadOrder:
+    """Spread order with no proximity information: plain index order.
+
+    Start neurons first (by index), remaining neurons by index. Equivalent
+    to order_from_proximity on an all-equal distance matrix.
+    """
+    start, rest = _split_start(n, start_set)
+    return SpreadOrder(np.concatenate((start, rest)), frozenset(start.tolist()))
 
 
 def order_from_proximity(proximity, start_set) -> SpreadOrder:
@@ -131,38 +121,18 @@ def order_from_proximity(proximity, start_set) -> SpreadOrder:
     sorted by index.
     """
     p = validate_proximity(proximity)
-    n = p.shape[0]
-    start = sorted(int(i) for i in start_set)
-    if not start:
-        raise ParameterError("start set is empty")
-    for i in start:
-        if not 0 <= i < n:
-            raise ParameterError(f"start index {i} out of range for {n} neurons")
-    members = set(start)
-    rest = [j for j in range(n) if j not in members]
-    rest.sort(key=lambda j: (min(float(p[s, j]) for s in start), j))
-    return SpreadOrder(np.array(start + rest, dtype=np.int64), frozenset(start))
+    start, rest = _split_start(p.shape[0], start_set)
+    dist = p[np.ix_(start, rest)].min(axis=0)
+    rest = rest[np.lexsort((rest, dist))]
+    return SpreadOrder(np.concatenate((start, rest)), frozenset(start.tolist()))
 
 
-def spread_step(gen, fragment: Fragment) -> Fragment:
-    """Grow a prefix-shaped fragment by one neuron.
-
-    The fragment must assign exactly the first k neurons in spread
-    coordinates. Neuron k receives sgn of its generator-row field, which by
-    strict lower-triangularity involves only the k assigned neurons;
-    nothing already assigned changes.
-    """
-    g = validate_generator(gen)
-    n = g.shape[0]
-    if fragment.n != n:
-        raise DimensionMismatch(f"fragment has {fragment.n} neurons, generator has {n}")
-    if fragment.complete:
-        raise ParameterError("fragment is already complete")
-    k = fragment.assigned_count
-    if not bool(fragment.assigned[:k].all()):
-        raise ParameterError("fragment must assign a prefix of the spread order")
-    field = int(g[k, :k] @ fragment.values[:k].astype(np.int64)) if k else 0
-    return fragment.with_assignment(k, sgn(field), clamp=False)
+def _consistency_flags(w: np.ndarray, fragment: Fragment) -> frozenset[int]:
+    # unassigned placeholders hold 0, so they add nothing to the fields
+    fields = w @ fragment.values.astype(np.int64)
+    idx = np.flatnonzero(fragment.assigned)
+    disagree = sgn(fields[idx]) != fragment.values[idx]
+    return frozenset(int(i) for i in idx[disagree])
 
 
 def consistency_flags(weights, fragment: Fragment) -> frozenset[int]:
@@ -175,11 +145,7 @@ def consistency_flags(weights, fragment: Fragment) -> frozenset[int]:
     w = validate_weights(weights)
     if fragment.n != w.shape[0]:
         raise DimensionMismatch(f"fragment has {fragment.n} neurons, weights have {w.shape[0]}")
-    mask = fragment.assigned
-    fields = w[:, mask] @ fragment.values[mask].astype(np.int64)
-    idx = np.flatnonzero(mask)
-    disagree = sgn(fields[idx]) != fragment.values[idx]
-    return frozenset(int(i) for i in idx[disagree])
+    return _consistency_flags(w, fragment)
 
 
 @dataclass(frozen=True)
@@ -205,16 +171,8 @@ class SpreadTrace:
     start: tuple[tuple[int, int], ...]
 
 
-def spread_full(weights, start, proximity=None, order=None) -> SpreadTrace:
-    """Run a complete spread from a seed assignment.
-
-    ``start`` maps neuron indices to clamped values. The spread order comes
-    from ``order`` (an explicit SpreadOrder), from ``proximity`` distances,
-    or falls back to index order. The weights are relabeled into spread
-    coordinates, decomposed into the triangular generator, and grown one
-    neuron per step; exactly n - len(start) steps are performed.
-    """
-    w = validate_weights(weights)
+def _spread(w: np.ndarray, start, proximity, order) -> SpreadTrace:
+    """spread_full on weights already validated by the caller."""
     n = w.shape[0]
     seed = normalize_start(start, n)
     if proximity is not None and order is not None:
@@ -231,27 +189,26 @@ def spread_full(weights, start, proximity=None, order=None) -> SpreadTrace:
             raise ParameterError("explicit order was built for a different start set")
 
     perm = order.permutation
+    neurons = perm.tolist()
     w_spread = w[np.ix_(perm, perm)]
-    gen = decompose(w_spread)
-    fragment = Fragment.from_assignments(
-        n, {pos: seed[int(perm[pos])] for pos in range(len(seed))}, clamp=True
-    )
-
+    k0 = len(seed)
+    # spread coordinates; position k is written once, by the seed or by step k
+    x = np.zeros(n, dtype=np.int64)
+    x[:k0] = [seed[i] for i in neurons[:k0]]
     steps: list[SpreadStep] = []
-    while not fragment.complete:
-        k = fragment.assigned_count
-        field = int(gen[k, :k] @ fragment.values[:k].astype(np.int64)) if k else 0
-        grown = spread_step(gen, fragment)
-        assert np.array_equal(grown.values[:k], fragment.values[:k]), "spread changed an assigned value"
-        assert grown.assigned[: k + 1].all() and not grown.assigned[k + 1 :].any()
-        steps.append(SpreadStep(neuron=int(perm[k]), field=field, value=int(grown.values[k])))
-        fragment = grown
+    for k in range(k0, n):
+        # G[k, :k] of the generator G = tril(w_spread, -1): only the prefix
+        field = int(w_spread[k, :k] @ x[:k])
+        value = 1 if field >= 0 else -1
+        x[k] = value
+        steps.append(SpreadStep(neurons[k], field, value))
 
+    clamped = np.arange(n) < k0
+    fragment = Fragment(values=x, assigned=np.ones(n, dtype=bool), clamped=clamped)
     final = np.empty(n, dtype=BIPOLAR_DTYPE)
     final[perm] = fragment.values
     final.setflags(write=False)
-    flags_spread = consistency_flags(w_spread, fragment)
-    flags = frozenset(int(perm[j]) for j in flags_spread)
+    flags = frozenset(neurons[j] for j in _consistency_flags(w_spread, fragment))
     return SpreadTrace(
         steps=tuple(steps),
         final=final,
@@ -259,6 +216,19 @@ def spread_full(weights, start, proximity=None, order=None) -> SpreadTrace:
         order=order,
         start=tuple(sorted(seed.items())),
     )
+
+
+def spread_full(weights, start, proximity=None, order=None) -> SpreadTrace:
+    """Run a complete spread from a seed assignment.
+
+    ``start`` maps neuron indices to clamped values. The spread order comes
+    from ``order`` (an explicit SpreadOrder), from ``proximity`` distances,
+    or falls back to index order. The weights are relabeled into spread
+    coordinates once and the fragment grows one neuron per step, each new
+    neuron taking sgn of its generator-row field over the neurons assigned
+    before it; exactly n - len(start) steps are performed.
+    """
+    return _spread(validate_weights(weights), start, proximity, order)
 
 
 @dataclass(frozen=True)
@@ -280,10 +250,10 @@ def retrieve_report(weights, start, memories=None, proximity=None, order=None) -
     and whether the final state is a fixed point of one synchronous pass.
     """
     w = validate_weights(weights)
-    trace = spread_full(w, start, proximity=proximity, order=order)
+    trace = _spread(w, start, proximity, order)
     is_fp = len(trace.consistency_flags) == 0
     # cross-check the flag semantics: empty flags iff synchronous fixed point
-    assert is_fp == bool(np.array_equal(recall_sync(w, trace.final), trace.final))
+    assert is_fp == bool(np.array_equal(sgn(w @ trace.final.astype(np.int64)), trace.final))
 
     matched = nearest = distance = None
     if memories is not None and len(memories) > 0:

@@ -64,12 +64,17 @@ def is_stored(weights, state) -> bool:
     return bool(np.array_equal(recall_sync(weights, state), as_bipolar(state)))
 
 
+def _energy(w: np.ndarray, state: np.ndarray) -> float:
+    x = state.astype(np.int64)
+    return float(-0.5 * (x @ w @ x)) + 0.0
+
+
 def energy(weights, state) -> float:
     """Quadratic energy E(s) = -1/2 s^T W s (an exact integer for valid inputs)."""
     w = validate_weights(weights)
-    x = as_bipolar(state).astype(np.int64)
+    x = as_bipolar(state)
     _check_dims(w, x)
-    return float(-0.5 * (x @ w @ x)) + 0.0
+    return _energy(w, x)
 
 
 @dataclass(frozen=True)
@@ -137,8 +142,7 @@ def recall_async(weights, state, schedule="cyclic", max_passes: int | None = Non
         raise ParameterError(f"max_passes must be at least 1, got {max_passes}")
 
     orders = _resolve_orders(schedule, n, seed)
-    xl = x.astype(np.int64)
-    e = float(-0.5 * (xl @ w @ xl)) + 0.0
+    e = _energy(w, x)
     trace = [e]
     converged = False
     passes = 0
@@ -178,11 +182,11 @@ def recall_sync_iterated(weights, state, max_passes: int | None = None) -> Recal
     if max_passes < 1:
         raise ParameterError(f"max_passes must be at least 1, got {max_passes}")
 
-    trace = [energy(w, cur)]
+    trace = [_energy(w, cur)]
     prev = None
     for t in range(1, max_passes + 1):
         nxt = sgn(w @ cur)
-        trace.append(energy(w, nxt))
+        trace.append(_energy(w, nxt))
         if np.array_equal(nxt, cur):
             return RecallResult(state=cur, iterations=t, converged=True, energy_trace=tuple(trace))
         if prev is not None and np.array_equal(nxt, prev):

@@ -134,7 +134,8 @@ def test_criterion_5_decomposition_and_prefix_stability():
         k = int(rng.integers(1, n + 1))
         picks = rng.choice(n, size=k, replace=False)
         seed_vals = {int(i): int(v) for i, v in zip(picks, random_memories(rng, 1, k)[0])}
-        trace = spread_full(weights, seed_vals)  # asserts prefix stability at every step
+        # step-by-step prefix stability: TestSpreadOracle in test_generator.py
+        trace = spread_full(weights, seed_vals)
         assert len(trace.steps) == n - k
         for idx, val in seed_vals.items():
             assert int(trace.final[idx]) == val

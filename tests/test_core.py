@@ -9,7 +9,9 @@ from assocmem import (
     ParameterError,
     ValidationError,
     as_bipolar,
+    energy,
     hamming,
+    is_stored,
     normalize_start,
     sgn,
     validate_memory_set,
@@ -131,6 +133,43 @@ class TestWeightsValidation:
     def test_non_square(self):
         with pytest.raises(DimensionMismatch):
             validate_weights(np.zeros((2, 3)))
+
+    def test_overflowing_fields_rejected(self):
+        # int64 fields of (1, 1, 1) would wrap: 2 * 2**62 = 2**63
+        w = np.full((3, 3), 2**62, dtype=np.int64)
+        np.fill_diagonal(w, 0)
+        with pytest.raises(ValidationError, match="2\\*\\*62"):
+            validate_weights(w)
+        with pytest.raises(ValidationError):
+            is_stored(w, (1, 1, 1))
+
+    def test_uint64_beyond_int64_rejected(self):
+        w = np.array([[0, 2**63], [2**63, 0]], dtype=np.uint64)
+        with pytest.raises(ValidationError, match="int64"):
+            validate_weights(w)
+
+    def test_most_negative_int64_rejected(self):
+        w = np.array([[0, -(2**63)], [-(2**63), 0]], dtype=np.int64)
+        with pytest.raises(ValidationError, match="2\\*\\*62"):
+            validate_weights(w)
+
+    @pytest.mark.parametrize("big", [2.0**53 + 2, 1e300])
+    def test_inexact_floats_rejected(self, big):
+        with pytest.raises(ValidationError, match="2\\*\\*53"):
+            validate_weights(np.array([[0.0, big], [big, 0.0]]))
+
+    def test_total_bound_is_exact(self):
+        at_bound = validate_weights(np.array([[0, 2**61], [2**61, 0]], dtype=np.int64))
+        assert at_bound[0, 1] == 2**61
+        with pytest.raises(ValidationError):
+            validate_weights(np.array([[0, 2**61 + 1], [2**61 + 1, 0]], dtype=np.int64))
+
+    def test_large_weights_within_bound_stay_exact(self):
+        # total 6 * 2**59 = 3 * 2**60 <= 2**62, fields 2**60 exceed float precision
+        w = np.full((3, 3), 2**59, dtype=np.uint64)
+        np.fill_diagonal(w, 0)
+        assert is_stored(w, (1, 1, 1))
+        assert energy(w, (1, 1, -1)) == float(2**59)
 
 
 class TestProximityValidation:

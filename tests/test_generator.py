@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from assocmem import (
     DimensionMismatch,
     Fragment,
     ParameterError,
+    SpreadStep,
     ValidationError,
     consistency_flags,
     decompose,
@@ -12,9 +14,8 @@ from assocmem import (
     is_stored,
     order_from_proximity,
     retrieve_report,
+    sgn,
     spread_full,
-    spread_step,
-    validate_generator,
 )
 from conftest import random_memories, random_symmetric_weights
 
@@ -52,12 +53,6 @@ class TestDecompose:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
             decompose(np.array([[0, 1], [2, 0]]))
-
-    def test_validate_generator_rejects_upper_entries(self):
-        bad = np.zeros((3, 3), dtype=int)
-        bad[0, 2] = 1
-        with pytest.raises(ValidationError):
-            validate_generator(bad)
 
 
 class TestSpreadOrder:
@@ -97,39 +92,24 @@ class TestSpreadOrder:
         with pytest.raises(ParameterError):
             order_from_proximity(PROX, {7})
 
+    def test_tie_breaks_to_lower_index_out_of_index_order(self):
+        # from start {3}: neuron 1 is nearest, then 0, 2 and 4 tie at 2.0
+        p = np.full((5, 5), 2.0)
+        np.fill_diagonal(p, 0)
+        p[1, 3] = p[3, 1] = 1.0
+        p[0, 4] = p[4, 0] = 0.5
+        order = order_from_proximity(p, {3})
+        assert list(order.permutation) == [3, 1, 0, 2, 4]
+
     def test_index_order(self):
         order = index_order(5, {3, 1})
         assert list(order.permutation) == [1, 3, 0, 2, 4]
 
-
-class TestSpreadStep:
-    def test_worked_example_chain(self, worked_weights):
-        gen = decompose(worked_weights)
-        f = Fragment.from_assignments(4, {0: 1})
-        f = spread_step(gen, f)
-        assert f.value_at(1) == 1  # field 0, sgn(0) = +1
-        f2 = spread_step(gen, f)
-        assert f2.value_at(2) == 1  # field 2*1
-        f3 = spread_step(gen, Fragment.from_assignments(4, {0: 1, 1: -1, 2: 1}, clamp=True))
-        assert f3.value_at(3) == -1  # field 2*(-1)
-
-    def test_complete_fragment_rejected(self, worked_weights):
-        gen = decompose(worked_weights)
-        full = Fragment.from_assignments(4, {i: 1 for i in range(4)})
+    def test_index_order_validates_start(self):
         with pytest.raises(ParameterError):
-            spread_step(gen, full)
-
-    def test_non_prefix_fragment_rejected(self, worked_weights):
-        gen = decompose(worked_weights)
+            index_order(5, set())
         with pytest.raises(ParameterError):
-            spread_step(gen, Fragment.from_assignments(4, {0: 1, 2: 1}))
-
-    def test_prefix_untouched(self, worked_weights):
-        gen = decompose(worked_weights)
-        f = Fragment.from_assignments(4, {0: 1, 1: -1})
-        g = spread_step(gen, f)
-        assert np.array_equal(g.values[:2], f.values[:2])
-        assert g.clamped_indices == (0, 1)
+            index_order(5, {5})
 
 
 class TestSpreadFull:
@@ -144,6 +124,20 @@ class TestSpreadFull:
         assert list(trace.final) == [1, -1, 1, -1]
         assert len(trace.steps) == 2
         assert trace.consistency_flags == frozenset()
+
+    def test_worked_example_fields(self, worked_weights):
+        trace = spread_full(worked_weights, {0: 1})
+        assert trace.steps == (SpreadStep(1, 0, 1), SpreadStep(2, 2, 1), SpreadStep(3, 2, 1))
+        trace = spread_full(worked_weights, {0: 1, 1: -1, 2: 1})
+        assert trace.steps == (SpreadStep(3, -2, -1),)
+
+    def test_seeds_stay_clamped(self, worked_weights):
+        # coupled neurons 1 and 3 are seeded with opposite signs: both keep their seed
+        trace = spread_full(worked_weights, {3: -1, 1: 1})
+        assert trace.start == ((1, 1), (3, -1))
+        assert [s.neuron for s in trace.steps] == [0, 2]
+        assert (trace.final[1], trace.final[3]) == (1, -1)
+        assert trace.consistency_flags == frozenset({1, 3})
 
     def test_full_start_is_a_no_op(self, worked_weights):
         values = {0: 1, 1: -1, 2: 1, 3: -1}
@@ -227,6 +221,60 @@ class TestSpreadFull:
         order = index_order(4, {1})
         with pytest.raises(ParameterError):
             spread_full(worked_weights, {0: 1}, order=order)
+
+
+@st.composite
+def spread_cases(draw):
+    """Random symmetric weights, a nonempty seed, and an optional proximity
+    matrix whose small integer distances make ties common."""
+    n = draw(st.integers(1, 10))
+    cells = st.lists(st.integers(-4, 4), min_size=n * n, max_size=n * n)
+    upper = np.triu(np.array(draw(cells), dtype=np.int64).reshape(n, n), 1)
+    k = draw(st.integers(1, n))
+    picks = draw(st.permutations(range(n)))[:k]
+    values = draw(st.lists(st.sampled_from((-1, 1)), min_size=k, max_size=k))
+    proximity = None
+    if draw(st.booleans()):
+        dists = st.lists(st.integers(1, 3), min_size=n * n, max_size=n * n)
+        d = np.triu(np.array(draw(dists), dtype=float).reshape(n, n), 1)
+        proximity = d + d.T
+    return upper + upper.T, dict(zip(picks, values)), proximity
+
+
+def reference_spread(w, start, proximity):
+    """Spread recomputed from the definitions: order by (nearest start
+    distance, index), every field from the generator row over the prefix
+    assigned so far, flags from one synchronous pass over the final state."""
+    n = w.shape[0]
+    head = sorted(start)
+    rest = [j for j in range(n) if j not in start]
+    if proximity is not None:
+        rest.sort(key=lambda j: (min(proximity[s, j] for s in head), j))
+    perm = head + rest
+    gen = decompose(w[np.ix_(perm, perm)])
+    x = [start[i] for i in head]
+    steps = []
+    for k in range(len(head), n):
+        field = int(gen[k, :k] @ np.array(x, dtype=np.int64))
+        x.append(sgn(field))
+        steps.append(SpreadStep(perm[k], field, x[-1]))
+    final = np.empty(n, dtype=np.int64)
+    final[perm] = x
+    flags = frozenset(np.flatnonzero(sgn(w @ final) != final).tolist())
+    return perm, tuple(steps), final, flags
+
+
+class TestSpreadOracle:
+    @given(spread_cases())
+    def test_matches_reference(self, case):
+        w, start, proximity = case
+        trace = spread_full(w, start, proximity=proximity)
+        perm, steps, final, flags = reference_spread(w, start, proximity)
+        assert trace.order.permutation.tolist() == perm
+        assert trace.steps == steps
+        assert np.array_equal(trace.final, final)
+        assert trace.consistency_flags == flags
+        assert trace.start == tuple(sorted(start.items()))
 
 
 class TestConsistencyFlags:
