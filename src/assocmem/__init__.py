@@ -11,12 +11,10 @@ from ._version import __version__
 from .core import (
     BIPOLAR_DTYPE,
     DimensionMismatch,
-    Fragment,
     MemorySet,
     ParameterError,
     ValidationError,
     as_bipolar,
-    hamming,
     normalize_start,
     sgn,
     validate_memory_set,
@@ -37,7 +35,6 @@ from .generator import (
     SpreadOrder,
     SpreadStep,
     SpreadTrace,
-    consistency_flags,
     decompose,
     index_order,
     order_from_proximity,
@@ -69,19 +66,16 @@ from .formats import (
     load_weights,
     parse_memories,
     parse_proximity,
-    write_memories,
 )
 
 __all__ = [
     "__version__",
     "BIPOLAR_DTYPE",
     "DimensionMismatch",
-    "Fragment",
     "MemorySet",
     "ParameterError",
     "ValidationError",
     "as_bipolar",
-    "hamming",
     "normalize_start",
     "sgn",
     "validate_memory_set",
@@ -98,7 +92,6 @@ __all__ = [
     "SpreadOrder",
     "SpreadStep",
     "SpreadTrace",
-    "consistency_flags",
     "decompose",
     "index_order",
     "order_from_proximity",
@@ -124,5 +117,4 @@ __all__ = [
     "load_weights",
     "parse_memories",
     "parse_proximity",
-    "write_memories",
 ]

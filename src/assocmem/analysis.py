@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionMismatch, ParameterError, validate_memory_set, validate_weights
-from .hebbian import is_stored
 
 ENUMERATION_LIMIT = 20
 
@@ -241,16 +240,15 @@ def complement_asymmetry_probe(weights, memories) -> ComplementAsymmetryReport:
     mset = validate_memory_set(memories)
     if mset.n != w.shape[0]:
         raise DimensionMismatch(f"memories have {mset.n} neurons, weights have {w.shape[0]}")
-    fixed_indices = []
+    # row k holds the fields of memory k (W is symmetric)
+    fields = mset.vectors @ w
+    fixed_indices = np.flatnonzero(np.all((fields >= 0) == (mset.vectors > 0), axis=1)).tolist()
     failures = []
-    for k, x in enumerate(mset.vectors):
-        if not is_stored(w, x):
-            continue
-        fixed_indices.append(k)
-        if is_stored(w, -x):
-            continue
-        zeros = tuple(int(i) for i in np.flatnonzero(w @ x.astype(np.int64) == 0))
-        failures.append(ComplementFailure(memory_index=k, zero_field_components=zeros))
+    for k in fixed_indices:
+        # -x_k fails exactly where its field is zero; see ComplementAsymmetryReport
+        zeros = np.flatnonzero(fields[k] == 0)
+        if zeros.size:
+            failures.append(ComplementFailure(memory_index=k, zero_field_components=tuple(zeros.tolist())))
     return ComplementAsymmetryReport(
         fixed_memory_indices=tuple(fixed_indices), failures=tuple(failures)
     )

@@ -12,6 +12,7 @@ error, 4 dimension mismatch, 5 invalid parameter value.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -26,15 +27,20 @@ EXIT_PARSE = 3
 EXIT_DIMENSION = 4
 EXIT_PARAMETER = 5
 
+# inline states and start values use the token table of memory files
+_TOKENS = formats._MEMORY_TOKENS
+
+# options whose value may start with "-", as in --state -1,1 or --amps -0.6,0.8
+_SIGNED_OPTIONS = ("--state", "--amps")
+
 
 def _parse_state(text: str) -> np.ndarray:
     """An inline state: comma or whitespace separated tokens from {1, -1}."""
-    tokens = [t for t in text.replace(",", " ").split() if t]
     values = []
-    for token in tokens:
-        if token not in ("1", "+1", "-1"):
+    for token in text.replace(",", " ").split():
+        if token not in _TOKENS:
             raise ParameterError(f"bad state token {token!r}, expected 1 or -1")
-        values.append(1 if token in ("1", "+1") else -1)
+        values.append(_TOKENS[token])
     if not values:
         raise ParameterError("state is empty")
     return as_bipolar(values)
@@ -56,9 +62,9 @@ def _parse_start(text: str) -> dict[int, int]:
             raise ParameterError(f"bad start index {idx_text!r}") from None
         if idx < 1:
             raise ParameterError(f"start indices are 1-based, got {idx}")
-        if val_text not in ("1", "+1", "-1"):
+        if val_text not in _TOKENS:
             raise ParameterError(f"bad start value {val_text!r}, expected +1 or -1")
-        value = 1 if val_text in ("1", "+1") else -1
+        value = _TOKENS[val_text]
         if idx - 1 in out and out[idx - 1] != value:
             raise ParameterError(f"start assigns neuron {idx} twice with different values")
         out[idx - 1] = value
@@ -67,31 +73,18 @@ def _parse_start(text: str) -> dict[int, int]:
     return out
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
+def _parse_list(text: str, what: str, convert) -> list:
+    """Comma-separated values, each read by ``convert`` (int or float)."""
+    expected = "an integer" if convert is int else "a number"
     values = []
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
             continue
         try:
-            values.append(int(piece))
+            values.append(convert(piece))
         except ValueError:
-            raise ParameterError(f"bad {what} entry {piece!r}, expected an integer") from None
-    if not values:
-        raise ParameterError(f"{what} is empty")
-    return values
-
-
-def _parse_float_list(text: str, what: str) -> list[float]:
-    values = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            values.append(float(piece))
-        except ValueError:
-            raise ParameterError(f"bad {what} entry {piece!r}, expected a number") from None
+            raise ParameterError(f"bad {what} entry {piece!r}, expected {expected}") from None
     if not values:
         raise ParameterError(f"{what} is empty")
     return values
@@ -218,7 +211,7 @@ def _run_fixed_points(args) -> dict:
 
 
 def _run_capacity(args) -> dict:
-    m_values = _parse_int_list(args.m_list, "m-list")
+    m_values = _parse_list(args.m_list, "m-list", int)
     config = {
         "n": args.n,
         "m_list": m_values,
@@ -282,7 +275,7 @@ def _run_collapse(args) -> dict:
         raise ParameterError("collapse sampling needs an explicit --seed")
     if args.samples is None:
         raise ParameterError("collapse sampling needs --samples")
-    amps = quantum.as_amplitudes(_parse_float_list(args.amps, "amps"))
+    amps = quantum.as_amplitudes(_parse_list(args.amps, "amps", float))
     config = {
         "amps": [float(a) for a in amps],
         "samples": args.samples,
@@ -374,9 +367,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite "--state -1,1" as "--state=-1,1".
+
+    argparse reads a separate value that starts with "-" as an unknown
+    option. Only a value that starts with "-" and a digit or "." is
+    attached, so "--state --async" is still a missing value.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         doc = run(args)
         text = formats.render_document(doc)

@@ -2,9 +2,11 @@
 
 Network states are bipolar vectors (entries +1/-1, kept as read-only int8
 numpy arrays), weights are symmetric integer matrices with a zero diagonal,
-neuron separations live in a proximity matrix, and partial states are
-Fragment values that carry an explicit assignment mask so an unassigned
-neuron is never mistaken for one with zero activity.
+neuron separations live in a proximity matrix, and a partial state (the
+seed of a spread) is an index -> value mapping checked by normalize_start.
+No partial-state type is needed: the seeds head the spread order, every
+other position is written once, and neurons whose final value disagrees
+with their field are reported as flags, not resolved.
 
 Every function here is pure and every returned array is frozen, so values
 can be shared freely across threads or processes.
@@ -83,14 +85,6 @@ def as_bipolar(values) -> np.ndarray:
     return _frozen(arr.astype(BIPOLAR_DTYPE))
 
 
-def hamming(a, b) -> int:
-    """Number of positions where two states disagree."""
-    av, bv = as_bipolar(a), as_bipolar(b)
-    if av.shape != bv.shape:
-        raise DimensionMismatch(f"states have {av.size} and {bv.size} neurons")
-    return int(np.count_nonzero(av != bv))
-
-
 @dataclass(frozen=True)
 class MemorySet:
     """A validated collection of memories, all of the same dimension.
@@ -136,14 +130,12 @@ def validate_memory_set(memories) -> MemorySet:
     if len(widths) != 1:
         raise DimensionMismatch(f"memories have mixed dimensions {sorted(widths)}")
     vectors = np.stack([as_bipolar(r) for r in rows])
-    _, inverse = np.unique(vectors, axis=0, return_inverse=True)
-    groups = []
-    for g in range(int(inverse.max()) + 1):
-        members = tuple(int(i) for i in np.flatnonzero(inverse == g))
-        if len(members) > 1:
-            groups.append(members)
-    groups.sort()
-    return MemorySet(vectors=_frozen(vectors), duplicates=tuple(groups))
+    groups: dict[bytes, list[int]] = {}
+    for i, row in enumerate(vectors):
+        groups.setdefault(row.tobytes(), []).append(i)
+    # groups are disjoint and listed by first member, so this order is also sorted
+    duplicates = tuple(tuple(g) for g in groups.values() if len(g) > 1)
+    return MemorySet(vectors=_frozen(vectors), duplicates=duplicates)
 
 
 def _abs_total(w: np.ndarray) -> int:
@@ -220,103 +212,6 @@ def validate_proximity(proximity) -> np.ndarray:
             f"off-diagonal proximity must be positive, ({i + 1}, {j + 1}) has {arr[i, j]}"
         )
     return _frozen(arr.copy())
-
-
-@dataclass(frozen=True)
-class Fragment:
-    """A partial bipolar state.
-
-    ``values`` holds +1/-1 for assigned neurons and a 0 placeholder
-    elsewhere; the placeholder is never read as activity, the ``assigned``
-    mask is authoritative. ``clamped`` marks the subset of assigned values
-    fixed by the caller (the seed of a spread). Assigned values, clamped or
-    spread-computed, are never overwritten.
-    """
-
-    values: np.ndarray
-    assigned: np.ndarray
-    clamped: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values)
-        assigned = np.asarray(self.assigned, dtype=bool)
-        clamped = np.asarray(self.clamped, dtype=bool)
-        if values.ndim != 1 or values.size < 1:
-            raise ValidationError(f"fragment values must be a nonempty 1-d vector, got shape {values.shape}")
-        if assigned.shape != values.shape or clamped.shape != values.shape:
-            raise DimensionMismatch("fragment masks must match the value vector length")
-        if np.any(clamped & ~assigned):
-            i = int(np.flatnonzero(clamped & ~assigned)[0])
-            raise ValidationError(f"neuron {i + 1} is clamped but not assigned")
-        if values.dtype.kind not in "iuf":
-            raise ValidationError(f"fragment values must be numeric, got dtype {values.dtype}")
-        if not np.all(np.isin(values[assigned], (-1, 1))):
-            bad = np.flatnonzero(assigned & ~np.isin(values, (-1, 1)))
-            raise ValidationError(f"assigned neuron {int(bad[0]) + 1} must hold +1 or -1")
-        normalized = np.zeros(values.shape, dtype=BIPOLAR_DTYPE)
-        normalized[assigned] = values[assigned]
-        object.__setattr__(self, "values", _frozen(normalized))
-        object.__setattr__(self, "assigned", _frozen(assigned.copy()))
-        object.__setattr__(self, "clamped", _frozen(clamped.copy()))
-
-    @classmethod
-    def from_assignments(cls, n: int, assignments: Mapping[int, int], clamp: bool = True) -> "Fragment":
-        """Build a fragment of ``n`` neurons from an index -> value mapping."""
-        if n < 1:
-            raise ParameterError("fragment needs at least one neuron")
-        values = np.zeros(n, dtype=BIPOLAR_DTYPE)
-        assigned = np.zeros(n, dtype=bool)
-        for idx, val in assignments.items():
-            i = int(idx)
-            if not 0 <= i < n:
-                raise ParameterError(f"neuron index {i} out of range for {n} neurons")
-            if val not in (-1, 1):
-                raise ValidationError(f"neuron {i + 1} must be assigned +1 or -1, got {val!r}")
-            values[i] = val
-            assigned[i] = True
-        clamped = assigned if clamp else np.zeros(n, dtype=bool)
-        return cls(values=values, assigned=assigned, clamped=clamped)
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def assigned_count(self) -> int:
-        return int(np.count_nonzero(self.assigned))
-
-    @property
-    def complete(self) -> bool:
-        return bool(self.assigned.all())
-
-    @property
-    def assigned_indices(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.assigned))
-
-    @property
-    def clamped_indices(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.clamped))
-
-    def value_at(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise ParameterError(f"neuron index {i} out of range for {self.n} neurons")
-        if not self.assigned[i]:
-            raise KeyError(f"neuron {i + 1} is unassigned")
-        return int(self.values[i])
-
-    def with_assignment(self, i: int, value: int, clamp: bool = False) -> "Fragment":
-        """Return a copy with one more neuron assigned; existing values are immutable."""
-        if not 0 <= i < self.n:
-            raise ParameterError(f"neuron index {i} out of range for {self.n} neurons")
-        if self.assigned[i]:
-            raise ValidationError(f"neuron {i + 1} is already assigned and cannot be overwritten")
-        values = np.array(self.values)
-        assigned = np.array(self.assigned)
-        clamped = np.array(self.clamped)
-        values[i] = value
-        assigned[i] = True
-        clamped[i] = clamp
-        return Fragment(values=values, assigned=assigned, clamped=clamped)
 
 
 def normalize_start(start, n: int) -> dict[int, int]:

@@ -76,13 +76,6 @@ def parse_memories(path) -> MemorySet:
     return validate_memory_set(rows)
 
 
-def write_memories(path, memories) -> None:
-    """Write a memory set in the plain-text format; re-parses identically."""
-    mset = validate_memory_set(memories)
-    lines = [" ".join(str(int(v)) for v in row) for row in mset.vectors]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def parse_proximity(path) -> np.ndarray:
     """Parse a proximity file into a validated distance matrix."""
     p = Path(path)
@@ -127,10 +120,6 @@ def document(kind: str, command: str, config: dict, **payload) -> dict:
 
 def render_document(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
-
-
-def write_document(path, doc: dict) -> None:
-    Path(path).write_text(render_document(doc), encoding="utf-8")
 
 
 def weights_document(weights, config: dict, command: str = "train", **extra) -> dict:

@@ -36,7 +36,6 @@ import numpy as np
 from .core import (
     BIPOLAR_DTYPE,
     DimensionMismatch,
-    Fragment,
     ParameterError,
     ValidationError,
     normalize_start,
@@ -127,27 +126,6 @@ def order_from_proximity(proximity, start_set) -> SpreadOrder:
     return SpreadOrder(np.concatenate((start, rest)), frozenset(start.tolist()))
 
 
-def _consistency_flags(w: np.ndarray, fragment: Fragment) -> frozenset[int]:
-    # unassigned placeholders hold 0, so they add nothing to the fields
-    fields = w @ fragment.values.astype(np.int64)
-    idx = np.flatnonzero(fragment.assigned)
-    disagree = sgn(fields[idx]) != fragment.values[idx]
-    return frozenset(int(i) for i in idx[disagree])
-
-
-def consistency_flags(weights, fragment: Fragment) -> frozenset[int]:
-    """Assigned neurons whose value disagrees with their recomputed sgn.
-
-    Recomputation uses the full symmetric field restricted to assigned
-    neurons. On a complete fragment this is exactly the set of components
-    where one synchronous pass would change the state.
-    """
-    w = validate_weights(weights)
-    if fragment.n != w.shape[0]:
-        raise DimensionMismatch(f"fragment has {fragment.n} neurons, weights have {w.shape[0]}")
-    return _consistency_flags(w, fragment)
-
-
 @dataclass(frozen=True)
 class SpreadStep:
     """One assignment during a spread: the neuron (original index), its
@@ -203,12 +181,10 @@ def _spread(w: np.ndarray, start, proximity, order) -> SpreadTrace:
         x[k] = value
         steps.append(SpreadStep(neurons[k], field, value))
 
-    clamped = np.arange(n) < k0
-    fragment = Fragment(values=x, assigned=np.ones(n, dtype=bool), clamped=clamped)
     final = np.empty(n, dtype=BIPOLAR_DTYPE)
-    final[perm] = fragment.values
+    final[perm] = x
     final.setflags(write=False)
-    flags = frozenset(neurons[j] for j in _consistency_flags(w_spread, fragment))
+    flags = frozenset(np.flatnonzero(sgn(w @ final) != final).tolist())
     return SpreadTrace(
         steps=tuple(steps),
         final=final,
@@ -252,8 +228,6 @@ def retrieve_report(weights, start, memories=None, proximity=None, order=None) -
     w = validate_weights(weights)
     trace = _spread(w, start, proximity, order)
     is_fp = len(trace.consistency_flags) == 0
-    # cross-check the flag semantics: empty flags iff synchronous fixed point
-    assert is_fp == bool(np.array_equal(sgn(w @ trace.final.astype(np.int64)), trace.final))
 
     matched = nearest = distance = None
     if memories is not None and len(memories) > 0:

@@ -84,6 +84,20 @@ class TestRecall:
         _, _, weights = workspace
         assert run_cli(["recall", "--weights", str(weights), "--state", "1,2,1,1"]) == 5
 
+    def test_state_may_start_with_minus(self, workspace, tmp_path):
+        _, _, weights = workspace
+        spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+        base = ["recall", "--weights", str(weights)]
+        assert run_cli(base + ["--state", "-1,1,1,1", "--out", str(spaced)]) == 0
+        assert run_cli(base + ["--state=-1,1,1,1", "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        assert json.loads(spaced.read_text())["result"]["initial"] == [-1, 1, 1, 1]
+
+    def test_missing_state_is_usage_error(self, workspace):
+        _, _, weights = workspace
+        assert run_cli(["recall", "--weights", str(weights), "--state"]) == 2
+        assert run_cli(["recall", "--weights", str(weights), "--state", "--async"]) == 2
+
 
 class TestSpread:
     def test_single_neuron_seed_retrieves_first_memory(self, workspace, capsys):
@@ -208,6 +222,18 @@ class TestCollapse:
         assert doc["result"]["distinct_count"] == 100
         assert doc["result"]["raw_case_count"] == 200
         assert doc["result"]["cases"] is None
+
+    def test_amps_may_start_with_minus(self, tmp_path):
+        spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+        base = ["collapse", "--samples", "20", "--seed", "3"]
+        assert run_cli(base + ["--amps", "-0.6,0.8", "--out", str(spaced)]) == 0
+        assert run_cli(base + ["--amps=-0.6,0.8", "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        assert json.loads(spaced.read_text())["config"]["amps"] == [-0.6, 0.8]
+
+    def test_missing_amps_is_usage_error(self):
+        assert run_cli(["collapse", "--samples", "20", "--seed", "3", "--amps"]) == 2
+        assert run_cli(["collapse", "--amps", "--samples", "20", "--seed", "3"]) == 2
 
     def test_unnormalized_amps(self):
         assert run_cli(["collapse", "--amps", "1,1", "--samples", "10", "--seed", "0"]) == 5

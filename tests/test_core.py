@@ -4,13 +4,11 @@ from hypothesis import given, strategies as st
 
 from assocmem import (
     DimensionMismatch,
-    Fragment,
     MemorySet,
     ParameterError,
     ValidationError,
     as_bipolar,
     energy,
-    hamming,
     is_stored,
     normalize_start,
     sgn,
@@ -51,7 +49,8 @@ class TestSgn:
         assert sgn(sgn(v)) == sgn(v)
 
     @given(
-        st.floats(min_value=-1e6, max_value=1e6),
+        # a subnormal v can underflow c * v to -0.0, which is zero and maps to +1
+        st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False),
         st.floats(min_value=1e-3, max_value=1e3),
     )
     def test_positive_scale_invariance(self, v, c):
@@ -81,6 +80,9 @@ class TestMemoryValidation:
         mset = validate_memory_set([(1, 1), (1, -1), (1, 1)])
         assert mset.m == 3
         assert mset.duplicates == ((0, 2),)
+        # groups come in order of their first member, whatever the vectors' order
+        mset = validate_memory_set([(1, 1), (-1, -1), (1, 1), (-1, -1), (-1, -1)])
+        assert mset.duplicates == ((0, 2), (1, 3, 4))
 
     def test_memoryset_passthrough(self):
         mset = validate_memory_set([(1, -1)])
@@ -104,11 +106,6 @@ class TestBipolar:
     def test_rejects_matrix(self):
         with pytest.raises(ValidationError):
             as_bipolar([[1, -1]])
-
-    def test_hamming(self):
-        assert hamming([1, 1, -1], [1, -1, -1]) == 1
-        with pytest.raises(DimensionMismatch):
-            hamming([1, 1], [1, 1, 1])
 
 
 class TestWeightsValidation:
@@ -197,48 +194,6 @@ class TestProximityValidation:
         # d(0,2) far exceeds d(0,1) + d(1,2); still a legal separation table
         p = np.array([[0, 1, 100], [1, 0, 1], [100, 1, 0]], dtype=float)
         validate_proximity(p)
-
-
-class TestFragment:
-    def test_from_assignments(self):
-        f = Fragment.from_assignments(4, {0: 1, 2: -1})
-        assert f.assigned_indices == (0, 2)
-        assert f.clamped_indices == (0, 2)
-        assert f.value_at(2) == -1
-        assert not f.complete
-
-    def test_unassigned_value_is_not_readable(self):
-        f = Fragment.from_assignments(3, {0: 1})
-        with pytest.raises(KeyError):
-            f.value_at(1)
-
-    def test_clamped_must_be_assigned(self):
-        with pytest.raises(ValidationError):
-            Fragment(
-                values=np.array([1, 0, 0]),
-                assigned=np.array([True, False, False]),
-                clamped=np.array([True, True, False]),
-            )
-
-    def test_assigned_entries_must_be_bipolar(self):
-        with pytest.raises(ValidationError):
-            Fragment(
-                values=np.array([3, 0]),
-                assigned=np.array([True, False]),
-                clamped=np.array([False, False]),
-            )
-
-    def test_no_overwrite(self):
-        f = Fragment.from_assignments(2, {0: 1})
-        with pytest.raises(ValidationError):
-            f.with_assignment(0, -1)
-
-    def test_extension_is_a_new_value(self):
-        f = Fragment.from_assignments(2, {0: 1})
-        g = f.with_assignment(1, -1)
-        assert not f.assigned[1]
-        assert g.value_at(1) == -1
-        assert g.clamped_indices == (0,)
 
 
 class TestNormalizeStart:

@@ -4,11 +4,9 @@ from hypothesis import given, strategies as st
 
 from assocmem import (
     DimensionMismatch,
-    Fragment,
     ParameterError,
     SpreadStep,
     ValidationError,
-    consistency_flags,
     decompose,
     index_order,
     is_stored,
@@ -275,17 +273,6 @@ class TestSpreadOracle:
         assert np.array_equal(trace.final, final)
         assert trace.consistency_flags == flags
         assert trace.start == tuple(sorted(start.items()))
-
-
-class TestConsistencyFlags:
-    def test_partial_fragment_flags(self, worked_weights):
-        # assigned {0, 2} with values disagreeing through the 0-2 coupling
-        f = Fragment.from_assignments(4, {0: 1, 2: -1})
-        assert consistency_flags(worked_weights, f) == frozenset({0, 2})
-
-    def test_agreeing_fragment_is_clean(self, worked_weights):
-        f = Fragment.from_assignments(4, {0: 1, 2: 1})
-        assert consistency_flags(worked_weights, f) == frozenset()
 
 
 class TestRetrieveReport:

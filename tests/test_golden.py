@@ -24,6 +24,26 @@ CASES = {
         "spread", "--weights", "line_weights.json", "--proximity", "line_proximity.txt",
         "--start", "3:+1,4:+1,5:+1", "--memories", "line_memories.txt",
     ],
+    "worked_weights.json": ["train", "--memories", "worked_memories.txt"],
+    "zero_field_weights.json": ["train", "--memories", "zero_field_memories.txt"],
+    # a state on a two-cycle of the synchronous dynamics
+    "recall_worked_sync.json": ["recall", "--weights", "worked_weights.json", "--state=-1,1,-1,-1"],
+    "recall_worked_async.json": [
+        "recall", "--weights", "worked_weights.json", "--state=-1,1,-1,-1",
+        "--async", "--schedule", "random", "--seed", "7",
+    ],
+    "fixed_points_worked.json": [
+        "fixed-points", "--weights", "worked_weights.json", "--memories", "worked_memories.txt",
+    ],
+    # both memories have a zero field at neuron 1, so neither complement is fixed
+    "fixed_points_zero_field.json": [
+        "fixed-points", "--weights", "zero_field_weights.json", "--memories", "zero_field_memories.txt",
+    ],
+    "capacity_small.json": [
+        "capacity", "--n", "12", "--m-list", "1,2,3", "--trials", "50", "--seed", "7",
+    ],
+    "collapse_sample.json": ["collapse", "--amps=-0.6,0.8", "--samples", "20", "--seed", "3"],
+    "collapse_count_levels.json": ["collapse", "--count-levels", "3", "--list-cases"],
 }
 
 
