@@ -16,6 +16,11 @@ operationalization, so the report carries two readings side by side:
 * the all-exact rate, the fraction of trials in which every memory is an
   exact fixed point, which collapses to zero at much lighter loading.
 
+A trial never forms the n x n weights: it reads the fields of its m
+memories off the overlap matrix in float64 BLAS, at O(min(m, n) m n), and
+loads with m n above 2**53, where that float arithmetic stops being exact,
+are refused.
+
 Reproducibility contract: the per-trial generators are derived from
 (seed, m, trial) through SeedSequence spawn keys, and aggregation sums
 integer counters in a fixed order, so the report is bit-identical no
@@ -30,7 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, ParameterError, validate_memory_set, validate_weights
+from .core import (
+    FLOAT_EXACT_LIMIT,
+    DimensionMismatch,
+    ParameterError,
+    validate_memory_set,
+    validate_weights,
+)
 
 ENUMERATION_LIMIT = 20
 
@@ -131,17 +142,22 @@ class CapacityReport:
 
 
 def _capacity_trial(n: int, m: int, seed: int, trial: int) -> tuple[int, int]:
-    """One trial: draw m random memories, train, count unstable bits.
+    """One trial: draw m random memories, count the bits one pass flips.
 
     Returns (unstable bit count, 1 if every memory was an exact fixed
     point). The generator stream depends only on (seed, m, trial), never on
     scheduling.
+
+    The fields of the memories are X W with W = X^T X - m I, so W is never
+    formed: they are (X X^T) X - m X, or X (X^T X) - m X when m > n, at
+    O(min(m, n) m n) in float64 BLAS. Every product and partial sum is an
+    integer of magnitude at most m n, exact while m n <= 2**53, which
+    capacity_experiment enforces.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m, trial)))
-    x = (rng.integers(0, 2, size=(m, n), dtype=np.int8) * 2 - 1).astype(np.int64)
-    weights = x.T @ x
-    np.fill_diagonal(weights, 0)
-    fields = x @ weights
+    x = (rng.integers(0, 2, size=(m, n), dtype=np.int8) * 2 - 1).astype(np.float64)
+    fields = (x @ x.T) @ x if m <= n else x @ (x.T @ x)
+    fields -= m * x
     unstable = int(np.count_nonzero((fields >= 0) != (x > 0)))
     if m == 1 and unstable != 0:
         raise AssertionError("a single memory must always be an exact fixed point")
@@ -159,7 +175,9 @@ def capacity_experiment(n: int, m_values, trials: int, seed: int, workers: int =
     stability is at least 99%, or 0.0 if no load in the sweep qualifies.
 
     ``workers`` > 1 runs trials in a thread pool; results are bit-identical
-    to the serial run by construction.
+    to the serial run by construction. Loads with m * n above 2**53 are
+    refused before any trial runs, because their fields would not be exact
+    in float64.
     """
     if n < 10:
         raise ParameterError(f"capacity experiment needs n >= 10, got {n}")
@@ -174,6 +192,8 @@ def capacity_experiment(n: int, m_values, trials: int, seed: int, workers: int =
         raise ParameterError("seed must be a nonnegative integer")
     if workers < 1:
         raise ParameterError("workers must be at least 1")
+    if max(ms) * n > FLOAT_EXACT_LIMIT:
+        raise ParameterError(f"m * n = {max(ms) * n} exceeds 2**53; the float64 fields would not be exact")
     seed = int(seed)
 
     unstable = np.zeros((len(ms), trials), dtype=np.int64)

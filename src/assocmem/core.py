@@ -126,10 +126,16 @@ def validate_memory_set(memories) -> MemorySet:
         rows = [np.asarray(r) for r in memories]
     if len(rows) == 0:
         raise ParameterError("memory set is empty")
-    widths = {int(np.asarray(r).size) for r in rows}
+    widths = {int(r.size) for r in rows}
     if len(widths) != 1:
         raise DimensionMismatch(f"memories have mixed dimensions {sorted(widths)}")
-    vectors = np.stack([as_bipolar(r) for r in rows])
+    vectors = None
+    if widths != {0} and all(r.ndim == 1 and r.dtype.kind in "iuf" for r in rows):
+        vectors = np.stack(rows)
+    if vectors is None or np.count_nonzero(vectors == 1) + np.count_nonzero(vectors == -1) != vectors.size:
+        for r in rows:
+            as_bipolar(r)  # raises for the first bad row, with its message
+    vectors = vectors.astype(BIPOLAR_DTYPE, copy=False)
     groups: dict[bytes, list[int]] = {}
     for i, row in enumerate(vectors):
         groups.setdefault(row.tobytes(), []).append(i)
@@ -186,6 +192,24 @@ def validate_weights(weights) -> np.ndarray:
     return _frozen(out)
 
 
+def _proximity_fault(arr: np.ndarray) -> tuple[int, str] | None:
+    """The first broken invariant of a square float matrix, as (row, message), or None."""
+    if not np.all(np.isfinite(arr)):
+        return int(np.argwhere(~np.isfinite(arr))[0][0]), "proximity entries must be finite"
+    asym = np.abs(arr - arr.T) > PROXIMITY_TOL
+    if np.any(asym):
+        i, j = np.argwhere(asym)[0]
+        return int(i), f"proximity matrix is asymmetric at ({int(i) + 1}, {int(j) + 1})"
+    if np.any(np.abs(np.diag(arr)) > PROXIMITY_TOL):
+        i = int(np.flatnonzero(np.abs(np.diag(arr)) > PROXIMITY_TOL)[0])
+        return i, f"proximity diagonal must be zero, neuron {i + 1} has {arr[i, i]}"
+    off = ~np.eye(arr.shape[0], dtype=bool)
+    if np.any(arr[off] <= 0):
+        i, j = [(int(a), int(b)) for a, b in np.argwhere(off & (arr <= 0))][0]
+        return i, f"off-diagonal proximity must be positive, ({i + 1}, {j + 1}) has {arr[i, j]}"
+    return None
+
+
 def validate_proximity(proximity) -> np.ndarray:
     """Validate a pairwise-distance matrix.
 
@@ -196,21 +220,9 @@ def validate_proximity(proximity) -> np.ndarray:
     arr = np.asarray(proximity, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"proximity matrix must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("proximity entries must be finite")
-    asym = np.abs(arr - arr.T) > PROXIMITY_TOL
-    if np.any(asym):
-        i, j = np.argwhere(asym)[0]
-        raise ValidationError(f"proximity matrix is asymmetric at ({int(i) + 1}, {int(j) + 1})")
-    if np.any(np.abs(np.diag(arr)) > PROXIMITY_TOL):
-        i = int(np.flatnonzero(np.abs(np.diag(arr)) > PROXIMITY_TOL)[0])
-        raise ValidationError(f"proximity diagonal must be zero, neuron {i + 1} has {arr[i, i]}")
-    off = ~np.eye(arr.shape[0], dtype=bool)
-    if np.any(arr[off] <= 0):
-        i, j = [(int(a), int(b)) for a, b in np.argwhere(off & (arr <= 0))][0]
-        raise ValidationError(
-            f"off-diagonal proximity must be positive, ({i + 1}, {j + 1}) has {arr[i, j]}"
-        )
+    fault = _proximity_fault(arr)
+    if fault is not None:
+        raise ValidationError(fault[1])
     return _frozen(arr.copy())
 
 

@@ -3,7 +3,10 @@
 Memory and proximity files are hand-editable plain text. One memory per
 line, whitespace-separated tokens from {1, -1} (+1 is accepted on input);
 a proximity file holds n lines of n decimal reals. In both, ``#`` starts a
-comment that runs to the end of the line and blank lines are ignored.
+comment that runs to the end of the line and blank lines are ignored. Files
+are UTF-8; a line ends at \\n, \\r\\n or a lone \\r, and any other Unicode
+separator is whitespace within a line. Every parse failure is a ParseError
+whose message starts with ``path:line:``, so it can be found in an editor.
 
 Weights and reports share one structured-text format: a JSON document with
 two-space indentation, a fixed key order, and a trailing newline, so runs
@@ -16,6 +19,7 @@ deterministic commands).
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -26,8 +30,9 @@ from .core import (
     DimensionMismatch,
     MemorySet,
     ValidationError,
+    _frozen,
+    _proximity_fault,
     validate_memory_set,
-    validate_proximity,
     validate_weights,
 )
 
@@ -40,10 +45,20 @@ class ParseError(ValueError):
     """A file could not be parsed; the message carries path, line, column."""
 
 
+def _split_lines(text: str) -> list[str]:
+    """Lines end at \\n, \\r\\n or a lone \\r; other separators are whitespace."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _content_lines(path: Path):
     """Yield (line_number, comment-stripped text) pairs, 1-based."""
-    text = path.read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = _split_lines(data[: exc.start].decode("utf-8"))
+        raise ParseError(f"{path}:{len(head)}:{len(head[-1]) + 1}: not UTF-8 text") from None
+    for lineno, raw in enumerate(_split_lines(text), start=1):
         body = raw.split("#", 1)[0]
         if body.strip():
             yield lineno, body
@@ -66,7 +81,7 @@ def parse_memories(path) -> MemorySet:
         rows.append(row)
         widths.append((lineno, len(row)))
     if not rows:
-        raise ParseError(f"{p}: no memory vectors found")
+        raise ParseError(f"{p}:1: no memory vectors found")
     first_line, first_width = widths[0]
     for lineno, width in widths[1:]:
         if width != first_width:
@@ -81,34 +96,39 @@ def parse_proximity(path) -> np.ndarray:
     p = Path(path)
     rows = []
     for lineno, body in _content_lines(p):
+        # float() alone would also read "1_0" as 10 and take non-ASCII digits
+        lenient = "_" in body or not body.isascii()
         row = []
         for match in _TOKEN.finditer(body):
             token = match.group()
             try:
                 value = float(token)
             except ValueError:
+                value = None
+            if value is None or lenient and ("_" in token or not token.isascii()):
+                raise ParseError(f"{p}:{lineno}:{match.start() + 1}: bad distance token {token!r}")
+            if not 0 <= value < math.inf:
                 raise ParseError(
-                    f"{p}:{lineno}:{match.start() + 1}: bad distance token {token!r}"
-                ) from None
-            if value < 0:
-                raise ParseError(
-                    f"{p}:{lineno}:{match.start() + 1}: distances must be nonnegative, got {token}"
+                    f"{p}:{lineno}:{match.start() + 1}: distances must be finite and nonnegative, got {token}"
                 )
             row.append(value)
         rows.append((lineno, row))
     if not rows:
-        raise ParseError(f"{p}: no proximity rows found")
+        raise ParseError(f"{p}:1: no proximity rows found")
     width = len(rows[0][1])
     for lineno, row in rows:
         if len(row) != width:
             raise ParseError(f"{p}:{lineno}: row has {len(row)} entries, expected {width}")
     if len(rows) != width:
-        raise ParseError(f"{p}: proximity matrix must be square, got {len(rows)} rows of {width}")
+        # the first row past a square matrix, or the last row of a short one
+        lineno = rows[min(width, len(rows) - 1)][0]
+        raise ParseError(f"{p}:{lineno}: proximity matrix must be square, got {len(rows)} rows of {width}")
     matrix = np.array([row for _, row in rows], dtype=np.float64)
-    try:
-        return validate_proximity(matrix)
-    except (ValidationError, DimensionMismatch) as exc:
-        raise ParseError(f"{p}: {exc}") from exc
+    fault = _proximity_fault(matrix)
+    if fault is not None:
+        row, message = fault
+        raise ParseError(f"{p}:{rows[row][0]}: {message}")
+    return _frozen(matrix)
 
 
 def document(kind: str, command: str, config: dict, **payload) -> dict:

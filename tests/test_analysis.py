@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from assocmem import (
     ParameterError,
@@ -12,6 +13,7 @@ from assocmem import (
     is_stored,
     train,
 )
+from assocmem.analysis import _capacity_trial
 from conftest import random_memories, random_symmetric_weights
 
 
@@ -146,11 +148,32 @@ class TestCapacity:
             dict(n=20, m_values=[0], trials=50, seed=1),
             dict(n=20, m_values=[2], trials=50, seed=-1),
             dict(n=20, m_values=[2], trials=50, seed=1, workers=0),
+            # m * n just above 2**53: refused before a single memory is drawn
+            dict(n=2**27, m_values=[2**26 + 1], trials=50, seed=1),
         ],
     )
     def test_parameter_validation(self, kwargs):
         with pytest.raises(ParameterError):
             capacity_experiment(**kwargs)
+
+    @given(
+        n=st.integers(10, 60),
+        m=st.integers(1, 80),
+        seed=st.integers(0, 2**32),
+        trial=st.integers(0, 199),
+    )
+    @example(n=10, m=1, seed=0, trial=0)
+    @example(n=37, m=37, seed=5, trial=3)
+    @example(n=10, m=80, seed=7, trial=49)
+    def test_trial_matches_int64_oracle(self, n, m, seed, trial):
+        # independent count on the same stream: form W in int64, zero its
+        # diagonal, and take the fields of every memory directly
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m, trial)))
+        x = (rng.integers(0, 2, size=(m, n), dtype=np.int8) * 2 - 1).astype(np.int64)
+        w = x.T @ x
+        np.fill_diagonal(w, 0)
+        unstable = int(np.count_nonzero((x @ w >= 0) != (x > 0)))
+        assert _capacity_trial(n, m, seed, trial) == (unstable, int(unstable == 0))
 
 
 class TestComplementAsymmetry:

@@ -265,6 +265,12 @@ class TestErrorChannels:
         bad.write_text("1 2 1\n")
         assert run_cli(["train", "--memories", str(bad), "--out", str(tmp_path / "w.json")]) == 3
 
+    def test_binary_file_is_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1 -1\n\x80 1\n")
+        assert run_cli(["train", "--memories", str(bad), "--out", str(tmp_path / "w.json")]) == 3
+        assert "bad.txt:2:1: not UTF-8 text" in capsys.readouterr().err
+
     def test_version(self, capsys):
         assert run_cli(["--version"]) == 0
         assert "assocmem" in capsys.readouterr().out

@@ -76,6 +76,15 @@ class TestMemoryValidation:
         with pytest.raises(ValidationError):
             validate_memory_set([(1, 2, 1)])
 
+    def test_first_bad_entry_in_a_later_memory(self):
+        # the whole set is checked at once; the message still names the
+        # first bad entry in row-major order, here in the second memory
+        with pytest.raises(ValidationError) as err:
+            validate_memory_set([(1, -1, 1), (1, 1, 0), (5, 1, 1)])
+        assert str(err.value) == "state entries must be +1 or -1, neuron 3 has np.int64(0)"
+        with pytest.raises(ValidationError, match="must be numeric, got dtype bool"):
+            validate_memory_set([np.array([1, -1]), np.array([True, False])])
+
     def test_duplicates_reported_but_permitted(self):
         mset = validate_memory_set([(1, 1), (1, -1), (1, 1)])
         assert mset.m == 3

@@ -1,7 +1,9 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from assocmem import ParseError, load_weights, parse_memories, parse_proximity, train
 from assocmem.formats import render_document, weights_document
@@ -41,7 +43,25 @@ class TestParseMemories:
     def test_empty_file(self, tmp_path):
         f = tmp_path / "m.txt"
         f.write_text("# nothing here\n")
-        with pytest.raises(ParseError, match="no memory vectors"):
+        with pytest.raises(ParseError, match=r"m\.txt:1: no memory vectors"):
+            parse_memories(f)
+
+    def test_form_feed_is_whitespace_not_a_line_break(self, tmp_path):
+        # str.splitlines would split at \f and report the bad token on line 3
+        f = tmp_path / "m.txt"
+        f.write_text("1 -1\f1 1\n1 2 1 1\n")
+        with pytest.raises(ParseError, match=r"m\.txt:2:3: bad memory token '2'"):
+            parse_memories(f)
+
+    def test_lone_carriage_return_ends_a_line(self, tmp_path):
+        f = tmp_path / "m.txt"
+        f.write_bytes(b"1 -1\r-1 1\r\n")
+        assert parse_memories(f).m == 2
+
+    def test_non_utf8_bytes_report_line_and_column(self, tmp_path):
+        f = tmp_path / "m.txt"
+        f.write_bytes(b"1 -1\n1 \xff\n")
+        with pytest.raises(ParseError, match=r"m\.txt:2:3: not UTF-8 text"):
             parse_memories(f)
 
 
@@ -56,8 +76,33 @@ class TestParseProximity:
     def test_asymmetry_named(self, tmp_path):
         f = tmp_path / "p.txt"
         f.write_text("0 1\n2 0\n")
-        with pytest.raises(ParseError, match=r"\(1, 2\)"):
+        with pytest.raises(ParseError, match=r"p\.txt:1: proximity matrix is asymmetric at \(1, 2\)"):
             parse_proximity(f)
+
+    def test_fault_names_the_line_of_its_row(self, tmp_path):
+        f = tmp_path / "p.txt"
+        f.write_text("# distances\n0 1 2\n\n1 0 1\n2 1 1\n")
+        with pytest.raises(ParseError, match=r"p\.txt:5: proximity diagonal must be zero, neuron 3"):
+            parse_proximity(f)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_token(self, tmp_path, token):
+        f = tmp_path / "p.txt"
+        f.write_text(f"0 {token}\n{token} 0\n")
+        with pytest.raises(ParseError, match=r"p\.txt:1:3: distances must be finite"):
+            parse_proximity(f)
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "0x1", "1e", "."])
+    def test_only_decimal_reals(self, tmp_path, token):
+        f = tmp_path / "p.txt"
+        f.write_text(f"0 {token}\n{token} 0\n")
+        with pytest.raises(ParseError, match=r"p\.txt:1:3: bad distance token"):
+            parse_proximity(f)
+
+    def test_decimal_spellings(self, tmp_path):
+        f = tmp_path / "p.txt"
+        f.write_text("0 +1.5 .5 2e0\n1.5 0. 1 1E1\n0.5 1 0 3\n2 10 3 -0\n")
+        assert parse_proximity(f)[0].tolist() == [0.0, 1.5, 0.5, 2.0]
 
     def test_nonzero_diagonal(self, tmp_path):
         f = tmp_path / "p.txt"
@@ -68,7 +113,7 @@ class TestParseProximity:
     def test_non_square(self, tmp_path):
         f = tmp_path / "p.txt"
         f.write_text("0 1 2 3\n1 0 1 2\n2 1 0 1\n")
-        with pytest.raises(ParseError, match="square"):
+        with pytest.raises(ParseError, match=r"p\.txt:3: proximity matrix must be square"):
             parse_proximity(f)
 
     def test_bad_token(self, tmp_path):
@@ -128,3 +173,72 @@ class TestWeightsDocuments:
         doc = {"tool": "assocmem", "value": [1, 2]}
         assert render_document(doc) == render_document(doc)
         assert render_document(doc).endswith("\n")
+
+
+# tokens a hand-edited file might hold: good ones, stray signs, typos,
+# non-finite and underscored numbers, comments and odd whitespace
+_FUZZ_TOKENS = [
+    "1", "-1", "+1", "0", "2", "-0", "0.5", "1.0", "-", "+", "+-1", "--1", "1e3", "1e999",
+    "nan", "inf", "-inf", "1_0", "0x1", "x", "#", "# note", "\t", "\v", "\f", "\x85",
+    "\u00a0", "\u2028", "\u0661", "\r",
+]
+
+_random_lines = st.lists(
+    st.one_of(
+        st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=6).map(" ".join),
+        st.text(max_size=12),
+    ),
+    max_size=6,
+)
+
+
+@st.composite
+def _mangled(draw, make_row):
+    """A valid file of n rows of n tokens with one token swapped and maybe a line dropped."""
+    n = draw(st.integers(1, 4))
+    rows = [[make_row(i, j) for j in range(n)] for i in range(n)]
+    rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(st.sampled_from(_FUZZ_TOKENS))
+    lines = [" ".join(row) for row in rows]
+    if draw(st.booleans()):
+        del lines[draw(st.integers(0, n - 1))]
+    return lines
+
+
+_memory_files = st.one_of(_random_lines, _mangled(lambda i, j: "1" if (i + j) % 2 else "-1"))
+_proximity_files = st.one_of(_random_lines, _mangled(lambda i, j: str(abs(i - j))))
+
+
+def _check_failure(path, parse):
+    """Parse succeeds, or fails with a ParseError naming an existing line."""
+    try:
+        parse(path)
+    except ParseError as exc:
+        found = re.match(rf"{re.escape(str(path))}:(\d+):", str(exc))
+        assert found, str(exc)
+        # a line ends at \n, \r\n or a lone \r, as in the module docstring
+        lines = re.split(rb"\r\n|\r|\n", path.read_bytes())
+        assert 1 <= int(found.group(1)) <= len(lines), str(exc)
+
+
+class TestParserFuzz:
+    @given(lines=_memory_files, newline=st.sampled_from(["\n", "\r\n"]))
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_memories(self, tmp_path, lines, newline):
+        path = tmp_path / "input.txt"
+        path.write_bytes(newline.join(lines).encode("utf-8"))
+        _check_failure(path, parse_memories)
+
+    @given(lines=_proximity_files, newline=st.sampled_from(["\n", "\r\n"]))
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_proximity(self, tmp_path, lines, newline):
+        path = tmp_path / "input.txt"
+        path.write_bytes(newline.join(lines).encode("utf-8"))
+        _check_failure(path, parse_proximity)
+
+    @given(data=st.binary(max_size=40))
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_raw_bytes(self, tmp_path, data):
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        _check_failure(path, parse_memories)
+        _check_failure(path, parse_proximity)

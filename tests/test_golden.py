@@ -42,6 +42,15 @@ CASES = {
     "capacity_small.json": [
         "capacity", "--n", "12", "--m-list", "1,2,3", "--trials", "50", "--seed", "7",
     ],
+    # more memories than neurons
+    "capacity_m_over_n.json": [
+        "capacity", "--n", "10", "--m-list", "12,20", "--trials", "50", "--seed", "7",
+    ],
+    # thread-pool trials; the report does not record the worker count
+    "capacity_workers.json": [
+        "capacity", "--n", "40", "--m-list", "1,4,8", "--trials", "60", "--seed", "3",
+        "--workers", "2",
+    ],
     "collapse_sample.json": ["collapse", "--amps=-0.6,0.8", "--samples", "20", "--seed", "3"],
     "collapse_count_levels.json": ["collapse", "--count-levels", "3", "--list-cases"],
 }
