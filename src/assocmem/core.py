@@ -203,8 +203,9 @@ def _proximity_fault(arr: np.ndarray) -> tuple[int, str] | None:
     if np.any(np.abs(np.diag(arr)) > PROXIMITY_TOL):
         i = int(np.flatnonzero(np.abs(np.diag(arr)) > PROXIMITY_TOL)[0])
         return i, f"proximity diagonal must be zero, neuron {i + 1} has {arr[i, i]}"
-    off = ~np.eye(arr.shape[0], dtype=bool)
-    if np.any(arr[off] <= 0):
+    # count the non-positive entries off the diagonal; locate only when there are some
+    if np.count_nonzero(arr <= 0) > np.count_nonzero(np.diag(arr) <= 0):
+        off = ~np.eye(arr.shape[0], dtype=bool)
         i, j = [(int(a), int(b)) for a, b in np.argwhere(off & (arr <= 0))][0]
         return i, f"off-diagonal proximity must be positive, ({i + 1}, {j + 1}) has {arr[i, j]}"
     return None

@@ -11,6 +11,16 @@ x == sgn(W x). Iterated synchronous recall and asynchronous (one neuron at
 a time) recall are provided on top of that definition, together with the
 quadratic energy E(s) = -1/2 s^T W s used to check that asynchronous
 updates only ever descend (Hopfield 1982 dynamics).
+
+Both recalls carry the field vector h = W x instead of recomputing it. A
+synchronous pass costs one O(n^2) product W x, and its energy -1/2 x.h is
+an O(n) dot; a pass that repeats an earlier state reuses that state's
+energy. An asynchronous recall computes h once, in O(n^2), reads h[i] at
+each visit in O(1), and adds d * W[i] to h in O(n) when neuron i flips by
+d (W is symmetric). Energies are exact integers, bounded by 2**62 through
+validate_weights; the asynchronous recall updates its energy as a Python
+int on each flip, so every trace entry is the float nearest the exact
+energy.
 """
 
 from __future__ import annotations
@@ -64,9 +74,13 @@ def is_stored(weights, state) -> bool:
     return bool(np.array_equal(recall_sync(weights, state), as_bipolar(state)))
 
 
-def _energy(w: np.ndarray, state: np.ndarray) -> float:
-    x = state.astype(np.int64)
-    return float(-0.5 * (x @ w @ x)) + 0.0
+def _energy(x: np.ndarray, h: np.ndarray) -> int:
+    """Exact energy -1/2 x.h of state x with field h = W x.
+
+    x.h = 2 * sum_{i<j} w_ij x_i x_j is even, and bounded by the total
+    absolute weight, so the int64 dot cannot wrap.
+    """
+    return -(int(x @ h) // 2)
 
 
 def energy(weights, state) -> float:
@@ -74,7 +88,7 @@ def energy(weights, state) -> float:
     w = validate_weights(weights)
     x = as_bipolar(state)
     _check_dims(w, x)
-    return _energy(w, x)
+    return float(_energy(x, w @ x))
 
 
 @dataclass(frozen=True)
@@ -133,7 +147,7 @@ def recall_async(weights, state, schedule="cyclic", max_passes: int | None = Non
     the tie case where a zero field pulls a -1 neuron up to +1.
     """
     w = validate_weights(weights)
-    x = np.array(as_bipolar(state))
+    x = as_bipolar(state)
     _check_dims(w, x)
     n = x.size
     if max_passes is None:
@@ -142,28 +156,35 @@ def recall_async(weights, state, schedule="cyclic", max_passes: int | None = Non
         raise ParameterError(f"max_passes must be at least 1, got {max_passes}")
 
     orders = _resolve_orders(schedule, n, seed)
-    e = _energy(w, x)
-    trace = [e]
+    h = w @ x
+    e = _energy(x, h)
+    ef = float(e)
+    trace = [ef]
+    xs = x.tolist()
     converged = False
     passes = 0
     for _ in range(max_passes):
         order = next(orders)
         flips = 0
-        for i in order:
-            h = int(w[i] @ x)
-            v = 1 if h >= 0 else -1
-            if v != x[i]:
-                e = (e - (v - int(x[i])) * h) + 0.0
-                x[i] = v
+        for i in order.tolist():
+            hi = int(h[i])
+            v = 1 if hi >= 0 else -1
+            if v != xs[i]:
+                d = v - xs[i]
+                e -= d * hi
+                ef = float(e)  # the exact energy, rounded once
+                # W is symmetric; |d * w_ij| and every field stay within the 2**62 total
+                h += d * w[i]
+                xs[i] = v
                 flips += 1
-            trace.append(e)
+            trace.append(ef)
         passes += 1
         if flips == 0:
             converged = True
             break
-    final = as_bipolar(x)
+    final = as_bipolar(xs)
     if not converged:
-        converged = bool(np.array_equal(sgn(w @ final), final))
+        converged = bool(np.array_equal(sgn(h), final))
     return RecallResult(state=final, iterations=passes, converged=converged, energy_trace=tuple(trace))
 
 
@@ -182,14 +203,16 @@ def recall_sync_iterated(weights, state, max_passes: int | None = None) -> Recal
     if max_passes < 1:
         raise ParameterError(f"max_passes must be at least 1, got {max_passes}")
 
-    trace = [_energy(w, cur)]
+    h = w @ cur
+    trace = [float(_energy(cur, h))]
     prev = None
     for t in range(1, max_passes + 1):
-        nxt = sgn(w @ cur)
-        trace.append(_energy(w, nxt))
+        nxt = sgn(h)
         if np.array_equal(nxt, cur):
+            trace.append(trace[-1])
             return RecallResult(state=cur, iterations=t, converged=True, energy_trace=tuple(trace))
         if prev is not None and np.array_equal(nxt, prev):
+            trace.append(trace[-2])
             return RecallResult(
                 state=nxt,
                 iterations=t,
@@ -197,6 +220,8 @@ def recall_sync_iterated(weights, state, max_passes: int | None = None) -> Recal
                 energy_trace=tuple(trace),
                 cycle=(nxt, cur),
             )
+        h = w @ nxt
+        trace.append(float(_energy(nxt, h)))
         prev = cur
         cur = nxt
     return RecallResult(state=cur, iterations=max_passes, converged=False, energy_trace=tuple(trace))

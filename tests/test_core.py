@@ -199,6 +199,21 @@ class TestProximityValidation:
         with pytest.raises(ValidationError):
             validate_proximity(p)
 
+    def test_first_non_positive_off_diagonal_named(self):
+        # row-major first offender; the zero diagonal is not one
+        p = np.array([[0, 1, 2, 3], [1, 0, 0, -1], [2, 0, 0, 1], [3, -1, 1, 0]], dtype=float)
+        with pytest.raises(ValidationError, match=r"^off-diagonal proximity must be positive, \(2, 3\) has 0\.0$"):
+            validate_proximity(p)
+        p[1, 2] = p[2, 1] = 5.0
+        with pytest.raises(ValidationError, match=r"\(2, 4\) has -1\.0$"):
+            validate_proximity(p)
+
+    def test_tolerated_diagonal_is_not_an_off_diagonal_fault(self):
+        # diagonal entries within the tolerance, of either sign, are zeros
+        p = np.ones((3, 3))
+        np.fill_diagonal(p, [-1e-10, 0.0, 1e-10])
+        validate_proximity(p)
+
     def test_triangle_inequality_not_required(self):
         # d(0,2) far exceeds d(0,1) + d(1,2); still a legal separation table
         p = np.array([[0, 1, 100], [1, 0, 1], [100, 1, 0]], dtype=float)

@@ -32,6 +32,20 @@ CASES = {
         "recall", "--weights", "worked_weights.json", "--state=-1,1,-1,-1",
         "--async", "--schedule", "random", "--seed", "7",
     ],
+    # neuron 1 always sees a zero field, so sgn(0) = +1 decides it
+    "recall_zero_field_sync.json": ["recall", "--weights", "zero_field_weights.json", "--state=-1,1,1"],
+    "recall_zero_field_async_cyclic.json": [
+        "recall", "--weights", "zero_field_weights.json", "--state=-1,1,1",
+        "--async", "--schedule", "cyclic",
+    ],
+    # a one-pass budget that runs out before either mode settles
+    "recall_line_sync_budget.json": [
+        "recall", "--weights", "line_weights.json", "--state=-1,-1,-1,-1,-1,-1,-1,-1", "--passes", "1",
+    ],
+    "recall_line_async_budget.json": [
+        "recall", "--weights", "line_weights.json", "--state=-1,-1,-1,-1,-1,-1,-1,-1", "--passes", "1",
+        "--async", "--seed", "7",
+    ],
     "fixed_points_worked.json": [
         "fixed-points", "--weights", "worked_weights.json", "--memories", "worked_memories.txt",
     ],

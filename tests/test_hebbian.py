@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from assocmem import (
     DimensionMismatch,
@@ -186,6 +186,22 @@ class TestRecallAsync:
         assert list(result.state) == [1, 1]
         assert set(result.energy_trace) == {0.0}
 
+    def test_trace_is_exact_near_the_weight_limit(self):
+        # energies far beyond 2**53, where a running float sum would drift
+        rng = np.random.default_rng(62)
+        for _ in range(60):
+            n = int(rng.integers(2, 30))
+            w = random_symmetric_weights(rng, n)
+            w *= 2**62 // max(1, int(np.abs(w).sum()))
+            x = random_memories(rng, 1, n)[0].astype(np.int64)
+            result = recall_async(w, x, schedule="cyclic")
+            assert result.energy_trace[0] == energy(w, x)
+            for k, e in enumerate(result.energy_trace[1:]):
+                i = k % n
+                x[i] = 1 if w[i] @ x >= 0 else -1
+                assert e == energy(w, x)
+            assert np.array_equal(result.state, x)
+
 
 class TestComplementProperty:
     def test_conditional_complement_on_random_networks(self):
@@ -231,3 +247,118 @@ class TestRecallSyncIterated:
         assert result.converged
         assert np.array_equal(result.state, (1, 1, -1))
         assert is_stored(w, result.state)
+
+
+@st.composite
+def recall_cases(draw):
+    """Weights, a start state, an update schedule and a pass budget.
+
+    Weights are trained (mostly converging), trained and negated (synchronous
+    two-cycles), or small random integers (frequent zero-field ties), then
+    scaled by an integer, up to a total absolute weight just below 2**62.
+    """
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("trained", "negated", "small")))
+    if kind == "small":
+        w = random_symmetric_weights(rng, n, lo=-1, hi=2)
+    else:
+        w = train(random_memories(rng, int(rng.integers(1, n + 3)), n)).copy()
+        if kind == "negated":
+            w = -w
+    scale = draw(st.sampled_from((1, 3, 2**40, "limit")))
+    w *= 2**62 // max(1, int(np.abs(w).sum())) if scale == "limit" else scale
+    x = random_memories(rng, 1, n)[0]
+    schedule = draw(st.sampled_from(("cyclic", "random", "explicit")))
+    if schedule == "explicit":
+        schedule = draw(st.permutations(range(n)))
+    max_passes = draw(st.sampled_from((None, 1, 2, 3)))
+    return w, x, schedule, max_passes, draw(st.integers(0, 2**16))
+
+
+def _reference_energy(w, x) -> float:
+    # x W x is even and exact in int64 for accepted weights; int / int rounds once
+    return -int(x @ w @ x) / 2
+
+
+def reference_sync(w, x, max_passes):
+    """Iterated synchronous recall from the definitions: W x and x W x every pass."""
+    w = np.asarray(w, dtype=np.int64)
+    cur = np.asarray(x, dtype=np.int64)
+    max_passes = 10 * cur.size if max_passes is None else max_passes
+    trace = [_reference_energy(w, cur)]
+    prev = None
+    for t in range(1, max_passes + 1):
+        nxt = np.where(w @ cur >= 0, 1, -1)
+        trace.append(_reference_energy(w, nxt))
+        if np.array_equal(nxt, cur):
+            return cur, t, True, trace, None
+        if prev is not None and np.array_equal(nxt, prev):
+            return nxt, t, False, trace, (nxt, cur)
+        prev, cur = cur, nxt
+    return cur, max_passes, False, trace, None
+
+
+def reference_async(w, x, schedule, max_passes, seed):
+    """Asynchronous recall from the definitions: W[i] x at every visit and
+    x W x after every visit."""
+    w = np.asarray(w, dtype=np.int64)
+    x = np.array(x, dtype=np.int64)
+    n = x.size
+    max_passes = 10 * n if max_passes is None else max_passes
+    rng = np.random.default_rng(seed)
+    trace = [_reference_energy(w, x)]
+    for passes in range(1, max_passes + 1):
+        if schedule == "cyclic":
+            order = range(n)
+        elif schedule == "random":
+            order = rng.permutation(n)
+        else:
+            order = schedule
+        flips = 0
+        for i in order:
+            v = 1 if w[i] @ x >= 0 else -1
+            flips += v != x[i]
+            x[i] = v
+            trace.append(_reference_energy(w, x))
+        if flips == 0:
+            return x, passes, True, trace
+    return x, max_passes, bool(np.array_equal(np.where(w @ x >= 0, 1, -1), x)), trace
+
+
+# zero weights: every field is 0, so sgn(0) = +1 decides every neuron
+ZERO_FIELD_TIES = (np.zeros((3, 3), dtype=np.int64), np.array([-1, 1, -1]), "cyclic", None, 0)
+# neuron 0 always sees a zero field; its partners two-cycle synchronously
+ZERO_FIELD_CYCLE = (np.array([[0, 0, 0], [0, 0, -2], [0, -2, 0]]), np.array([-1, 1, 1]), "random", 2, 5)
+ANTIFERROMAGNET = (np.array([[0, -1], [-1, 0]]), np.array([1, 1]), [1, 0], None, 0)
+
+
+class TestRecallOracle:
+    @given(recall_cases())
+    @example(ZERO_FIELD_TIES)
+    @example(ZERO_FIELD_CYCLE)
+    @example(ANTIFERROMAGNET)
+    def test_sync_matches_reference(self, case):
+        w, x, _, max_passes, _ = case
+        result = recall_sync_iterated(w, x, max_passes=max_passes)
+        state, iterations, converged, trace, cycle = reference_sync(w, x, max_passes)
+        assert np.array_equal(result.state, state)
+        assert (result.iterations, result.converged) == (iterations, converged)
+        assert result.energy_trace == tuple(trace)
+        if cycle is None:
+            assert result.cycle is None
+        else:
+            assert np.array_equal(result.cycle[0], cycle[0]) and np.array_equal(result.cycle[1], cycle[1])
+
+    @given(recall_cases())
+    @example(ZERO_FIELD_TIES)
+    @example(ZERO_FIELD_CYCLE)
+    @example(ANTIFERROMAGNET)
+    def test_async_matches_reference(self, case):
+        w, x, schedule, max_passes, seed = case
+        result = recall_async(w, x, schedule=schedule, max_passes=max_passes, seed=seed)
+        state, iterations, converged, trace = reference_async(w, x, schedule, max_passes, seed)
+        assert np.array_equal(result.state, state)
+        assert (result.iterations, result.converged) == (iterations, converged)
+        assert result.energy_trace == tuple(trace)
+        assert result.cycle is None
