@@ -30,6 +30,7 @@ matter how trials are scheduled or parallelized.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -174,10 +175,11 @@ def capacity_experiment(n: int, m_values, trials: int, seed: int, workers: int =
     is exact. ``threshold_capacity_ratio`` is the largest m/n whose per-bit
     stability is at least 99%, or 0.0 if no load in the sweep qualifies.
 
-    ``workers`` > 1 runs trials in a thread pool; results are bit-identical
-    to the serial run by construction. Loads with m * n above 2**53 are
-    refused before any trial runs, because their fields would not be exact
-    in float64.
+    ``workers`` > 1 splits the trials into that many contiguous blocks, at
+    most one per CPU, and runs each block in a thread of a pool; results are
+    bit-identical to the serial run by construction. Loads with m * n above
+    2**53 are refused before any trial runs, because their fields would not
+    be exact in float64.
     """
     if n < 10:
         raise ParameterError(f"capacity experiment needs n >= 10, got {n}")
@@ -198,19 +200,20 @@ def capacity_experiment(n: int, m_values, trials: int, seed: int, workers: int =
 
     unstable = np.zeros((len(ms), trials), dtype=np.int64)
     stable = np.zeros((len(ms), trials), dtype=np.int64)
-    tasks = [(mi, t) for mi in range(len(ms)) for t in range(trials)]
-    if workers == 1:
-        for mi, t in tasks:
-            unstable[mi, t], stable[mi, t] = _capacity_trial(n, ms[mi], seed, t)
-    else:
-        def run(task):
-            mi, t = task
-            return mi, t, _capacity_trial(n, ms[mi], seed, t)
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for mi, t, (u, s) in pool.map(run, tasks):
-                unstable[mi, t] = u
-                stable[mi, t] = s
+    def run_block(lo: int, hi: int) -> None:
+        # tasks lo..hi-1 of the (m, trial) grid in row-major order
+        for mi, t in (divmod(task, trials) for task in range(lo, hi)):
+            unstable[mi, t], stable[mi, t] = _capacity_trial(n, ms[mi], seed, t)
+
+    tasks = len(ms) * trials
+    blocks = min(workers, os.cpu_count() or 1, tasks)
+    if blocks == 1:
+        run_block(0, tasks)
+    else:
+        bounds = [tasks * b // blocks for b in range(blocks + 1)]
+        with ThreadPoolExecutor(max_workers=blocks) as pool:
+            list(pool.map(run_block, bounds[:-1], bounds[1:]))
 
     rows = []
     for mi, m in enumerate(ms):

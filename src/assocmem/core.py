@@ -11,12 +11,23 @@ with their field are reported as flags, not resolved.
 Every function here is pure and every returned array is frozen, so values
 can be shared freely across threads or processes.
 
+A value is validated once. validate_weights and validate_proximity (and
+hebbian.train, formats.load_weights and formats.parse_proximity, which
+return the same kind of value) register the frozen array they return, and
+every later call of the same validator accepts that very object in O(1):
+trust is the object's identity plus its read-only flag, with no private
+copy, kept apart for weights and proximity. A copy,
+slice or arithmetic result is a new object and is checked in full, and so
+is a trusted array while it is writeable again. Changing a trusted array
+and freezing it again voids the guarantee, since the change cannot be seen.
+
 Indices are 0-based throughout the library; error messages and reports
 speak of "neuron 1" like a person would.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -31,6 +42,9 @@ WEIGHT_TOTAL_LIMIT = 2**62
 
 # float weights beyond this magnitude may not be the integers they were meant to be
 FLOAT_EXACT_LIMIT = 2**53
+
+# rows per block of the proximity symmetry check
+_ROW_BLOCK = 64
 
 
 class ValidationError(ValueError):
@@ -48,6 +62,20 @@ class ParameterError(ValueError):
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+# per kind, id -> array for each frozen array a validator returned; entries die with their arrays
+_CHECKED = {"weights": weakref.WeakValueDictionary(), "proximity": weakref.WeakValueDictionary()}
+
+
+def _trust(arr: np.ndarray, kind: str) -> np.ndarray:
+    """Freeze ``arr`` and let validate_<kind> accept it in O(1) from now on."""
+    _CHECKED[kind][id(arr)] = _frozen(arr)
+    return arr
+
+
+def _trusted(value, kind: str) -> bool:
+    return _CHECKED[kind].get(id(value)) is value and not value.flags.writeable
 
 
 def sgn(v):
@@ -157,8 +185,11 @@ def validate_weights(weights) -> np.ndarray:
     Returns a frozen int64 copy. Every field W x and every energy s^T W s
     is bounded by the total absolute weight, so matrices whose total
     exceeds WEIGHT_TOTAL_LIMIT (2**62) are refused: int64 arithmetic on an
-    accepted matrix is exact.
+    accepted matrix is exact. A matrix this function (or train or
+    load_weights) returned is returned as it is, in O(1).
     """
+    if _trusted(weights, "weights"):
+        return weights
     arr = np.asarray(weights)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"weight matrix must be square, got shape {arr.shape}")
@@ -189,17 +220,20 @@ def validate_weights(weights) -> np.ndarray:
     if np.any(diag != 0):
         i = int(np.flatnonzero(diag != 0)[0])
         raise ValidationError(f"weight diagonal must be zero, neuron {i + 1} has {diag[i]}")
-    return _frozen(out)
+    return _trust(out, "weights")
 
 
 def _proximity_fault(arr: np.ndarray) -> tuple[int, str] | None:
     """The first broken invariant of a square float matrix, as (row, message), or None."""
     if not np.all(np.isfinite(arr)):
         return int(np.argwhere(~np.isfinite(arr))[0][0]), "proximity entries must be finite"
-    asym = np.abs(arr - arr.T) > PROXIMITY_TOL
-    if np.any(asym):
-        i, j = np.argwhere(asym)[0]
-        return int(i), f"proximity matrix is asymmetric at ({int(i) + 1}, {int(j) + 1})"
+    # asymmetry is mirrored, so the row-major first offender lies above the diagonal:
+    # compare row blocks of the upper triangle with their transposes, no n x n temporary
+    for i in range(0, arr.shape[0], _ROW_BLOCK):
+        asym = np.abs(arr[i:i + _ROW_BLOCK, i:] - arr[i:, i:i + _ROW_BLOCK].T) > PROXIMITY_TOL
+        if asym.any():
+            r, c = (i + int(k) for k in np.argwhere(asym)[0])
+            return r, f"proximity matrix is asymmetric at ({r + 1}, {c + 1})"
     if np.any(np.abs(np.diag(arr)) > PROXIMITY_TOL):
         i = int(np.flatnonzero(np.abs(np.diag(arr)) > PROXIMITY_TOL)[0])
         return i, f"proximity diagonal must be zero, neuron {i + 1} has {arr[i, i]}"
@@ -216,15 +250,18 @@ def validate_proximity(proximity) -> np.ndarray:
 
     Symmetric within 1e-9, zero diagonal, strictly positive off-diagonal.
     Distances are not required to obey the triangle inequality; coiled or
-    twisted pathways make neuron separations non-Cartesian.
+    twisted pathways make neuron separations non-Cartesian. A matrix this
+    function (or parse_proximity) returned is returned as it is, in O(1).
     """
+    if _trusted(proximity, "proximity"):
+        return proximity
     arr = np.asarray(proximity, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"proximity matrix must be square, got shape {arr.shape}")
     fault = _proximity_fault(arr)
     if fault is not None:
         raise ValidationError(fault[1])
-    return _frozen(arr.copy())
+    return _trust(arr.copy(), "proximity")
 
 
 def normalize_start(start, n: int) -> dict[int, int]:
@@ -241,7 +278,7 @@ def normalize_start(start, n: int) -> dict[int, int]:
     for idx, val in items:
         i = int(idx)
         if not 0 <= i < n:
-            raise ParameterError(f"start index {i} out of range for {n} neurons")
+            raise ParameterError(f"start neuron {i + 1} out of range for {n} neurons")
         if i in out and out[i] != int(val):
             raise ParameterError(f"start assigns neuron {i + 1} twice with different values")
         if val not in (-1, 1):

@@ -27,11 +27,9 @@ import numpy as np
 
 from ._version import __version__
 from .core import (
-    DimensionMismatch,
     MemorySet,
-    ValidationError,
-    _frozen,
     _proximity_fault,
+    _trust,
     validate_memory_set,
     validate_weights,
 )
@@ -92,7 +90,7 @@ def parse_memories(path) -> MemorySet:
 
 
 def parse_proximity(path) -> np.ndarray:
-    """Parse a proximity file into a validated distance matrix."""
+    """Parse a proximity file into a distance matrix that validate_proximity trusts."""
     p = Path(path)
     rows = []
     for lineno, body in _content_lines(p):
@@ -128,7 +126,7 @@ def parse_proximity(path) -> np.ndarray:
     if fault is not None:
         row, message = fault
         raise ParseError(f"{p}:{rows[row][0]}: {message}")
-    return _frozen(matrix)
+    return _trust(matrix, "proximity")
 
 
 def document(kind: str, command: str, config: dict, **payload) -> dict:
@@ -155,7 +153,7 @@ def weights_document(weights, config: dict, command: str = "train", **extra) -> 
 
 
 def load_weights(path) -> np.ndarray:
-    """Load and validate a weight matrix from a weights document."""
+    """Load a weight matrix from a weights document, validated once (see validate_weights)."""
     p = Path(path)
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
@@ -167,7 +165,7 @@ def load_weights(path) -> np.ndarray:
         raise ParseError(f"{p}: document kind is {doc.get('kind')!r}, expected 'weights'")
     try:
         weights = validate_weights(np.array(doc["weights"]))
-    except (ValidationError, DimensionMismatch, ValueError) as exc:
+    except ValueError as exc:  # ValidationError and DimensionMismatch included
         raise ParseError(f"{p}: {exc}") from exc
     declared = doc.get("n")
     if declared is not None and int(declared) != weights.shape[0]:

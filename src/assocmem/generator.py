@@ -22,9 +22,10 @@ neurons are surfaced in ``consistency_flags`` rather than resolved; an
 empty flag set is exactly the statement that the final state is a fixed
 point of one synchronous pass.
 
-A spread of n neurons costs O(n^2): the weights are validated and relabeled
-into spread order once, and each step is one dot product over the prefix
-assigned so far.
+A spread of n neurons costs O(n^2): the weights are validated (in O(1) for
+a matrix a validator already returned, see core) and relabeled into spread
+order once, and each step is one dot product over the prefix assigned so
+far.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .core import (
     DimensionMismatch,
     ParameterError,
     ValidationError,
+    _frozen,
     normalize_start,
     sgn,
     validate_memory_set,
@@ -49,9 +51,7 @@ from .core import (
 def decompose(weights) -> np.ndarray:
     """Strictly lower-triangular generator G with G + G^T equal to the weights."""
     w = validate_weights(weights)
-    gen = np.tril(w, -1)
-    gen.setflags(write=False)
-    return gen
+    return _frozen(np.tril(w, -1))
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,7 @@ class SpreadOrder:
         head = {int(i) for i in perm[: len(start)]}
         if head != start:
             raise ValidationError("spread order must place the start set first")
-        perm = perm.copy()
-        perm.setflags(write=False)
-        object.__setattr__(self, "permutation", perm)
+        object.__setattr__(self, "permutation", _frozen(perm.copy()))
         object.__setattr__(self, "start_set", start)
 
     @property
@@ -95,7 +93,7 @@ def _split_start(n: int, start_set) -> tuple[np.ndarray, np.ndarray]:
         raise ParameterError("start set is empty")
     for i in start:
         if not 0 <= i < n:
-            raise ParameterError(f"start index {i} out of range for {n} neurons")
+            raise ParameterError(f"start neuron {i + 1} out of range for {n} neurons")
     rest = np.ones(n, dtype=bool)
     rest[start] = False
     return np.array(start, dtype=np.int64), np.flatnonzero(rest)
@@ -149,8 +147,17 @@ class SpreadTrace:
     start: tuple[tuple[int, int], ...]
 
 
-def _spread(w: np.ndarray, start, proximity, order) -> SpreadTrace:
-    """spread_full on weights already validated by the caller."""
+def spread_full(weights, start, proximity=None, order=None) -> SpreadTrace:
+    """Run a complete spread from a seed assignment.
+
+    ``start`` maps neuron indices to clamped values. The spread order comes
+    from ``order`` (an explicit SpreadOrder), from ``proximity`` distances,
+    or falls back to index order. The weights are relabeled into spread
+    coordinates once and the fragment grows one neuron per step, each new
+    neuron taking sgn of its generator-row field over the neurons assigned
+    before it; exactly n - len(start) steps are performed.
+    """
+    w = validate_weights(weights)
     n = w.shape[0]
     seed = normalize_start(start, n)
     if proximity is not None and order is not None:
@@ -194,19 +201,6 @@ def _spread(w: np.ndarray, start, proximity, order) -> SpreadTrace:
     )
 
 
-def spread_full(weights, start, proximity=None, order=None) -> SpreadTrace:
-    """Run a complete spread from a seed assignment.
-
-    ``start`` maps neuron indices to clamped values. The spread order comes
-    from ``order`` (an explicit SpreadOrder), from ``proximity`` distances,
-    or falls back to index order. The weights are relabeled into spread
-    coordinates once and the fragment grows one neuron per step, each new
-    neuron taking sgn of its generator-row field over the neurons assigned
-    before it; exactly n - len(start) steps are performed.
-    """
-    return _spread(validate_weights(weights), start, proximity, order)
-
-
 @dataclass(frozen=True)
 class RetrievalReport:
     """Outcome quality of a spread against a memory list."""
@@ -225,15 +219,14 @@ def retrieve_report(weights, start, memories=None, proximity=None, order=None) -
     the Hamming distance to the nearest memory (ties to the lower index),
     and whether the final state is a fixed point of one synchronous pass.
     """
-    w = validate_weights(weights)
-    trace = _spread(w, start, proximity, order)
+    trace = spread_full(weights, start, proximity, order)
     is_fp = len(trace.consistency_flags) == 0
 
     matched = nearest = distance = None
     if memories is not None and len(memories) > 0:
         mset = validate_memory_set(memories)
-        if mset.n != w.shape[0]:
-            raise DimensionMismatch(f"memories have {mset.n} neurons, weights have {w.shape[0]}")
+        if mset.n != trace.final.size:
+            raise DimensionMismatch(f"memories have {mset.n} neurons, weights have {trace.final.size}")
         dists = np.count_nonzero(mset.vectors != trace.final, axis=1)
         nearest = int(np.argmin(dists))
         distance = int(dists[nearest])

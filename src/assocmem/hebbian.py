@@ -32,6 +32,7 @@ import numpy as np
 from .core import (
     DimensionMismatch,
     ParameterError,
+    _trust,
     as_bipolar,
     sgn,
     validate_memory_set,
@@ -44,28 +45,28 @@ SCHEDULES = ("cyclic", "random")
 def train(memories) -> np.ndarray:
     """Build the weight matrix from a memory set via the outer-product rule.
 
-    Returns a frozen int64 matrix, symmetric with a zero diagonal.
+    Returns a frozen int64 matrix, symmetric with a zero diagonal, that
+    validate_weights accepts in O(1).
     """
     mset = validate_memory_set(memories)
     x = mset.vectors.astype(np.int64)
     weights = x.T @ x
     np.fill_diagonal(weights, 0)
-    weights.setflags(write=False)
-    return weights
+    return _trust(weights, "weights")
 
 
-def _check_dims(weights: np.ndarray, state: np.ndarray) -> None:
-    if state.size != weights.shape[0]:
-        raise DimensionMismatch(
-            f"state has {state.size} neurons, weight matrix has {weights.shape[0]}"
-        )
+def _weights_and_state(weights, state) -> tuple[np.ndarray, np.ndarray]:
+    """Validated weights and state, refused when their neuron counts differ."""
+    w = validate_weights(weights)
+    x = as_bipolar(state)
+    if x.size != w.shape[0]:
+        raise DimensionMismatch(f"state has {x.size} neurons, weight matrix has {w.shape[0]}")
+    return w, x
 
 
 def recall_sync(weights, state) -> np.ndarray:
     """One synchronous update pass: sgn applied componentwise to W x."""
-    w = validate_weights(weights)
-    x = as_bipolar(state)
-    _check_dims(w, x)
+    w, x = _weights_and_state(weights, state)
     return sgn(w @ x)
 
 
@@ -85,9 +86,7 @@ def _energy(x: np.ndarray, h: np.ndarray) -> int:
 
 def energy(weights, state) -> float:
     """Quadratic energy E(s) = -1/2 s^T W s (an exact integer for valid inputs)."""
-    w = validate_weights(weights)
-    x = as_bipolar(state)
-    _check_dims(w, x)
+    w, x = _weights_and_state(weights, state)
     return float(_energy(x, w @ x))
 
 
@@ -128,6 +127,8 @@ def _resolve_orders(schedule, n: int, seed):
         if schedule == "random":
             if seed is None:
                 raise ParameterError("schedule 'random' needs an explicit seed")
+            if int(seed) < 0:
+                raise ParameterError("seed must be a nonnegative integer")
             return _seeded_permutations(n, seed)
         raise ParameterError(f"unknown schedule {schedule!r}, expected one of {SCHEDULES} or an explicit order")
     order = np.asarray(list(schedule), dtype=np.int64)
@@ -146,9 +147,7 @@ def recall_async(weights, state, schedule="cyclic", max_passes: int | None = Non
     diagonal each update can only keep energy equal or lower it, including
     the tie case where a zero field pulls a -1 neuron up to +1.
     """
-    w = validate_weights(weights)
-    x = as_bipolar(state)
-    _check_dims(w, x)
+    w, x = _weights_and_state(weights, state)
     n = x.size
     if max_passes is None:
         max_passes = 10 * n
@@ -195,9 +194,7 @@ def recall_sync_iterated(weights, state, max_passes: int | None = None) -> Recal
     fixed point or a 2-cycle. A fixed point reports converged; a 2-cycle
     reports non-converged with the alternating pair attached.
     """
-    w = validate_weights(weights)
-    cur = as_bipolar(state)
-    _check_dims(w, cur)
+    w, cur = _weights_and_state(weights, state)
     if max_passes is None:
         max_passes = 10 * cur.size
     if max_passes < 1:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, ValidationError
+from .core import ParameterError, ValidationError, _frozen
 
 NORMALIZATION_TOL = 1e-9
 
@@ -46,9 +46,7 @@ def as_amplitudes(amplitudes) -> np.ndarray:
     total = float(np.sum(arr * arr))
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise ValidationError(f"amplitudes are not normalized: sum of squares is {total!r}")
-    out = arr.copy()
-    out.setflags(write=False)
-    return out
+    return _frozen(arr.copy())
 
 
 def _check_levels(n_levels) -> int:
@@ -128,9 +126,7 @@ def collapse_sample(amplitudes, seed: int, count: int) -> np.ndarray:
     cumulative = np.cumsum(amps * amps)
     cumulative[-1] = 1.0
     uniforms = np.random.default_rng(int(seed)).random(int(count))
-    indices = np.searchsorted(cumulative, uniforms, side="left").astype(np.int64)
-    indices.setflags(write=False)
-    return indices
+    return _frozen(np.searchsorted(cumulative, uniforms, side="left").astype(np.int64))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from assocmem import (
     is_stored,
     train,
 )
+from assocmem import analysis
 from assocmem.analysis import _capacity_trial
 from conftest import random_memories, random_symmetric_weights
 
@@ -116,6 +118,32 @@ class TestCapacity:
         serial = capacity_experiment(40, [4, 8], trials=60, seed=3, workers=1)
         threaded = capacity_experiment(40, [4, 8], trials=60, seed=3, workers=4)
         assert serial == threaded
+
+    def test_workers_are_bounded(self, monkeypatch):
+        # a recording stand-in for the pool runs the blocks serially: no thread starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(analysis, "ThreadPoolExecutor", SerialPool)
+        serial = capacity_experiment(20, [2, 3], trials=50, seed=1)
+        assert sizes == []  # one worker runs inline
+        assert capacity_experiment(20, [2, 3], trials=50, seed=1, workers=10**6) == serial
+        assert all(k <= (os.cpu_count() or 1) for k in sizes)
+        monkeypatch.setattr(os, "cpu_count", lambda: 10**6)
+        assert capacity_experiment(20, [2, 3], trials=50, seed=1, workers=10**6) == serial
+        assert sizes[-1] == 2 * 50  # at most one block per (m, trial) task
 
     def test_instability_grows_with_load(self):
         report = capacity_experiment(60, [3, 9, 15, 21], trials=80, seed=5)

@@ -76,6 +76,12 @@ class TestRecall:
         _, _, weights = workspace
         assert run_cli(["recall", "--weights", str(weights), "--state", "1,1,1,1", "--async"]) == 5
 
+    def test_negative_seed_is_a_parameter_error(self, workspace, capsys):
+        _, _, weights = workspace
+        argv = ["recall", "--weights", str(weights), "--state", "1,1,1,1", "--async", "--seed", "-1"]
+        assert run_cli(argv) == 5
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
     def test_state_dimension_mismatch(self, workspace):
         _, _, weights = workspace
         assert run_cli(["recall", "--weights", str(weights), "--state", "1,1,1"]) == 4
@@ -143,6 +149,13 @@ class TestSpread:
     def test_start_out_of_range(self, workspace):
         _, _, weights = workspace
         assert run_cli(["spread", "--weights", str(weights), "--start", "9:+1"]) == 5
+
+    def test_start_out_of_range_names_the_neuron_1_based(self, workspace, capsys):
+        _, _, weights = workspace
+        assert run_cli(["spread", "--weights", str(weights), "--start", "2:+1,9:+1"]) == 5
+        assert capsys.readouterr().err == (
+            "assocmem: invalid parameter: start neuron 9 out of range for 4 neurons\n"
+        )
 
 
 class TestFixedPoints:

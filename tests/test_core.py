@@ -1,6 +1,8 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from assocmem import (
     DimensionMismatch,
@@ -9,13 +11,22 @@ from assocmem import (
     ValidationError,
     as_bipolar,
     energy,
+    enumerate_fixed_points,
     is_stored,
+    load_weights,
     normalize_start,
+    parse_proximity,
+    recall_sync_iterated,
     sgn,
+    spread_full,
+    train,
     validate_memory_set,
     validate_proximity,
     validate_weights,
 )
+from assocmem import core, formats
+from assocmem.cli import main
+from assocmem.core import PROXIMITY_TOL, _proximity_fault
 
 
 class TestSgn:
@@ -214,6 +225,37 @@ class TestProximityValidation:
         np.fill_diagonal(p, [-1e-10, 0.0, 1e-10])
         validate_proximity(p)
 
+    @given(
+        n=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+        planted=st.integers(0, 4),
+    )
+    @example(n=130, seed=0, planted=1)
+    @example(n=65, seed=1, planted=3)
+    def test_first_asymmetry_matches_full_matrix_reference(self, n, seed, planted):
+        rng = np.random.default_rng(seed)
+        a = rng.random((n, n)) + 0.5
+        p = a + a.T
+        np.fill_diagonal(p, 0.0)
+        for _ in range(planted if n > 1 else 0):
+            i, j = rng.choice(n, size=2, replace=False)
+            # half of the plants stay within the tolerance and are not faults
+            p[i, j] += rng.choice([0.5, 2.0]) * PROXIMITY_TOL
+        asym = np.abs(p - p.T) > PROXIMITY_TOL
+        want = None
+        if asym.any():
+            i, j = (int(k) for k in np.argwhere(asym)[0])
+            want = (i, f"proximity matrix is asymmetric at ({i + 1}, {j + 1})")
+        assert _proximity_fault(p) == want
+
+    def test_asymmetry_below_the_diagonal_of_a_later_row_block(self):
+        p = np.ones((150, 150))
+        np.fill_diagonal(p, 0.0)
+        p[140, 3] = 2.0
+        p[100, 90] = 2.0
+        with pytest.raises(ValidationError, match=r"^proximity matrix is asymmetric at \(4, 141\)$"):
+            validate_proximity(p)
+
     def test_triangle_inequality_not_required(self):
         # d(0,2) far exceeds d(0,1) + d(1,2); still a legal separation table
         p = np.array([[0, 1, 100], [1, 0, 1], [100, 1, 0]], dtype=float)
@@ -228,6 +270,10 @@ class TestNormalizeStart:
         with pytest.raises(ParameterError):
             normalize_start({4: 1}, 4)
 
+    def test_out_of_range_names_the_neuron_1_based(self):
+        with pytest.raises(ParameterError, match=r"^start neuron 5 out of range for 4 neurons$"):
+            normalize_start({4: 1}, 4)
+
     def test_empty(self):
         with pytest.raises(ParameterError):
             normalize_start({}, 4)
@@ -235,3 +281,91 @@ class TestNormalizeStart:
     def test_bad_value(self):
         with pytest.raises(ValidationError):
             normalize_start({0: 2}, 4)
+
+
+class TestTrust:
+    """A value a validator returned is accepted again in O(1), by identity."""
+
+    @pytest.fixture
+    def w(self):
+        # w[0, 2] != 0, so the column-reversed matrix has a nonzero diagonal
+        return train([(1, -1, 1), (1, 1, 1)])
+
+    def test_validated_weights_are_trusted(self, w, tmp_path):
+        assert type(w) is np.ndarray
+        assert validate_weights(w) is w
+        checked = validate_weights([[0, 3], [3, 0]])
+        assert validate_weights(checked) is checked
+        path = tmp_path / "w.json"
+        path.write_text(formats.render_document(formats.weights_document(w, {})))
+        loaded = load_weights(path)
+        assert validate_weights(loaded) is loaded
+
+    def test_validated_proximity_is_trusted(self, tmp_path):
+        checked = validate_proximity(np.ones((3, 3)) - np.eye(3))
+        assert type(checked) is np.ndarray
+        assert validate_proximity(checked) is checked
+        path = tmp_path / "p.txt"
+        path.write_text("0 1\n1 0\n")
+        parsed = parse_proximity(path)
+        assert validate_proximity(parsed) is parsed
+
+    def test_trust_is_kept_apart_per_kind(self, w):
+        p = validate_proximity(np.full((3, 3), 0.5) - 0.5 * np.eye(3))
+        with pytest.raises(ValidationError, match="integers"):
+            validate_weights(p)
+        with pytest.raises(ValidationError, match="off-diagonal proximity must be positive"):
+            validate_proximity(w)
+
+    def test_trusted_values_are_frozen(self, w):
+        with pytest.raises(ValueError):
+            w[0, 1] = 7
+
+    def test_writeable_again_is_checked_in_full(self, w):
+        w.setflags(write=True)
+        w[0, 1] += 1
+        calls = [
+            lambda: validate_weights(w),
+            lambda: recall_sync_iterated(w, (1, 1, 1)),
+            lambda: spread_full(w, {0: 1}),
+            lambda: enumerate_fixed_points(w),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match=r"asymmetric at \(1, 2\)"):
+                call()
+
+    def test_writeable_proximity_is_checked_in_full(self):
+        p = validate_proximity(np.ones((3, 3)) - np.eye(3))
+        p.setflags(write=True)
+        p[2, 0] = 5.0
+        with pytest.raises(ValidationError, match=r"asymmetric at \(1, 3\)"):
+            validate_proximity(p)
+
+    def test_derived_arrays_are_checked_in_full(self, w):
+        for derived in (w[:, ::-1], w * 2**61):
+            with pytest.raises(ValidationError):
+                validate_weights(derived)
+        copy = w.copy()
+        copy[1, 0] = 5
+        with pytest.raises(ValidationError, match="asymmetric"):
+            validate_weights(copy)
+        with pytest.raises(ValidationError):
+            validate_weights(w + np.eye(3, dtype=np.int64))
+
+    def test_spread_validates_a_parsed_proximity_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def spy(arr):
+            calls.append(arr.shape)
+            return _proximity_fault(arr)
+
+        monkeypatch.setattr(core, "_proximity_fault", spy)
+        monkeypatch.setattr(formats, "_proximity_fault", spy)
+        weights = tmp_path / "w.json"
+        weights.write_text(formats.render_document(formats.weights_document(train([(1, 1, -1)]), {})))
+        prox = tmp_path / "p.txt"
+        prox.write_text("0 2 1\n2 0 3\n1 3 0\n")
+        argv = ["spread", "--weights", str(weights), "--proximity", str(prox), "--start", "1:+1"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["order"] == [1, 3, 2]
+        assert calls == [(3, 3)]

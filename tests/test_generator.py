@@ -109,6 +109,13 @@ class TestSpreadOrder:
         with pytest.raises(ParameterError):
             index_order(5, {5})
 
+    def test_out_of_range_start_names_the_neuron_1_based(self):
+        message = r"^start neuron 6 out of range for 5 neurons$"
+        with pytest.raises(ParameterError, match=message):
+            index_order(5, {0, 5})
+        with pytest.raises(ParameterError, match=message):
+            order_from_proximity(np.ones((5, 5)) - np.eye(5), {5})
+
 
 class TestSpreadFull:
     def test_recovers_first_memory(self, worked_weights):

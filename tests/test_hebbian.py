@@ -152,6 +152,10 @@ class TestRecallAsync:
         with pytest.raises(ParameterError):
             recall_async(worked_weights, (1, 1, 1, 1), schedule="random")
 
+    def test_negative_seed_rejected(self, worked_weights):
+        with pytest.raises(ParameterError, match="^seed must be a nonnegative integer$"):
+            recall_async(worked_weights, (1, 1, 1, 1), schedule="random", seed=-1)
+
     def test_zero_max_passes_rejected(self, worked_weights):
         with pytest.raises(ParameterError):
             recall_async(worked_weights, (1, 1, 1, 1), max_passes=0)
