@@ -43,7 +43,7 @@ WEIGHT_TOTAL_LIMIT = 2**62
 # float weights beyond this magnitude may not be the integers they were meant to be
 FLOAT_EXACT_LIMIT = 2**53
 
-# rows per block of the proximity symmetry check
+# rows per block of the proximity symmetry check and the synchronous field update
 _ROW_BLOCK = 64
 
 

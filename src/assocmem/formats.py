@@ -147,7 +147,7 @@ def weights_document(weights, config: dict, command: str = "train", **extra) -> 
         command,
         config,
         n=int(w.shape[0]),
-        weights=[[int(v) for v in row] for row in w],
+        weights=w.tolist(),
         **extra,
     )
 

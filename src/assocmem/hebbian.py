@@ -12,15 +12,20 @@ a time) recall are provided on top of that definition, together with the
 quadratic energy E(s) = -1/2 s^T W s used to check that asynchronous
 updates only ever descend (Hopfield 1982 dynamics).
 
-Both recalls carry the field vector h = W x instead of recomputing it. A
-synchronous pass costs one O(n^2) product W x, and its energy -1/2 x.h is
-an O(n) dot; a pass that repeats an earlier state reuses that state's
-energy. An asynchronous recall computes h once, in O(n^2), reads h[i] at
-each visit in O(1), and adds d * W[i] to h in O(n) when neuron i flips by
-d (W is symmetric). Energies are exact integers, bounded by 2**62 through
-validate_weights; the asynchronous recall updates its energy as a Python
-int on each flip, so every trace entry is the float nearest the exact
-energy.
+Both recalls carry the field vector h = W x instead of recomputing it,
+and pay only for the neurons that change. A synchronous recall computes
+h once, in O(n^2); after that a pass that changes the neurons in C adds
+2 * sum_{j in C} x'_j W[j] to h, in O(n |C|) (W is symmetric, so rows
+stand for columns), and its energy -1/2 x.h is an O(n) dot; a pass that
+repeats an earlier state reuses that state's energy. An asynchronous
+recall computes h once, reads h[i] at each visit in O(1), and adds the
+flip times row W[i] to h in O(n) when neuron i flips. Before each pass it
+compares sgn(h) with the state, one O(n) vector check: when they agree
+the pass could flip nothing, so it is counted and its n equal trace
+entries are written without visiting any neuron. Energies are exact
+integers, bounded by 2**62 through validate_weights; the asynchronous
+recall updates its energy as a Python int on each flip, so every trace
+entry is the float nearest the exact energy.
 """
 
 from __future__ import annotations
@@ -30,8 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _ROW_BLOCK,
     DimensionMismatch,
     ParameterError,
+    _frozen,
     _trust,
     as_bipolar,
     sgn,
@@ -72,7 +79,8 @@ def recall_sync(weights, state) -> np.ndarray:
 
 def is_stored(weights, state) -> bool:
     """True when the state is a fixed point of one synchronous pass."""
-    return bool(np.array_equal(recall_sync(weights, state), as_bipolar(state)))
+    w, x = _weights_and_state(weights, state)
+    return bool(np.array_equal(sgn(w @ x), x))
 
 
 def _energy(x: np.ndarray, h: np.ndarray) -> int:
@@ -85,7 +93,7 @@ def _energy(x: np.ndarray, h: np.ndarray) -> int:
 
 
 def energy(weights, state) -> float:
-    """Quadratic energy E(s) = -1/2 s^T W s (an exact integer for valid inputs)."""
+    """Quadratic energy E(s) = -1/2 s^T W s, as the float nearest its exact integer value."""
     w, x = _weights_and_state(weights, state)
     return float(_energy(x, w @ x))
 
@@ -159,32 +167,41 @@ def recall_async(weights, state, schedule="cyclic", max_passes: int | None = Non
     e = _energy(x, h)
     ef = float(e)
     trace = [ef]
+    x = x.copy()
     xs = x.tolist()
-    converged = False
-    passes = 0
-    for _ in range(max_passes):
-        order = next(orders)
-        flips = 0
-        for i in order.tolist():
+    for passes in range(1, max_passes + 1):
+        if np.array_equal(sgn(h), x):
+            # no visit can flip a neuron: the pass only repeats the energy n times
+            trace.extend([ef] * n)
+            converged = True
+            break
+        for i in next(orders).tolist():
             hi = int(h[i])
             v = 1 if hi >= 0 else -1
             if v != xs[i]:
-                d = v - xs[i]
-                e -= d * hi
+                e -= (v - xs[i]) * hi
                 ef = float(e)  # the exact energy, rounded once
-                # W is symmetric; |d * w_ij| and every field stay within the 2**62 total
-                h += d * w[i]
-                xs[i] = v
-                flips += 1
+                # h += (v - x_i) * W[i], in place as v - x_i = +-2 (W is symmetric);
+                # fields and rows stay within 2**61, see recall_sync_iterated
+                if v > 0:
+                    h += w[i]
+                    h += w[i]
+                else:
+                    h -= w[i]
+                    h -= w[i]
+                xs[i] = x[i] = v
             trace.append(ef)
-        passes += 1
-        if flips == 0:
-            converged = True
-            break
-    final = as_bipolar(xs)
-    if not converged:
-        converged = bool(np.array_equal(sgn(h), final))
-    return RecallResult(state=final, iterations=passes, converged=converged, energy_trace=tuple(trace))
+    else:
+        converged = bool(np.array_equal(sgn(h), x))
+    return RecallResult(state=_frozen(x), iterations=passes, converged=converged, energy_trace=tuple(trace))
+
+
+def _row_sum(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Sum of the listed rows of w, gathered _ROW_BLOCK rows at a time."""
+    total = np.zeros(w.shape[1], dtype=np.int64)
+    for k in range(0, rows.size, _ROW_BLOCK):
+        total += w[rows[k:k + _ROW_BLOCK]].sum(axis=0)
+    return total
 
 
 def recall_sync_iterated(weights, state, max_passes: int | None = None) -> RecallResult:
@@ -217,7 +234,14 @@ def recall_sync_iterated(weights, state, max_passes: int | None = None) -> Recal
                 energy_trace=tuple(trace),
                 cycle=(nxt, cur),
             )
-        h = w @ nxt
+        # W nxt = W cur + 2 * (the rows of the neurons that rose to +1, minus those
+        # that fell to -1), as W is symmetric. No int64 value can wrap: the total
+        # absolute weight is at most 2**62 and counts each column twice (once as a
+        # row), so a column sums to at most 2**61 in absolute value. That bounds h,
+        # both row sums and delta by 2**61, and h + 2 * delta by 3 * 2**61 < 2**63.
+        delta = _row_sum(w, np.flatnonzero(nxt > cur)) - _row_sum(w, np.flatnonzero(nxt < cur))
+        h += delta
+        h += delta
         trace.append(float(_energy(nxt, h)))
         prev = cur
         cur = nxt

@@ -366,3 +366,66 @@ class TestRecallOracle:
         assert (result.iterations, result.converged) == (iterations, converged)
         assert result.energy_trace == tuple(trace)
         assert result.cycle is None
+
+
+class TestRecallOracleCases:
+    """Fixed cases the strategy above rarely or never draws, against the same references:
+    passes that change many rows, including more than one block, fields at the
+    2**62 limit, and a fixed point confirmed only after flipping passes."""
+
+    @staticmethod
+    def assert_both_match(w, x, schedule="cyclic", seed=0):
+        result = recall_sync_iterated(w, x)
+        state, iterations, converged, trace, cycle = reference_sync(w, x, None)
+        assert (result.state.tolist(), result.iterations, result.converged, list(result.energy_trace)) == (
+            state.tolist(),
+            iterations,
+            converged,
+            trace,
+        )
+        assert (result.cycle is None) == (cycle is None)
+        assert cycle is None or np.array_equal(np.stack(result.cycle), np.stack(cycle))
+        result = recall_async(w, x, schedule=schedule, seed=seed)
+        state, iterations, converged, trace = reference_async(w, x, schedule, None, seed)
+        assert (result.state.tolist(), result.iterations, result.converged, list(result.energy_trace)) == (
+            state.tolist(),
+            iterations,
+            converged,
+            trace,
+        )
+        return result
+
+    def test_trained_network_with_noisy_probes(self):
+        rng = np.random.default_rng(300)
+        n = 300
+        memories = random_memories(rng, 30, n)
+        w = train(memories)
+        for k in range(4):
+            x = memories[k].copy()
+            x[rng.choice(n, 45, replace=False)] *= -1  # 15 % noise
+            self.assert_both_match(w, x, schedule=("cyclic", "random")[k % 2], seed=k)
+
+    def test_star_at_the_weight_limit(self):
+        # neuron 0 is joined to all others with weights summing to 2**61, so the total
+        # is 2**62; from this start every neuron changes on every synchronous pass, the
+        # changed rows carry the whole total, and h[0] moves by 2 * 2**61 per pass
+        n = 200
+        c = 2**61 // (n - 1) + np.arange(n - 1, dtype=np.int64) - (n - 2)
+        c[-1] += 2**61 - int(c.sum())
+        w = np.zeros((n, n), dtype=np.int64)
+        w[0, 1:] = w[1:, 0] = c
+        x = -np.ones(n, dtype=np.int64)
+        x[0] = 1
+        result = recall_sync_iterated(w, x)
+        assert (result.iterations, result.converged) == (2, False)
+        for seed in range(3):
+            self.assert_both_match(w, x, schedule="random", seed=seed)
+
+    def test_explicit_schedule_confirms_after_flipping_passes(self):
+        # pass 1 flips neurons 3, 2, 5, 4 and 0, pass 2 flips neuron 5 back, and
+        # pass 3, which flips nothing, is confirmed without visiting a neuron
+        w = train([(-1, -1, -1, 1, 1, -1), (1, 1, 1, 1, 1, -1)])
+        result = self.assert_both_match(w, [-1, 1, -1, -1, -1, -1], schedule=[3, 2, 5, 4, 1, 0])
+        assert (result.iterations, result.converged) == (3, True)
+        assert result.state.tolist() == [1, 1, 1, 1, 1, -1]
+        assert len(result.energy_trace) == 1 + 3 * 6
