@@ -40,6 +40,8 @@ from .core import (
     FLOAT_EXACT_LIMIT,
     DimensionMismatch,
     ParameterError,
+    _frozen,
+    _unstable,
     validate_memory_set,
     validate_weights,
 )
@@ -75,10 +77,8 @@ def enumerate_fixed_points(weights, limit_n: int = ENUMERATION_LIMIT) -> list[np
     for lo in range(0, total, _CHUNK):
         states = _states_chunk(lo, min(lo + _CHUNK, total), n)
         fields = states @ w
-        fixed = np.all((fields >= 0) == (states > 0), axis=1)
-        for row in states[fixed]:
-            row.setflags(write=False)
-            found.append(row)
+        # rows of a frozen array are read-only views
+        found.extend(_frozen(states[~_unstable(fields, states).any(axis=1)]))
     return found
 
 
@@ -159,7 +159,7 @@ def _capacity_trial(n: int, m: int, seed: int, trial: int) -> tuple[int, int]:
     x = (rng.integers(0, 2, size=(m, n), dtype=np.int8) * 2 - 1).astype(np.float64)
     fields = (x @ x.T) @ x if m <= n else x @ (x.T @ x)
     fields -= m * x
-    unstable = int(np.count_nonzero((fields >= 0) != (x > 0)))
+    unstable = int(np.count_nonzero(_unstable(fields, x)))
     if m == 1 and unstable != 0:
         raise AssertionError("a single memory must always be an exact fixed point")
     return unstable, int(unstable == 0)
@@ -265,7 +265,7 @@ def complement_asymmetry_probe(weights, memories) -> ComplementAsymmetryReport:
         raise DimensionMismatch(f"memories have {mset.n} neurons, weights have {w.shape[0]}")
     # row k holds the fields of memory k (W is symmetric)
     fields = mset.vectors @ w
-    fixed_indices = np.flatnonzero(np.all((fields >= 0) == (mset.vectors > 0), axis=1)).tolist()
+    fixed_indices = np.flatnonzero(~_unstable(fields, mset.vectors).any(axis=1)).tolist()
     failures = []
     for k in fixed_indices:
         # -x_k fails exactly where its field is zero; see ComplementAsymmetryReport

@@ -46,9 +46,13 @@ def _parse_state(text: str) -> np.ndarray:
     return as_bipolar(values)
 
 
-def _parse_start(text: str) -> dict[int, int]:
-    """Start syntax: comma-separated 1-based index:value pairs, e.g. 1:+1,4:-1."""
-    out: dict[int, int] = {}
+def _parse_start(text: str) -> list[tuple[int, int]]:
+    """Start syntax: comma-separated 1-based index:value pairs, e.g. 1:+1,4:-1.
+
+    Returns 0-based (index, value) pairs; core.normalize_start refuses an
+    empty start and a neuron assigned twice with different values.
+    """
+    out = []
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
@@ -64,12 +68,7 @@ def _parse_start(text: str) -> dict[int, int]:
             raise ParameterError(f"start indices are 1-based, got {idx}")
         if val_text not in _TOKENS:
             raise ParameterError(f"bad start value {val_text!r}, expected +1 or -1")
-        value = _TOKENS[val_text]
-        if idx - 1 in out and out[idx - 1] != value:
-            raise ParameterError(f"start assigns neuron {idx} twice with different values")
-        out[idx - 1] = value
-    if not out:
-        raise ParameterError("start assignment is empty")
+        out.append((idx - 1, _TOKENS[val_text]))
     return out
 
 
@@ -88,10 +87,6 @@ def _parse_list(text: str, what: str, convert) -> list:
     if not values:
         raise ParameterError(f"{what} is empty")
     return values
-
-
-def _state_list(state) -> list[int]:
-    return [int(v) for v in state]
 
 
 def _run_train(args) -> dict:
@@ -128,12 +123,12 @@ def _run_recall(args) -> dict:
         mode = "synchronous"
     payload = {
         "mode": mode,
-        "initial": _state_list(state),
-        "final": _state_list(result.state),
+        "initial": state.tolist(),
+        "final": result.state.tolist(),
         "iterations": result.iterations,
         "converged": result.converged,
-        "energy_trace": [float(e) for e in result.energy_trace],
-        "cycle": None if result.cycle is None else [_state_list(s) for s in result.cycle],
+        "energy_trace": list(result.energy_trace),
+        "cycle": None if result.cycle is None else [s.tolist() for s in result.cycle],
     }
     return formats.document("report", "recall", config, result=payload)
 
@@ -154,12 +149,12 @@ def _run_spread(args) -> dict:
     trace = report.trace
     payload = {
         "n": int(weights.shape[0]),
-        "order": [int(i) + 1 for i in trace.order.permutation],
+        "order": (trace.order.permutation + 1).tolist(),
         "start": [[neuron + 1, value] for neuron, value in trace.start],
         "steps": [
             {"neuron": s.neuron + 1, "field": s.field, "value": s.value} for s in trace.steps
         ],
-        "final": _state_list(trace.final),
+        "final": trace.final.tolist(),
         "consistency_flags": sorted(i + 1 for i in trace.consistency_flags),
         "fixed_point": report.is_fixed_point,
         "matched_memory": None if report.matched_index is None else report.matched_index + 1,
@@ -203,7 +198,7 @@ def _run_fixed_points(args) -> dict:
     payload = {
         "n": int(weights.shape[0]),
         "count": len(points),
-        "fixed_points": [_state_list(p) for p in points],
+        "fixed_points": [p.tolist() for p in points],
         "census": census_payload,
         "complement_asymmetry": probe_payload,
     }
@@ -277,7 +272,7 @@ def _run_collapse(args) -> dict:
         raise ParameterError("collapse sampling needs --samples")
     amps = quantum.as_amplitudes(_parse_list(args.amps, "amps", float))
     config = {
-        "amps": [float(a) for a in amps],
+        "amps": amps.tolist(),
         "samples": args.samples,
         "seed": args.seed,
     }
@@ -285,10 +280,10 @@ def _run_collapse(args) -> dict:
     counts = np.bincount(samples, minlength=amps.size)
     payload = {
         "k": int(amps.size),
-        "probabilities": [float(a * a) for a in amps],
-        "samples": [int(s) for s in samples],
-        "counts": [int(c) for c in counts],
-        "frequencies": [int(c) / len(samples) for c in counts],
+        "probabilities": (amps * amps).tolist(),
+        "samples": samples.tolist(),
+        "counts": counts.tolist(),
+        "frequencies": (counts / samples.size).tolist(),
     }
     return formats.document("report", "collapse", config, result=payload)
 

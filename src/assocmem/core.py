@@ -97,6 +97,20 @@ def sgn(v):
     return _frozen(out)
 
 
+def _unstable(fields, states):
+    """True where a state differs from sgn of its field (sgn(0) = +1), elementwise.
+
+    The library's one stability test: x is a fixed point exactly when
+    _unstable(W x, x) holds nowhere.
+    """
+    return (fields >= 0) != (states > 0)
+
+
+def _is_bipolar(arr: np.ndarray) -> bool:
+    """True when every entry is +1 or -1."""
+    return np.count_nonzero(arr == 1) + np.count_nonzero(arr == -1) == arr.size
+
+
 def as_bipolar(values) -> np.ndarray:
     """Validate a state vector with entries in {+1, -1}; returns a frozen int8 copy."""
     arr = np.asarray(values)
@@ -106,9 +120,8 @@ def as_bipolar(values) -> np.ndarray:
         raise ValidationError("a state needs at least one neuron")
     if arr.dtype.kind not in "iuf":
         raise ValidationError(f"state entries must be numeric, got dtype {arr.dtype}")
-    ok = np.isin(arr, (-1, 1))
-    if not np.all(ok):
-        i = int(np.flatnonzero(~ok)[0])
+    if not _is_bipolar(arr):
+        i = int(np.flatnonzero((arr != 1) & (arr != -1))[0])
         raise ValidationError(f"state entries must be +1 or -1, neuron {i + 1} has {arr[i]!r}")
     return _frozen(arr.astype(BIPOLAR_DTYPE))
 
@@ -160,7 +173,7 @@ def validate_memory_set(memories) -> MemorySet:
     vectors = None
     if widths != {0} and all(r.ndim == 1 and r.dtype.kind in "iuf" for r in rows):
         vectors = np.stack(rows)
-    if vectors is None or np.count_nonzero(vectors == 1) + np.count_nonzero(vectors == -1) != vectors.size:
+    if vectors is None or not _is_bipolar(vectors):
         for r in rows:
             as_bipolar(r)  # raises for the first bad row, with its message
     vectors = vectors.astype(BIPOLAR_DTYPE, copy=False)

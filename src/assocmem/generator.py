@@ -4,16 +4,16 @@ The symmetric weight matrix W splits exactly and uniquely into
 W = G + G^T with G strictly lower triangular (the zero diagonal leaves
 nothing to halve). Retrieval then mimics activity spreading through the
 network from a seed fragment: neurons are ordered by proximity to the
-start sites, the weights are relabeled into that order, and the fragment
-grows one neuron per step, the new neuron taking sgn of its generator-row
-field. Values already in the fragment, whether seeded or spread-computed,
-are left unchanged for the rest of the spread.
+start sites, and the fragment grows one neuron per step, the new neuron
+taking sgn of its generator-row field. Values already in the fragment,
+whether seeded or spread-computed, are left unchanged for the rest of the
+spread.
 
-Because G is strictly lower triangular in spread coordinates, the field of
-the neuron being assigned depends only on neurons assigned before it; the
-prefix shape of the fragment is what makes "grow by one neuron" well
-defined, and the proximity permutation is what makes arbitrary start sets
-legal.
+Because G is strictly lower triangular in spread coordinates (the weights
+relabeled into spread order), the field of the neuron being assigned
+depends only on neurons assigned before it; the prefix shape of the
+fragment is what makes "grow by one neuron" well defined, and the
+proximity permutation is what makes arbitrary start sets legal.
 
 A completed spread need not be self-consistent: recomputing an assigned
 neuron's value from the full symmetric field over the final state can
@@ -22,10 +22,13 @@ neurons are surfaced in ``consistency_flags`` rather than resolved; an
 empty flag set is exactly the statement that the final state is a fixed
 point of one synchronous pass.
 
-A spread of n neurons costs O(n^2): the weights are validated (in O(1) for
-a matrix a validator already returned, see core) and relabeled into spread
-order once, and each step is one dot product over the prefix assigned so
-far.
+The arithmetic needs no relabeled copy. A neuron the activity has not
+reached yet is silent, held at 0, and adds nothing to a field, so the full
+row of the weights as they are, dotted with the fragment in original
+coordinates, is exactly the generator-row field. A spread of n neurons
+costs O(n^2) time, one row dot per step, and O(n) memory beyond the
+weights, which are validated once (in O(1) for a matrix a validator
+already returned, see core).
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from .core import (
     ParameterError,
     ValidationError,
     _frozen,
+    _unstable,
     normalize_start,
-    sgn,
     validate_memory_set,
     validate_proximity,
     validate_weights,
@@ -152,10 +155,11 @@ def spread_full(weights, start, proximity=None, order=None) -> SpreadTrace:
 
     ``start`` maps neuron indices to clamped values. The spread order comes
     from ``order`` (an explicit SpreadOrder), from ``proximity`` distances,
-    or falls back to index order. The weights are relabeled into spread
-    coordinates once and the fragment grows one neuron per step, each new
-    neuron taking sgn of its generator-row field over the neurons assigned
-    before it; exactly n - len(start) steps are performed.
+    or falls back to index order. The fragment grows one neuron per step,
+    each new neuron taking sgn of its generator-row field over the neurons
+    assigned before it; exactly n - len(start) steps are performed. The
+    field is one dot of the neuron's weight row with the fragment, where
+    every neuron not reached yet is silent (0).
     """
     w = validate_weights(weights)
     n = w.shape[0]
@@ -173,25 +177,21 @@ def spread_full(weights, start, proximity=None, order=None) -> SpreadTrace:
         if order.start_set != frozenset(seed):
             raise ParameterError("explicit order was built for a different start set")
 
-    perm = order.permutation
-    neurons = perm.tolist()
-    w_spread = w[np.ix_(perm, perm)]
-    k0 = len(seed)
-    # spread coordinates; position k is written once, by the seed or by step k
+    # each neuron is written once, by the seed or by its own step; until then it is
+    # silent (0), so w[i] @ x is the generator-row field of neuron i over the neurons
+    # assigned before it. |w[i] @ x| is at most the absolute sum of column i, at most
+    # 2**61 (see hebbian.recall_sync_iterated), so the int64 dot cannot wrap.
     x = np.zeros(n, dtype=np.int64)
-    x[:k0] = [seed[i] for i in neurons[:k0]]
+    x[list(seed)] = list(seed.values())
     steps: list[SpreadStep] = []
-    for k in range(k0, n):
-        # G[k, :k] of the generator G = tril(w_spread, -1): only the prefix
-        field = int(w_spread[k, :k] @ x[:k])
+    for i in order.permutation[len(seed):].tolist():
+        field = int(w[i] @ x)
         value = 1 if field >= 0 else -1
-        x[k] = value
-        steps.append(SpreadStep(neurons[k], field, value))
+        x[i] = value
+        steps.append(SpreadStep(i, field, value))
 
-    final = np.empty(n, dtype=BIPOLAR_DTYPE)
-    final[perm] = x
-    final.setflags(write=False)
-    flags = frozenset(np.flatnonzero(sgn(w @ final) != final).tolist())
+    final = _frozen(x.astype(BIPOLAR_DTYPE))
+    flags = frozenset(np.flatnonzero(_unstable(w @ x, x)).tolist())
     return SpreadTrace(
         steps=tuple(steps),
         final=final,

@@ -40,6 +40,7 @@ from .core import (
     ParameterError,
     _frozen,
     _trust,
+    _unstable,
     as_bipolar,
     sgn,
     validate_memory_set,
@@ -80,7 +81,7 @@ def recall_sync(weights, state) -> np.ndarray:
 def is_stored(weights, state) -> bool:
     """True when the state is a fixed point of one synchronous pass."""
     w, x = _weights_and_state(weights, state)
-    return bool(np.array_equal(sgn(w @ x), x))
+    return not _unstable(w @ x, x).any()
 
 
 def _energy(x: np.ndarray, h: np.ndarray) -> int:
@@ -170,7 +171,7 @@ def recall_async(weights, state, schedule="cyclic", max_passes: int | None = Non
     x = x.copy()
     xs = x.tolist()
     for passes in range(1, max_passes + 1):
-        if np.array_equal(sgn(h), x):
+        if not _unstable(h, x).any():
             # no visit can flip a neuron: the pass only repeats the energy n times
             trace.extend([ef] * n)
             converged = True
@@ -192,7 +193,7 @@ def recall_async(weights, state, schedule="cyclic", max_passes: int | None = Non
                 xs[i] = x[i] = v
             trace.append(ef)
     else:
-        converged = bool(np.array_equal(sgn(h), x))
+        converged = not _unstable(h, x).any()
     return RecallResult(state=_frozen(x), iterations=passes, converged=converged, energy_trace=tuple(trace))
 
 

@@ -39,6 +39,7 @@ class TestEnumerate:
             [1, -1, 1, -1],
             [1, 1, 1, 1],
         ]
+        assert not any(p.flags.writeable for p in points)
 
     def test_zero_weights(self):
         points = enumerate_fixed_points(np.zeros((3, 3), dtype=int))

@@ -157,6 +157,18 @@ class TestSpread:
             "assocmem: invalid parameter: start neuron 9 out of range for 4 neurons\n"
         )
 
+    def test_start_assigning_a_neuron_twice_differently(self, workspace, capsys):
+        _, _, weights = workspace
+        assert run_cli(["spread", "--weights", str(weights), "--start", "1:+1,1:-1"]) == 5
+        assert capsys.readouterr().err == (
+            "assocmem: invalid parameter: start assigns neuron 1 twice with different values\n"
+        )
+
+    def test_empty_start(self, workspace, capsys):
+        _, _, weights = workspace
+        assert run_cli(["spread", "--weights", str(weights), "--start", ","]) == 5
+        assert capsys.readouterr().err == "assocmem: invalid parameter: start assignment is empty\n"
+
 
 class TestFixedPoints:
     def test_census(self, workspace, capsys):

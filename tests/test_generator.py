@@ -122,6 +122,7 @@ class TestSpreadFull:
         trace = spread_full(worked_weights, {0: 1})
         assert list(trace.final) == [1, 1, 1, 1]
         assert len(trace.steps) == 3
+        assert not trace.final.flags.writeable
         assert trace.consistency_flags == frozenset()
 
     def test_recovers_second_memory_from_two_neurons(self, worked_weights):
@@ -231,10 +232,14 @@ class TestSpreadFull:
 @st.composite
 def spread_cases(draw):
     """Random symmetric weights, a nonempty seed, and an optional proximity
-    matrix whose small integer distances make ties common."""
+    matrix whose small integer distances make ties common. The weights are
+    scaled by an integer, up to a total absolute weight just below 2**62, so
+    the fields reach the bound where an int64 dot could first wrap."""
     n = draw(st.integers(1, 10))
     cells = st.lists(st.integers(-4, 4), min_size=n * n, max_size=n * n)
     upper = np.triu(np.array(draw(cells), dtype=np.int64).reshape(n, n), 1)
+    scale = draw(st.sampled_from((1, 2**40, "limit")))
+    upper *= 2**62 // max(1, 2 * int(np.abs(upper).sum())) if scale == "limit" else scale
     k = draw(st.integers(1, n))
     picks = draw(st.permutations(range(n)))[:k]
     values = draw(st.lists(st.sampled_from((-1, 1)), min_size=k, max_size=k))
