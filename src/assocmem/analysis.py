@@ -41,7 +41,9 @@ from .core import (
     DimensionMismatch,
     ParameterError,
     _frozen,
+    _seed,
     _unstable,
+    _whole,
     validate_memory_set,
     validate_weights,
 )
@@ -70,8 +72,7 @@ def enumerate_fixed_points(weights, limit_n: int = ENUMERATION_LIMIT) -> list[np
     """
     w = validate_weights(weights)
     n = w.shape[0]
-    if n > limit_n:
-        raise ParameterError(f"enumeration over 2^{n} states exceeds the limit n <= {limit_n}")
+    _whole(limit_n, n, f"enumeration over 2^{n} states exceeds the limit n <= {limit_n}")
     found: list[np.ndarray] = []
     total = 1 << n
     for lo in range(0, total, _CHUNK):
@@ -142,11 +143,11 @@ class CapacityReport:
     threshold_capacity_ratio: float
 
 
-def _capacity_trial(n: int, m: int, seed: int, trial: int) -> tuple[int, int]:
+def _capacity_trial(n: int, m: int, seed: int, trial: int) -> int:
     """One trial: draw m random memories, count the bits one pass flips.
 
-    Returns (unstable bit count, 1 if every memory was an exact fixed
-    point). The generator stream depends only on (seed, m, trial), never on
+    Returns the unstable bit count; 0 means every memory was an exact fixed
+    point. The generator stream depends only on (seed, m, trial), never on
     scheduling.
 
     The fields of the memories are X W with W = X^T X - m I, so W is never
@@ -162,7 +163,7 @@ def _capacity_trial(n: int, m: int, seed: int, trial: int) -> tuple[int, int]:
     unstable = int(np.count_nonzero(_unstable(fields, x)))
     if m == 1 and unstable != 0:
         raise AssertionError("a single memory must always be an exact fixed point")
-    return unstable, int(unstable == 0)
+    return unstable
 
 
 def capacity_experiment(n: int, m_values, trials: int, seed: int, workers: int = 1) -> CapacityReport:
@@ -181,30 +182,22 @@ def capacity_experiment(n: int, m_values, trials: int, seed: int, workers: int =
     2**53 are refused before any trial runs, because their fields would not
     be exact in float64.
     """
-    if n < 10:
-        raise ParameterError(f"capacity experiment needs n >= 10, got {n}")
-    if trials < 50:
-        raise ParameterError(f"capacity experiment needs trials >= 50, got {trials}")
-    ms = [int(m) for m in m_values]
+    n = _whole(n, 10, f"capacity experiment needs n >= 10, got {n}")
+    trials = _whole(trials, 50, f"capacity experiment needs trials >= 50, got {trials}")
+    ms = [_whole(m, 1, "every m must be at least 1") for m in m_values]
     if not ms:
         raise ParameterError("m_values is empty")
-    if any(m < 1 for m in ms):
-        raise ParameterError("every m must be at least 1")
-    if int(seed) < 0:
-        raise ParameterError("seed must be a nonnegative integer")
-    if workers < 1:
-        raise ParameterError("workers must be at least 1")
+    seed = _seed(seed)
+    workers = _whole(workers, 1, "workers must be at least 1")
     if max(ms) * n > FLOAT_EXACT_LIMIT:
         raise ParameterError(f"m * n = {max(ms) * n} exceeds 2**53; the float64 fields would not be exact")
-    seed = int(seed)
 
     unstable = np.zeros((len(ms), trials), dtype=np.int64)
-    stable = np.zeros((len(ms), trials), dtype=np.int64)
 
     def run_block(lo: int, hi: int) -> None:
         # tasks lo..hi-1 of the (m, trial) grid in row-major order
         for mi, t in (divmod(task, trials) for task in range(lo, hi)):
-            unstable[mi, t], stable[mi, t] = _capacity_trial(n, ms[mi], seed, t)
+            unstable[mi, t] = _capacity_trial(n, ms[mi], seed, t)
 
     tasks = len(ms) * trials
     blocks = min(workers, os.cpu_count() or 1, tasks)
@@ -226,7 +219,7 @@ def capacity_experiment(n: int, m_values, trials: int, seed: int, workers: int =
                 m=m,
                 trials=trials,
                 per_bit_instability=float(fraction),
-                all_stable_fraction=int(stable[mi].sum()) / trials,
+                all_stable_fraction=int(np.count_nonzero(unstable[mi] == 0)) / trials,
                 stderr=se,
             )
         )

@@ -248,16 +248,13 @@ def _run_collapse(args) -> dict:
             "list_cases": bool(args.list_cases),
             "seed": None,
         }
+        distinct = quantum.reorg_count(args.count_levels)
         # the full table is only materialized when the caller wants it listed
+        cases = None
         if args.list_cases:
-            table = quantum.enumerate_reorganizations(args.count_levels)
-            distinct = table.distinct_count
-            cases = [list(c) for c in table.cases]
-        else:
-            distinct = quantum.reorg_count(args.count_levels)
-            cases = None
+            cases = [list(c) for c in quantum.enumerate_reorganizations(args.count_levels).cases]
         payload = {
-            "n_levels": int(args.count_levels),
+            "n_levels": args.count_levels,
             "raw_case_count": 2 * distinct,
             "distinct_count": distinct,
             "cases": cases,

@@ -23,13 +23,22 @@ and freezing it again voids the guarantee, since the change cannot be seen.
 
 Indices are 0-based throughout the library; error messages and reports
 speak of "neuron 1" like a person would.
+
+One integer rule covers every count, pass budget, seed and neuron index
+the library takes: Python and numpy integers pass, and a float, a string
+or None is refused with ParameterError, never truncated or parsed. _whole
+checks a scalar against its least legal value, _seed a seed, _neuron one
+start neuron and _start_neurons a start set, in one numpy pass;
+_index_array requires an integer dtype of every collection of neuron
+indices (a start set, a spread order, a recall schedule).
 """
 
 from __future__ import annotations
 
+import operator
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -57,6 +66,54 @@ class DimensionMismatch(ValueError):
 
 class ParameterError(ValueError):
     """A parameter is missing or outside its allowed range."""
+
+
+def _whole(value, least: int, refusal: str) -> int:
+    """``value`` as a Python int; ParameterError(refusal) unless it is an integer >= least."""
+    try:
+        whole = operator.index(value)
+    except TypeError:
+        raise ParameterError(refusal) from None
+    if whole < least:
+        raise ParameterError(refusal)
+    return whole
+
+
+def _seed(seed) -> int:
+    """A seed: an integer >= 0."""
+    return _whole(seed, 0, "seed must be a nonnegative integer")
+
+
+def _neuron(index, n: int) -> int:
+    """A 0-based start neuron, refused unless it is an integer in [0, n)."""
+    try:
+        i = operator.index(index)
+    except TypeError:
+        raise ParameterError(f"start neuron index must be an integer, got {index!r}") from None
+    if not 0 <= i < n:
+        raise ParameterError(f"start neuron {i + 1} out of range for {n} neurons")
+    return i
+
+
+def _index_array(values, refusal: str) -> np.ndarray:
+    """``values`` as an int64 array; ParameterError(refusal) unless its dtype is integer.
+
+    An empty collection holds no non-integer, whatever dtype numpy gives it.
+    """
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ParameterError(refusal)
+    return arr.astype(np.int64, copy=False)
+
+
+def _start_neurons(start_set, n: int) -> np.ndarray:
+    """The distinct neurons of a start set, sorted, refused unless each is one of n."""
+    start = np.unique(_index_array(list(start_set), "start neuron indices must be integers"))
+    if not start.size:
+        raise ParameterError("start set is empty")
+    if start[0] < 0 or start[-1] >= n:
+        _neuron(int(start[(start < 0) | (start >= n)][0]), n)  # raises, naming the first offender
+    return start
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -280,22 +337,18 @@ def validate_proximity(proximity) -> np.ndarray:
 def normalize_start(start, n: int) -> dict[int, int]:
     """Normalize a start assignment (mapping or (index, value) pairs) to a dict.
 
-    Validates indices against ``n`` neurons and values against {+1, -1};
-    a start must name at least one neuron.
+    Validates indices against ``n`` neurons and values against {+1, -1},
+    each value before any repeat of its neuron; a start must name at least
+    one neuron.
     """
-    if isinstance(start, Mapping):
-        items: Iterable = start.items()
-    else:
-        items = list(start)
+    n = _whole(n, 0, f"neuron count must be a nonnegative integer, got {n!r}")
     out: dict[int, int] = {}
-    for idx, val in items:
-        i = int(idx)
-        if not 0 <= i < n:
-            raise ParameterError(f"start neuron {i + 1} out of range for {n} neurons")
-        if i in out and out[i] != int(val):
-            raise ParameterError(f"start assigns neuron {i + 1} twice with different values")
+    for idx, val in start.items() if isinstance(start, Mapping) else start:
+        i = _neuron(idx, n)
         if val not in (-1, 1):
             raise ValidationError(f"start value for neuron {i + 1} must be +1 or -1, got {val!r}")
+        if out.get(i, val) != val:
+            raise ParameterError(f"start assigns neuron {i + 1} twice with different values")
         out[i] = int(val)
     if not out:
         raise ParameterError("start assignment is empty")

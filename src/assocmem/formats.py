@@ -168,6 +168,6 @@ def load_weights(path) -> np.ndarray:
     except ValueError as exc:  # ValidationError and DimensionMismatch included
         raise ParseError(f"{p}: {exc}") from exc
     declared = doc.get("n")
-    if declared is not None and int(declared) != weights.shape[0]:
+    if declared is not None and declared != weights.shape[0]:
         raise ParseError(f"{p}: document says n={declared} but the matrix is {weights.shape[0]}x{weights.shape[0]}")
     return weights

@@ -43,7 +43,10 @@ from .core import (
     ParameterError,
     ValidationError,
     _frozen,
+    _index_array,
+    _start_neurons,
     _unstable,
+    _whole,
     normalize_start,
     validate_memory_set,
     validate_proximity,
@@ -69,20 +72,15 @@ class SpreadOrder:
     start_set: frozenset[int]
 
     def __post_init__(self):
-        perm = np.asarray(self.permutation, dtype=np.int64)
+        perm = _index_array(self.permutation, "spread order must hold integer neuron indices")
         n = perm.size
         if not np.array_equal(np.sort(perm), np.arange(n)):
             raise ValidationError("spread order must be a permutation of the neuron indices")
-        start = frozenset(int(i) for i in self.start_set)
-        if not start:
-            raise ParameterError("start set is empty")
-        if any(not 0 <= i < n for i in start):
-            raise ParameterError(f"start set has an index out of range for {n} neurons")
-        head = {int(i) for i in perm[: len(start)]}
-        if head != start:
+        start = _start_neurons(self.start_set, n)
+        if not np.array_equal(np.sort(perm[: start.size]), start):
             raise ValidationError("spread order must place the start set first")
         object.__setattr__(self, "permutation", _frozen(perm.copy()))
-        object.__setattr__(self, "start_set", start)
+        object.__setattr__(self, "start_set", frozenset(start.tolist()))
 
     @property
     def n(self) -> int:
@@ -91,15 +89,10 @@ class SpreadOrder:
 
 def _split_start(n: int, start_set) -> tuple[np.ndarray, np.ndarray]:
     """Validated start neurons and the remaining neurons, both in index order."""
-    start = sorted(int(i) for i in start_set)
-    if not start:
-        raise ParameterError("start set is empty")
-    for i in start:
-        if not 0 <= i < n:
-            raise ParameterError(f"start neuron {i + 1} out of range for {n} neurons")
+    start = _start_neurons(start_set, n)
     rest = np.ones(n, dtype=bool)
     rest[start] = False
-    return np.array(start, dtype=np.int64), np.flatnonzero(rest)
+    return start, np.flatnonzero(rest)
 
 
 def index_order(n: int, start_set) -> SpreadOrder:
@@ -108,6 +101,7 @@ def index_order(n: int, start_set) -> SpreadOrder:
     Start neurons first (by index), remaining neurons by index. Equivalent
     to order_from_proximity on an all-equal distance matrix.
     """
+    n = _whole(n, 0, f"neuron count must be a nonnegative integer, got {n!r}")
     start, rest = _split_start(n, start_set)
     return SpreadOrder(np.concatenate((start, rest)), frozenset(start.tolist()))
 
@@ -155,11 +149,13 @@ def spread_full(weights, start, proximity=None, order=None) -> SpreadTrace:
 
     ``start`` maps neuron indices to clamped values. The spread order comes
     from ``order`` (an explicit SpreadOrder), from ``proximity`` distances,
-    or falls back to index order. The fragment grows one neuron per step,
-    each new neuron taking sgn of its generator-row field over the neurons
-    assigned before it; exactly n - len(start) steps are performed. The
-    field is one dot of the neuron's weight row with the fragment, where
-    every neuron not reached yet is silent (0).
+    or falls back to index order; however it was obtained, an order must
+    cover exactly the neurons of the weights (DimensionMismatch otherwise).
+    The fragment grows one neuron per step, each new neuron taking sgn of
+    its generator-row field over the neurons assigned before it; exactly
+    n - len(start) steps are performed. The field is one dot of the
+    neuron's weight row with the fragment, where every neuron not reached
+    yet is silent (0).
     """
     w = validate_weights(weights)
     n = w.shape[0]
@@ -171,11 +167,11 @@ def spread_full(weights, start, proximity=None, order=None) -> SpreadTrace:
             order = order_from_proximity(proximity, seed.keys())
         else:
             order = index_order(n, seed.keys())
-    else:
-        if order.n != n:
-            raise DimensionMismatch(f"order covers {order.n} neurons, weights have {n}")
-        if order.start_set != frozenset(seed):
-            raise ParameterError("explicit order was built for a different start set")
+    # checked for every order: one built from a proximity matrix has that matrix's size
+    if order.n != n:
+        raise DimensionMismatch(f"order covers {order.n} neurons, weights have {n}")
+    if order.start_set != frozenset(seed):
+        raise ParameterError("explicit order was built for a different start set")
 
     # each neuron is written once, by the seed or by its own step; until then it is
     # silent (0), so w[i] @ x is the generator-row field of neuron i over the neurons

@@ -31,6 +31,7 @@ entry is the float nearest the exact energy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -39,8 +40,11 @@ from .core import (
     DimensionMismatch,
     ParameterError,
     _frozen,
+    _index_array,
+    _seed,
     _trust,
     _unstable,
+    _whole,
     as_bipolar,
     sgn,
     validate_memory_set,
@@ -117,33 +121,30 @@ class RecallResult:
     cycle: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def _repeat(order):
-    while True:
-        yield order
-
-
-def _seeded_permutations(n, seed):
-    rng = np.random.default_rng(int(seed))
-    while True:
-        yield rng.permutation(n)
-
-
 def _resolve_orders(schedule, n: int, seed):
     """Validate the schedule and return an iterator of per-pass update orders."""
     if isinstance(schedule, str):
         if schedule == "cyclic":
-            return _repeat(np.arange(n))
+            return repeat(np.arange(n))
         if schedule == "random":
             if seed is None:
                 raise ParameterError("schedule 'random' needs an explicit seed")
-            if int(seed) < 0:
-                raise ParameterError("seed must be a nonnegative integer")
-            return _seeded_permutations(n, seed)
+            # a fresh permutation per pass, all from one generator
+            return map(np.random.default_rng(_seed(seed)).permutation, repeat(n))
         raise ParameterError(f"unknown schedule {schedule!r}, expected one of {SCHEDULES} or an explicit order")
-    order = np.asarray(list(schedule), dtype=np.int64)
+    # a non-integer order is no permutation, even when its values are whole
+    refusal = f"explicit schedule must be a permutation of 0..{n - 1}"
+    order = _index_array(list(schedule), refusal)
     if not np.array_equal(np.sort(order), np.arange(n)):
-        raise ParameterError(f"explicit schedule must be a permutation of 0..{n - 1}")
-    return _repeat(order)
+        raise ParameterError(refusal)
+    return repeat(order)
+
+
+def _pass_budget(max_passes, n: int) -> int:
+    """The pass budget of a recall: max_passes, or 10 n when it is None."""
+    if max_passes is None:
+        return 10 * n
+    return _whole(max_passes, 1, f"max_passes must be at least 1, got {max_passes}")
 
 
 def recall_async(weights, state, schedule="cyclic", max_passes: int | None = None, seed=None) -> RecallResult:
@@ -158,11 +159,7 @@ def recall_async(weights, state, schedule="cyclic", max_passes: int | None = Non
     """
     w, x = _weights_and_state(weights, state)
     n = x.size
-    if max_passes is None:
-        max_passes = 10 * n
-    if max_passes < 1:
-        raise ParameterError(f"max_passes must be at least 1, got {max_passes}")
-
+    max_passes = _pass_budget(max_passes, n)
     orders = _resolve_orders(schedule, n, seed)
     h = w @ x
     e = _energy(x, h)
@@ -213,11 +210,7 @@ def recall_sync_iterated(weights, state, max_passes: int | None = None) -> Recal
     reports non-converged with the alternating pair attached.
     """
     w, cur = _weights_and_state(weights, state)
-    if max_passes is None:
-        max_passes = 10 * cur.size
-    if max_passes < 1:
-        raise ParameterError(f"max_passes must be at least 1, got {max_passes}")
-
+    max_passes = _pass_budget(max_passes, cur.size)
     h = w @ cur
     trace = [float(_energy(cur, h))]
     prev = None

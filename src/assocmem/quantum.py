@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, ValidationError, _frozen
+from .core import ValidationError, _frozen, _seed, _whole
 
 NORMALIZATION_TOL = 1e-9
 
@@ -50,10 +50,7 @@ def as_amplitudes(amplitudes) -> np.ndarray:
 
 
 def _check_levels(n_levels) -> int:
-    n = int(n_levels)
-    if n < 1:
-        raise ParameterError(f"grid resolution must be at least 1, got {n_levels}")
-    return n
+    return _whole(n_levels, 1, f"grid resolution must be at least 1, got {n_levels}")
 
 
 def reorg_count(n_levels: int) -> int:
@@ -119,13 +116,11 @@ def collapse_sample(amplitudes, seed: int, count: int) -> np.ndarray:
     draw landing exactly on a bin boundary resolves to the lower index.
     """
     amps = as_amplitudes(amplitudes)
-    if int(seed) < 0:
-        raise ParameterError("seed must be a nonnegative integer")
-    if int(count) < 1:
-        raise ParameterError(f"sample count must be at least 1, got {count}")
+    seed = _seed(seed)
+    count = _whole(count, 1, f"sample count must be at least 1, got {count}")
     cumulative = np.cumsum(amps * amps)
     cumulative[-1] = 1.0
-    uniforms = np.random.default_rng(int(seed)).random(int(count))
+    uniforms = np.random.default_rng(seed).random(count)
     return _frozen(np.searchsorted(cumulative, uniforms, side="left").astype(np.int64))
 
 

@@ -110,6 +110,14 @@ class TestCapacity:
         assert row.per_bit_instability == 0.0
         assert row.all_stable_fraction == 1.0
 
+    def test_report_holds_python_numbers(self):
+        # numpy scalars would change the repr of a report, though not its JSON
+        report = capacity_experiment(20, [2, 9], trials=50, seed=3)
+        assert type(report.n) is int and type(report.seed) is int
+        for row in report.rows:
+            assert (type(row.m), type(row.trials)) == (int, int)
+            assert {type(row.per_bit_instability), type(row.all_stable_fraction), type(row.stderr)} == {float}
+
     def test_reproducible(self):
         a = capacity_experiment(40, [4, 8], trials=60, seed=11)
         b = capacity_experiment(40, [4, 8], trials=60, seed=11)
@@ -202,7 +210,7 @@ class TestCapacity:
         w = x.T @ x
         np.fill_diagonal(w, 0)
         unstable = int(np.count_nonzero((x @ w >= 0) != (x > 0)))
-        assert _capacity_trial(n, m, seed, trial) == (unstable, int(unstable == 0))
+        assert _capacity_trial(n, m, seed, trial) == unstable
 
 
 class TestComplementAsymmetry:

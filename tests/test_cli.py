@@ -141,6 +141,18 @@ class TestSpread:
         assert doc["result"]["order"] == [3, 1, 2, 4]
         assert doc["result"]["matched_memory"] is None  # no memory file given
 
+    def test_proximity_of_the_wrong_size(self, workspace, capsys):
+        tmp, _, weights = workspace
+        prox = tmp / "p.txt"
+        prox.write_text("0 1 2\n1 0 1\n2 1 0\n")
+        code = run_cli(
+            ["spread", "--weights", str(weights), "--proximity", str(prox), "--start", "1:+1"]
+        )
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "assocmem: dimension mismatch: order covers 3 neurons, weights have 4\n"
+        )
+
     def test_bad_start_syntax(self, workspace):
         _, _, weights = workspace
         assert run_cli(["spread", "--weights", str(weights), "--start", "0:+1"]) == 5

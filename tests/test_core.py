@@ -282,6 +282,12 @@ class TestNormalizeStart:
         with pytest.raises(ValidationError):
             normalize_start({0: 2}, 4)
 
+    @pytest.mark.parametrize("bad", [0.5, "x"])
+    def test_value_is_checked_before_a_repeat(self, bad):
+        message = f"^start value for neuron 1 must be \\+1 or -1, got {bad!r}$"
+        with pytest.raises(ValidationError, match=message):
+            normalize_start([(0, 1), (0, bad)], 4)
+
 
 class TestTrust:
     """A value a validator returned is accepted again in O(1), by identity."""

@@ -169,6 +169,14 @@ class TestWeightsDocuments:
         with pytest.raises(ParseError, match="n=3"):
             load_weights(path)
 
+    @pytest.mark.parametrize("declared", [2.5, "2", "x", [2]])
+    def test_declared_n_is_not_cast(self, tmp_path, declared):
+        # 2.5 and "2" do not declare a 2x2 matrix, and "x" is a parse error, not a crash
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"kind": "weights", "n": declared, "weights": [[0, 1], [1, 0]]}))
+        with pytest.raises(ParseError, match=re.escape(f"n={declared} but the matrix is 2x2")):
+            load_weights(path)
+
     def test_render_is_stable(self):
         doc = {"tool": "assocmem", "value": [1, 2]}
         assert render_document(doc) == render_document(doc)

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from assocmem import (
     DimensionMismatch,
     ParameterError,
+    SpreadOrder,
     SpreadStep,
     ValidationError,
     decompose,
@@ -115,6 +116,22 @@ class TestSpreadOrder:
             index_order(5, {0, 5})
         with pytest.raises(ParameterError, match=message):
             order_from_proximity(np.ones((5, 5)) - np.eye(5), {5})
+        with pytest.raises(ParameterError, match=message):
+            SpreadOrder(np.arange(5), frozenset({5, 0, 7}))
+        with pytest.raises(ParameterError, match=r"^start neuron 0 out of range for 5 neurons$"):
+            SpreadOrder(np.arange(5), frozenset({-1, 9}))
+
+    def test_explicit_order_is_validated(self):
+        order = SpreadOrder([2, 0, 1], [2, 2])
+        assert order.start_set == frozenset({2})
+        assert list(order.permutation) == [2, 0, 1]
+        assert not order.permutation.flags.writeable
+        with pytest.raises(ValidationError, match="must be a permutation"):
+            SpreadOrder(np.array([0, 0, 1]), frozenset({0}))
+        with pytest.raises(ValidationError, match="must place the start set first"):
+            SpreadOrder(np.arange(3), frozenset({1}))
+        with pytest.raises(ParameterError, match="^start set is empty$"):
+            SpreadOrder(np.arange(3), frozenset())
 
 
 class TestSpreadFull:
@@ -227,6 +244,15 @@ class TestSpreadFull:
         order = index_order(4, {1})
         with pytest.raises(ParameterError):
             spread_full(worked_weights, {0: 1}, order=order)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_proximity_of_the_wrong_size_rejected(self, worked_weights, k):
+        # a proximity-built order is checked against the weights like an explicit one
+        p = np.ones((k, k)) - np.eye(k)
+        with pytest.raises(DimensionMismatch, match=f"^order covers {k} neurons, weights have 4$"):
+            spread_full(worked_weights, {0: 1}, proximity=p)
+        with pytest.raises(DimensionMismatch, match=f"^order covers {k} neurons, weights have 4$"):
+            spread_full(worked_weights, {0: 1}, order=index_order(k, {0}))
 
 
 @st.composite
