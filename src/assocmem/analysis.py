@@ -72,7 +72,7 @@ def enumerate_fixed_points(weights, limit_n: int = ENUMERATION_LIMIT) -> list[np
     """
     w = validate_weights(weights)
     n = w.shape[0]
-    _whole(limit_n, n, f"enumeration over 2^{n} states exceeds the limit n <= {limit_n}")
+    _whole(limit_n, "limit_n", n, f"enumeration over 2^{n} states exceeds the limit n <= {limit_n}")
     found: list[np.ndarray] = []
     total = 1 << n
     for lo in range(0, total, _CHUNK):
@@ -182,13 +182,13 @@ def capacity_experiment(n: int, m_values, trials: int, seed: int, workers: int =
     2**53 are refused before any trial runs, because their fields would not
     be exact in float64.
     """
-    n = _whole(n, 10, f"capacity experiment needs n >= 10, got {n}")
-    trials = _whole(trials, 50, f"capacity experiment needs trials >= 50, got {trials}")
-    ms = [_whole(m, 1, "every m must be at least 1") for m in m_values]
+    n = _whole(n, "n", 10, f"capacity experiment needs n >= 10, got {n}")
+    trials = _whole(trials, "trials", 50, f"capacity experiment needs trials >= 50, got {trials}")
+    ms = [_whole(m, "m", 1, "every m must be at least 1") for m in m_values]
     if not ms:
         raise ParameterError("m_values is empty")
     seed = _seed(seed)
-    workers = _whole(workers, 1, "workers must be at least 1")
+    workers = _whole(workers, "workers", 1, "workers must be at least 1")
     if max(ms) * n > FLOAT_EXACT_LIMIT:
         raise ParameterError(f"m * n = {max(ms) * n} exceeds 2**53; the float64 fields would not be exact")
 

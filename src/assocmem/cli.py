@@ -34,6 +34,14 @@ _TOKENS = formats._MEMORY_TOKENS
 _SIGNED_OPTIONS = ("--state", "--amps")
 
 
+def _int(text: str) -> int:
+    """An integer option value under the file parsers' number rule (formats._ascii_number)."""
+    return formats._ascii_number(text, int)
+
+
+_int.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+
+
 def _parse_state(text: str) -> np.ndarray:
     """An inline state: comma or whitespace separated tokens from {1, -1}."""
     values = []
@@ -61,7 +69,7 @@ def _parse_start(text: str) -> list[tuple[int, int]]:
             raise ParameterError(f"bad start entry {piece!r}, expected index:value")
         idx_text, val_text = piece.split(":", 1)
         try:
-            idx = int(idx_text)
+            idx = formats._ascii_number(idx_text, int)
         except ValueError:
             raise ParameterError(f"bad start index {idx_text!r}") from None
         if idx < 1:
@@ -73,7 +81,8 @@ def _parse_start(text: str) -> list[tuple[int, int]]:
 
 
 def _parse_list(text: str, what: str, convert) -> list:
-    """Comma-separated values, each read by ``convert`` (int or float)."""
+    """Comma-separated values, each read by ``convert`` (int or float) under
+    the file parsers' number rule (formats._ascii_number)."""
     expected = "an integer" if convert is int else "a number"
     values = []
     for piece in text.split(","):
@@ -81,7 +90,7 @@ def _parse_list(text: str, what: str, convert) -> list:
         if not piece:
             continue
         try:
-            values.append(convert(piece))
+            values.append(formats._ascii_number(piece, convert))
         except ValueError:
             raise ParameterError(f"bad {what} entry {piece!r}, expected {expected}") from None
     if not values:
@@ -319,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="update one neuron at a time instead of whole passes")
     recall.add_argument("--schedule", choices=("random", "cyclic"), default="random",
                         help="asynchronous update order (default random, needs --seed)")
-    recall.add_argument("--passes", type=int, default=None, help="pass budget (default 10n)")
-    recall.add_argument("--seed", type=int, default=None, help="seed for the random schedule")
+    recall.add_argument("--passes", type=_int, default=None, help="pass budget (default 10n)")
+    recall.add_argument("--seed", type=_int, default=None, help="seed for the random schedule")
     recall.add_argument("--out", default=None, help="report path (default stdout)")
 
     spread = sub.add_parser("spread", help="spreading-activity retrieval from a fragment")
@@ -333,25 +342,25 @@ def build_parser() -> argparse.ArgumentParser:
     fixed = sub.add_parser("fixed-points", help="enumerate all fixed points exhaustively")
     fixed.add_argument("--weights", required=True, help="weights document")
     fixed.add_argument("--memories", default=None, help="memory file for the census")
-    fixed.add_argument("--limit", type=int, default=analysis.ENUMERATION_LIMIT,
+    fixed.add_argument("--limit", type=_int, default=analysis.ENUMERATION_LIMIT,
                        help="largest n to enumerate (default 20)")
     fixed.add_argument("--out", default=None, help="report path (default stdout)")
 
     capacity = sub.add_parser("capacity", help="Monte Carlo capacity sweep")
-    capacity.add_argument("--n", type=int, required=True, help="neuron count (>= 10)")
+    capacity.add_argument("--n", type=_int, required=True, help="neuron count (>= 10)")
     capacity.add_argument("--m-list", required=True, help="comma-separated memory counts")
-    capacity.add_argument("--trials", type=int, required=True, help="trials per m (>= 50)")
-    capacity.add_argument("--seed", type=int, required=True, help="experiment seed")
-    capacity.add_argument("--workers", type=int, default=1, help="thread workers (default 1)")
+    capacity.add_argument("--trials", type=_int, required=True, help="trials per m (>= 50)")
+    capacity.add_argument("--seed", type=_int, required=True, help="experiment seed")
+    capacity.add_argument("--workers", type=_int, default=1, help="thread workers (default 1)")
     capacity.add_argument("--out", default=None, help="report path (default stdout)")
 
     collapse = sub.add_parser("collapse", help="squared-amplitude sampling or case counting")
     which = collapse.add_mutually_exclusive_group(required=True)
     which.add_argument("--amps", default=None, help="comma-separated amplitudes, e.g. 0.6,0.8")
-    which.add_argument("--count-levels", type=int, default=None,
+    which.add_argument("--count-levels", type=_int, default=None,
                        help="count distinct cases for an n-point amplitude grid")
-    collapse.add_argument("--samples", type=int, default=None, help="number of draws")
-    collapse.add_argument("--seed", type=int, default=None, help="sampling seed")
+    collapse.add_argument("--samples", type=_int, default=None, help="number of draws")
+    collapse.add_argument("--seed", type=_int, default=None, help="sampling seed")
     collapse.add_argument("--list-cases", action="store_true",
                           help="embed the case table in the count report")
     collapse.add_argument("--out", default=None, help="report path (default stdout)")

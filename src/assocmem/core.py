@@ -27,10 +27,11 @@ speak of "neuron 1" like a person would.
 One integer rule covers every count, pass budget, seed and neuron index
 the library takes: Python and numpy integers pass, and a float, a string
 or None is refused with ParameterError, never truncated or parsed. _whole
-checks a scalar against its least legal value, _seed a seed, _neuron one
-start neuron and _start_neurons a start set, in one numpy pass;
-_index_array requires an integer dtype of every collection of neuron
-indices (a start set, a spread order, a recall schedule).
+checks a scalar against its least legal value and refuses a non-integer
+by the parameter's name, _seed checks a seed, _neuron one start neuron
+and _start_neurons a start set, in one numpy pass; _index_array requires
+an integer dtype of every collection of neuron indices (a start set, a
+spread order, a recall schedule).
 """
 
 from __future__ import annotations
@@ -68,12 +69,16 @@ class ParameterError(ValueError):
     """A parameter is missing or outside its allowed range."""
 
 
-def _whole(value, least: int, refusal: str) -> int:
-    """``value`` as a Python int; ParameterError(refusal) unless it is an integer >= least."""
+def _whole(value, name: str, least: int, refusal: str) -> int:
+    """``value`` as a Python int, refused unless it is an integer >= least.
+
+    A non-integer is refused as one, by ``name``; an integer below ``least``
+    gets ParameterError(refusal).
+    """
     try:
         whole = operator.index(value)
     except TypeError:
-        raise ParameterError(refusal) from None
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
     if whole < least:
         raise ParameterError(refusal)
     return whole
@@ -81,7 +86,7 @@ def _whole(value, least: int, refusal: str) -> int:
 
 def _seed(seed) -> int:
     """A seed: an integer >= 0."""
-    return _whole(seed, 0, "seed must be a nonnegative integer")
+    return _whole(seed, "seed", 0, "seed must be a nonnegative integer")
 
 
 def _neuron(index, n: int) -> int:
@@ -218,10 +223,7 @@ def validate_memory_set(memories) -> MemorySet:
     """
     if isinstance(memories, MemorySet):
         return memories
-    if isinstance(memories, np.ndarray) and memories.ndim == 2:
-        rows = list(memories)
-    else:
-        rows = [np.asarray(r) for r in memories]
+    rows = [np.asarray(r) for r in memories]
     if len(rows) == 0:
         raise ParameterError("memory set is empty")
     widths = {int(r.size) for r in rows}
@@ -341,7 +343,7 @@ def normalize_start(start, n: int) -> dict[int, int]:
     each value before any repeat of its neuron; a start must name at least
     one neuron.
     """
-    n = _whole(n, 0, f"neuron count must be a nonnegative integer, got {n!r}")
+    n = _whole(n, "n", 0, f"neuron count must be a nonnegative integer, got {n!r}")
     out: dict[int, int] = {}
     for idx, val in start.items() if isinstance(start, Mapping) else start:
         i = _neuron(idx, n)

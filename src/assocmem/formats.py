@@ -43,6 +43,18 @@ class ParseError(ValueError):
     """A file could not be parsed; the message carries path, line, column."""
 
 
+def _ascii_number(text: str, convert=float):
+    """``convert(text)`` (int or float) for plain ASCII number text; ValueError otherwise.
+
+    int() and float() alone also read "1_0" as 10 and take non-ASCII digits
+    such as U+0661; every number read from a file or the command line
+    follows this one rule instead.
+    """
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return convert(text)
+
+
 def _split_lines(text: str) -> list[str]:
     """Lines end at \\n, \\r\\n or a lone \\r; other separators are whitespace."""
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -94,17 +106,15 @@ def parse_proximity(path) -> np.ndarray:
     p = Path(path)
     rows = []
     for lineno, body in _content_lines(p):
-        # float() alone would also read "1_0" as 10 and take non-ASCII digits
-        lenient = "_" in body or not body.isascii()
+        # a line of plain ASCII holds only plain tokens, so float() alone reads it
+        read = float if "_" not in body and body.isascii() else _ascii_number
         row = []
         for match in _TOKEN.finditer(body):
             token = match.group()
             try:
-                value = float(token)
+                value = read(token)
             except ValueError:
-                value = None
-            if value is None or lenient and ("_" in token or not token.isascii()):
-                raise ParseError(f"{p}:{lineno}:{match.start() + 1}: bad distance token {token!r}")
+                raise ParseError(f"{p}:{lineno}:{match.start() + 1}: bad distance token {token!r}") from None
             if not 0 <= value < math.inf:
                 raise ParseError(
                     f"{p}:{lineno}:{match.start() + 1}: distances must be finite and nonnegative, got {token}"

@@ -87,23 +87,29 @@ class SpreadOrder:
         return int(self.permutation.size)
 
 
-def _split_start(n: int, start_set) -> tuple[np.ndarray, np.ndarray]:
-    """Validated start neurons and the remaining neurons, both in index order."""
+def _order(n: int, start_set, proximity=None) -> SpreadOrder:
+    """Start neurons by index, then the rest by distance to the start set, ties by index.
+
+    One stable sort: each start neuron is keyed at -inf, every other neuron at
+    its minimum distance to the start set, or at 0 without a proximity matrix.
+    Start neurons are keyed explicitly, as a tolerated diagonal entry may lie
+    above an off-diagonal distance.
+    """
     start = _start_neurons(start_set, n)
-    rest = np.ones(n, dtype=bool)
-    rest[start] = False
-    return start, np.flatnonzero(rest)
+    key = np.zeros(n) if proximity is None else proximity[start].min(axis=0)
+    key[start] = -np.inf
+    return SpreadOrder(np.argsort(key, kind="stable"), frozenset(start.tolist()))
 
 
 def index_order(n: int, start_set) -> SpreadOrder:
     """Spread order with no proximity information: plain index order.
 
-    Start neurons first (by index), remaining neurons by index. Equivalent
-    to order_from_proximity on an all-equal distance matrix.
+    Start neurons first (by index), remaining neurons by index: the order
+    order_from_proximity gives when every distance is equal, built by the
+    same stable sort.
     """
-    n = _whole(n, 0, f"neuron count must be a nonnegative integer, got {n!r}")
-    start, rest = _split_start(n, start_set)
-    return SpreadOrder(np.concatenate((start, rest)), frozenset(start.tolist()))
+    n = _whole(n, "n", 0, f"neuron count must be a nonnegative integer, got {n!r}")
+    return _order(n, start_set)
 
 
 def order_from_proximity(proximity, start_set) -> SpreadOrder:
@@ -112,13 +118,11 @@ def order_from_proximity(proximity, start_set) -> SpreadOrder:
     The distance of a neuron to the start set is the minimum over start
     members, modeling activity arriving from the nearest active site. Ties
     break toward the smaller neuron index; start members head the order,
-    sorted by index.
+    sorted by index. The order is one stable sort of those distances, with
+    the start members keyed first.
     """
     p = validate_proximity(proximity)
-    start, rest = _split_start(p.shape[0], start_set)
-    dist = p[np.ix_(start, rest)].min(axis=0)
-    rest = rest[np.lexsort((rest, dist))]
-    return SpreadOrder(np.concatenate((start, rest)), frozenset(start.tolist()))
+    return _order(p.shape[0], start_set, p)
 
 
 @dataclass(frozen=True)
@@ -149,8 +153,10 @@ def spread_full(weights, start, proximity=None, order=None) -> SpreadTrace:
 
     ``start`` maps neuron indices to clamped values. The spread order comes
     from ``order`` (an explicit SpreadOrder), from ``proximity`` distances,
-    or falls back to index order; however it was obtained, an order must
-    cover exactly the neurons of the weights (DimensionMismatch otherwise).
+    or falls back to index order. An explicit order or a proximity matrix
+    must cover exactly the neurons of the weights (DimensionMismatch
+    otherwise); a proximity matrix is validated and sized before its order
+    is built, so a start neuron beyond it is reported as that mismatch.
     The fragment grows one neuron per step, each new neuron taking sgn of
     its generator-row field over the neurons assigned before it; exactly
     n - len(start) steps are performed. The field is one dot of the
@@ -162,14 +168,15 @@ def spread_full(weights, start, proximity=None, order=None) -> SpreadTrace:
     seed = normalize_start(start, n)
     if proximity is not None and order is not None:
         raise ParameterError("give either a proximity matrix or an explicit order, not both")
+    if proximity is not None:
+        proximity = validate_proximity(proximity)
+    # sized before any order is built: a start neuron beyond a small proximity
+    # matrix is a size mismatch, not a start out of range
+    size = order.n if order is not None else n if proximity is None else proximity.shape[0]
+    if size != n:
+        raise DimensionMismatch(f"order covers {size} neurons, weights have {n}")
     if order is None:
-        if proximity is not None:
-            order = order_from_proximity(proximity, seed.keys())
-        else:
-            order = index_order(n, seed.keys())
-    # checked for every order: one built from a proximity matrix has that matrix's size
-    if order.n != n:
-        raise DimensionMismatch(f"order covers {order.n} neurons, weights have {n}")
+        order = index_order(n, seed.keys()) if proximity is None else order_from_proximity(proximity, seed.keys())
     if order.start_set != frozenset(seed):
         raise ParameterError("explicit order was built for a different start set")
 

@@ -144,7 +144,7 @@ def _pass_budget(max_passes, n: int) -> int:
     """The pass budget of a recall: max_passes, or 10 n when it is None."""
     if max_passes is None:
         return 10 * n
-    return _whole(max_passes, 1, f"max_passes must be at least 1, got {max_passes}")
+    return _whole(max_passes, "max_passes", 1, f"max_passes must be at least 1, got {max_passes}")
 
 
 def recall_async(weights, state, schedule="cyclic", max_passes: int | None = None, seed=None) -> RecallResult:

@@ -50,7 +50,7 @@ def as_amplitudes(amplitudes) -> np.ndarray:
 
 
 def _check_levels(n_levels) -> int:
-    return _whole(n_levels, 1, f"grid resolution must be at least 1, got {n_levels}")
+    return _whole(n_levels, "n_levels", 1, f"grid resolution must be at least 1, got {n_levels}")
 
 
 def reorg_count(n_levels: int) -> int:
@@ -117,7 +117,7 @@ def collapse_sample(amplitudes, seed: int, count: int) -> np.ndarray:
     """
     amps = as_amplitudes(amplitudes)
     seed = _seed(seed)
-    count = _whole(count, 1, f"sample count must be at least 1, got {count}")
+    count = _whole(count, "count", 1, f"sample count must be at least 1, got {count}")
     cumulative = np.cumsum(amps * amps)
     cumulative[-1] = 1.0
     uniforms = np.random.default_rng(seed).random(count)

@@ -145,18 +145,26 @@ class TestSpread:
         tmp, _, weights = workspace
         prox = tmp / "p.txt"
         prox.write_text("0 1 2\n1 0 1\n2 1 0\n")
-        code = run_cli(
-            ["spread", "--weights", str(weights), "--proximity", str(prox), "--start", "1:+1"]
-        )
-        assert code == 4
-        assert capsys.readouterr().err == (
-            "assocmem: dimension mismatch: order covers 3 neurons, weights have 4\n"
-        )
+        # neuron 4 lies beyond the 3x3 matrix: the same mismatch, not a start out of range
+        for start in ("1:+1", "4:+1"):
+            code = run_cli(
+                ["spread", "--weights", str(weights), "--proximity", str(prox), "--start", start]
+            )
+            assert code == 4
+            assert capsys.readouterr().err == (
+                "assocmem: dimension mismatch: order covers 3 neurons, weights have 4\n"
+            )
 
     def test_bad_start_syntax(self, workspace):
         _, _, weights = workspace
         assert run_cli(["spread", "--weights", str(weights), "--start", "0:+1"]) == 5
         assert run_cli(["spread", "--weights", str(weights), "--start", "1=+1"]) == 5
+
+    @pytest.mark.parametrize("index", ["1_0", "\u0661", "\uff11"])
+    def test_start_index_takes_plain_ascii_digits(self, workspace, capsys, index):
+        _, _, weights = workspace
+        assert run_cli(["spread", "--weights", str(weights), "--start", f"{index}:+1"]) == 5
+        assert capsys.readouterr().err == f"assocmem: invalid parameter: bad start index {index!r}\n"
 
     def test_start_out_of_range(self, workspace):
         _, _, weights = workspace
@@ -235,6 +243,14 @@ class TestCapacity:
     def test_bad_m_list(self):
         assert run_cli(["capacity", "--n", "30", "--m-list", "2,x", "--trials", "50", "--seed", "1"]) == 5
 
+    @pytest.mark.parametrize("entry", ["1_0", "\u0663"])
+    def test_m_list_takes_plain_ascii_digits(self, capsys, entry):
+        argv = ["capacity", "--n", "30", "--m-list", f"2,{entry}", "--trials", "50", "--seed", "1"]
+        assert run_cli(argv) == 5
+        assert capsys.readouterr().err == (
+            f"assocmem: invalid parameter: bad m-list entry {entry!r}, expected an integer\n"
+        )
+
 
 class TestCollapse:
     def test_sampling_report(self, capsys):
@@ -268,6 +284,13 @@ class TestCollapse:
         assert spaced.read_bytes() == joined.read_bytes()
         assert json.loads(spaced.read_text())["config"]["amps"] == [-0.6, 0.8]
 
+    @pytest.mark.parametrize("entry", ["0.6_0", "0.\u0666"])
+    def test_amps_take_plain_ascii_numbers(self, capsys, entry):
+        assert run_cli(["collapse", "--amps", f"{entry},0.8", "--samples", "3", "--seed", "1"]) == 5
+        assert capsys.readouterr().err == (
+            f"assocmem: invalid parameter: bad amps entry {entry!r}, expected a number\n"
+        )
+
     def test_missing_amps_is_usage_error(self):
         assert run_cli(["collapse", "--samples", "20", "--seed", "3", "--amps"]) == 2
         assert run_cli(["collapse", "--amps", "--samples", "20", "--seed", "3"]) == 2
@@ -290,6 +313,23 @@ class TestErrorChannels:
     def test_unknown_flag_is_usage(self, workspace):
         _, _, weights = workspace
         assert run_cli(["recall", "--weights", str(weights), "--state", "1,1,1,1", "--bogus"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["recall", "--weights", "{weights}", "--state", "1,1,1,1", "--passes", "1_0"],
+            ["recall", "--weights", "{weights}", "--state", "1,1,1,1", "--async", "--seed", "\u0667"],
+            ["capacity", "--n", "\u0663\u0660", "--m-list", "2", "--trials", "50", "--seed", "1"],
+            ["capacity", "--n", "30", "--m-list", "2", "--trials", "50", "--seed", "1", "--workers", "\uff12"],
+            ["collapse", "--count-levels", "1_0"],
+            ["collapse", "--amps", "0.6,0.8", "--samples", "2_0", "--seed", "3"],
+        ],
+        ids=["passes", "seed", "n", "workers", "count-levels", "samples"],
+    )
+    def test_integer_options_take_plain_ascii_digits(self, workspace, argv, capsys):
+        _, _, weights = workspace
+        assert run_cli([arg.format(weights=weights) for arg in argv]) == 2
+        assert "invalid int value" in capsys.readouterr().err
 
     def test_missing_subcommand_is_usage(self):
         assert run_cli([]) == 2

@@ -247,10 +247,12 @@ class TestSpreadFull:
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_proximity_of_the_wrong_size_rejected(self, worked_weights, k):
-        # a proximity-built order is checked against the weights like an explicit one
+        # a proximity matrix is sized against the weights before its order is built,
+        # so a start neuron beyond a small matrix is reported as the same mismatch
         p = np.ones((k, k)) - np.eye(k)
-        with pytest.raises(DimensionMismatch, match=f"^order covers {k} neurons, weights have 4$"):
-            spread_full(worked_weights, {0: 1}, proximity=p)
+        for start in ({0: 1}, {3: 1}):
+            with pytest.raises(DimensionMismatch, match=f"^order covers {k} neurons, weights have 4$"):
+                spread_full(worked_weights, start, proximity=p)
         with pytest.raises(DimensionMismatch, match=f"^order covers {k} neurons, weights have 4$"):
             spread_full(worked_weights, {0: 1}, order=index_order(k, {0}))
 
@@ -277,16 +279,23 @@ def spread_cases(draw):
     return upper + upper.T, dict(zip(picks, values)), proximity
 
 
+def reference_order(n, start, proximity=None):
+    """Start neurons by index, then the rest sorted by (minimum distance over
+    the start rows, index); by index alone without a proximity matrix."""
+    head = sorted(start)
+    rest = [j for j in range(n) if j not in start]
+    if proximity is not None:
+        rest.sort(key=lambda j: (min(proximity[s, j] for s in head), j))
+    return head + rest
+
+
 def reference_spread(w, start, proximity):
     """Spread recomputed from the definitions: order by (nearest start
     distance, index), every field from the generator row over the prefix
     assigned so far, flags from one synchronous pass over the final state."""
     n = w.shape[0]
     head = sorted(start)
-    rest = [j for j in range(n) if j not in start]
-    if proximity is not None:
-        rest.sort(key=lambda j: (min(proximity[s, j] for s in head), j))
-    perm = head + rest
+    perm = reference_order(n, start, proximity)
     gen = decompose(w[np.ix_(perm, perm)])
     x = [start[i] for i in head]
     steps = []
@@ -311,6 +320,34 @@ class TestSpreadOracle:
         assert np.array_equal(trace.final, final)
         assert trace.consistency_flags == flags
         assert trace.start == tuple(sorted(start.items()))
+
+
+@st.composite
+def order_cases(draw):
+    """A symmetric proximity matrix whose small integer distances make ties
+    common, with diagonal entries anywhere validate_proximity tolerates, in
+    [-1e-9, 1e-9], some off-diagonal distances below 1e-9, and a nonempty
+    start set. Sizes above 16 reach numpy's unstable default sort."""
+    n = draw(st.integers(1, 20))
+    dist = st.sampled_from((1.0, 2.0, 3.0, 1e-12, 5e-10))
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, 1)] = draw(st.lists(dist, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    diag = draw(st.lists(st.floats(-1e-9, 1e-9), min_size=n, max_size=n))
+    start = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return d + d.T + np.diag(diag), start
+
+
+class TestOrderOracle:
+    @given(order_cases())
+    def test_builders_match_reference(self, case):
+        p, start = case
+        n = p.shape[0]
+        for order, want in (
+            (order_from_proximity(p, start), reference_order(n, start, p)),
+            (index_order(n, start), reference_order(n, start)),
+        ):
+            assert order.permutation.tolist() == want
+            assert order.start_set == frozenset(start)
 
 
 class TestRetrieveReport:

@@ -24,6 +24,10 @@ CASES = {
         "spread", "--weights", "line_weights.json", "--proximity", "line_proximity.txt",
         "--start", "3:+1,4:+1,5:+1", "--memories", "line_memories.txt",
     ],
+    # index order, with the start neurons given out of index order
+    "spread_line_index.json": [
+        "spread", "--weights", "line_weights.json", "--start", "7:-1,2:+1", "--memories", "line_memories.txt",
+    ],
     "worked_weights.json": ["train", "--memories", "worked_memories.txt"],
     "zero_field_weights.json": ["train", "--memories", "zero_field_memories.txt"],
     # a state on a two-cycle of the synchronous dynamics

@@ -2,7 +2,11 @@
 
 Python and numpy integers are accepted and give the same results; a float,
 a string or None is refused with ParameterError, never truncated or parsed.
+A non-integer scalar is refused as one, by the parameter's name, while an
+integer out of range keeps its range message.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -122,3 +126,26 @@ def test_numpy_integers_match_python_integers(k):
     for numpy_call, python_call in pairs:
         # repr shows array contents and dtypes, and tells np.int64(3) from 3
         assert repr(numpy_call()) == repr(python_call())
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: recall_async(WORKED_WEIGHTS, STATE, max_passes=2.5), "max_passes must be an integer, got 2.5"),
+        (lambda: enumerate_fixed_points(WORKED_WEIGHTS, limit_n=20.5), "limit_n must be an integer, got 20.5"),
+        (lambda: capacity_experiment(20, [2], 50, "7"), "seed must be an integer, got '7'"),
+        (lambda: collapse_sample(AMPS, 0, None), "count must be an integer, got None"),
+        (lambda: index_order(4.0, {0}), "n must be an integer, got 4.0"),
+    ],
+    ids=["max_passes", "limit_n", "seed", "count", "n"],
+)
+def test_a_non_integer_is_refused_as_one_by_name(call, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_integer_refusals_keep_their_range_messages():
+    with pytest.raises(ParameterError, match=r"^max_passes must be at least 1, got 0$"):
+        recall_async(WORKED_WEIGHTS, STATE, max_passes=0)
+    with pytest.raises(ParameterError, match=r"^enumeration over 2\^4 states exceeds the limit n <= 3$"):
+        enumerate_fixed_points(WORKED_WEIGHTS, limit_n=3)
