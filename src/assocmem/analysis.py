@@ -40,6 +40,8 @@ from .core import (
     FLOAT_EXACT_LIMIT,
     DimensionMismatch,
     ParameterError,
+    _factor_fields,
+    _fields,
     _frozen,
     _seed,
     _unstable,
@@ -77,7 +79,7 @@ def enumerate_fixed_points(weights, limit_n: int = ENUMERATION_LIMIT) -> list[np
     total = 1 << n
     for lo in range(0, total, _CHUNK):
         states = _states_chunk(lo, min(lo + _CHUNK, total), n)
-        fields = states @ w
+        fields = _fields(w, states)
         # rows of a frozen array are read-only views
         found.extend(_frozen(states[~_unstable(fields, states).any(axis=1)]))
     return found
@@ -151,15 +153,14 @@ def _capacity_trial(n: int, m: int, seed: int, trial: int) -> int:
     scheduling.
 
     The fields of the memories are X W with W = X^T X - m I, so W is never
-    formed: they are (X X^T) X - m X, or X (X^T X) - m X when m > n, at
-    O(min(m, n) m n) in float64 BLAS. Every product and partial sum is an
-    integer of magnitude at most m n, exact while m n <= 2**53, which
-    capacity_experiment enforces.
+    formed: core._factor_fields gives them as (X X^T) X - m X, or
+    X (X^T X) - m X when m > n, at O(min(m, n) m n) in float64 BLAS. Every
+    product and partial sum is an integer of magnitude at most m n, exact
+    while m n <= 2**53, which capacity_experiment enforces.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m, trial)))
     x = (rng.integers(0, 2, size=(m, n), dtype=np.int8) * 2 - 1).astype(np.float64)
-    fields = (x @ x.T) @ x if m <= n else x @ (x.T @ x)
-    fields -= m * x
+    fields = _factor_fields(x, x)
     unstable = int(np.count_nonzero(_unstable(fields, x)))
     if m == 1 and unstable != 0:
         raise AssertionError("a single memory must always be an exact fixed point")
@@ -176,9 +177,12 @@ def capacity_experiment(n: int, m_values, trials: int, seed: int, workers: int =
     is exact. ``threshold_capacity_ratio`` is the largest m/n whose per-bit
     stability is at least 99%, or 0.0 if no load in the sweep qualifies.
 
-    ``workers`` > 1 splits the trials into that many contiguous blocks, at
-    most one per CPU, and runs each block in a thread of a pool; results are
-    bit-identical to the serial run by construction. Loads with m * n above
+    ``workers`` > 1 deals the trials round-robin to that many threads of a
+    pool, at most one per CPU; results are stored by index, so they are
+    bit-identical to the serial run by construction. The pool pays only
+    where BLAS runs single-threaded: a trial is one to a few BLAS calls,
+    and a multi-threaded BLAS already spreads each over the cores, so the
+    threads add only their overhead. Loads with m * n above
     2**53 are refused before any trial runs, because their fields would not
     be exact in float64.
     """
@@ -194,19 +198,19 @@ def capacity_experiment(n: int, m_values, trials: int, seed: int, workers: int =
 
     unstable = np.zeros((len(ms), trials), dtype=np.int64)
 
-    def run_block(lo: int, hi: int) -> None:
-        # tasks lo..hi-1 of the (m, trial) grid in row-major order
-        for mi, t in (divmod(task, trials) for task in range(lo, hi)):
+    tasks = len(ms) * trials
+    threads = min(workers, os.cpu_count() or 1, tasks)
+
+    def run_share(first: int) -> None:
+        # every threads-th task of the (m, trial) grid in row-major order, from task first
+        for mi, t in (divmod(task, trials) for task in range(first, tasks, threads)):
             unstable[mi, t] = _capacity_trial(n, ms[mi], seed, t)
 
-    tasks = len(ms) * trials
-    blocks = min(workers, os.cpu_count() or 1, tasks)
-    if blocks == 1:
-        run_block(0, tasks)
+    if threads == 1:
+        run_share(0)
     else:
-        bounds = [tasks * b // blocks for b in range(blocks + 1)]
-        with ThreadPoolExecutor(max_workers=blocks) as pool:
-            list(pool.map(run_block, bounds[:-1], bounds[1:]))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run_share, range(threads)))
 
     rows = []
     for mi, m in enumerate(ms):
@@ -257,7 +261,7 @@ def complement_asymmetry_probe(weights, memories) -> ComplementAsymmetryReport:
     if mset.n != w.shape[0]:
         raise DimensionMismatch(f"memories have {mset.n} neurons, weights have {w.shape[0]}")
     # row k holds the fields of memory k (W is symmetric)
-    fields = mset.vectors @ w
+    fields = _fields(w, mset.vectors)
     fixed_indices = np.flatnonzero(~_unstable(fields, mset.vectors).any(axis=1)).tolist()
     failures = []
     for k in fixed_indices:

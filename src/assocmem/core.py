@@ -21,6 +21,17 @@ slice or arithmetic result is a new object and is checked in full, and so
 is a trusted array while it is writeable again. Changing a trusted array
 and freezing it again voids the guarantee, since the change cannot be seen.
 
+Trust can also carry the training factor. For a matrix W = X^T X - m I that
+hebbian.train built from m < n memories with m n <= 2**53, the float64
+memory matrix X is kept, by the same identity, for as long as W lives.
+_fields, the one owner of "the field of a state", then computes W s as
+(s X^T) X - m s in float64 BLAS, in O(m n) per state instead of O(n^2);
+every product and partial sum is an integer of magnitude at most m n, so
+the fields are exact. Any other matrix (loaded, hand-written, copied, or
+trained with m >= n) gives its fields as the int64 product W s. The
+re-freeze caveat covers the factor too: a trusted matrix changed and frozen
+again keeps its old factor.
+
 Indices are 0-based throughout the library; error messages and reports
 speak of "neuron 1" like a person would.
 
@@ -140,6 +151,50 @@ def _trusted(value, kind: str) -> bool:
     return _CHECKED[kind].get(id(value)) is value and not value.flags.writeable
 
 
+# id -> float64 memories X of a trusted W = X^T X - m I; each entry dies with its W
+_FACTORS: dict[int, np.ndarray] = {}
+
+
+def _trust_factor(w: np.ndarray, memories: np.ndarray) -> None:
+    """Keep the memories of trusted ``w`` for _fields, where that is cheaper and exact.
+
+    Kept only for m < n, where O(m n) beats O(n^2), and m n <= FLOAT_EXACT_LIMIT,
+    where every float64 product and partial sum is an exact integer. The
+    memories cost 8 m n bytes while ``w`` lives.
+    """
+    m, n = memories.shape
+    if m < n and m * n <= FLOAT_EXACT_LIMIT:
+        _FACTORS[id(w)] = _frozen(memories.astype(np.float64))
+        weakref.finalize(w, _FACTORS.pop, id(w), None)
+
+
+def _factor_fields(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Float64 fields under W = X^T X - m I of one state s, or of each row of s.
+
+    W is never formed: the fields are (s X^T) X - m s, or s (X^T X) - m s when
+    X has more rows than columns, whichever association is cheaper. They are
+    exact integers while m n <= 2**53, which every caller ensures.
+    """
+    m, n = x.shape
+    s = s.astype(np.float64, copy=False)
+    fields = (s @ x.T) @ x if m <= n else s @ (x.T @ x)
+    fields -= m * s
+    return fields
+
+
+def _fields(w: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Exact int64 fields W s of a validated matrix, for one state or each row of a stack.
+
+    Through the training factor when ``w`` carries one (see the module
+    docstring), else as the int64 product; both are exact, so they agree.
+    """
+    x = _FACTORS.get(id(w)) if _trusted(w, "weights") else None
+    if x is not None:
+        return _factor_fields(x, s).astype(np.int64)
+    # W is symmetric, so a row of s @ w is W times that row
+    return w @ s if s.ndim == 1 else s @ w
+
+
 def sgn(v):
     """Hard threshold: +1 where v >= 0, -1 where v < 0.
 
@@ -219,11 +274,18 @@ def validate_memory_set(memories) -> MemorySet:
 
     Accepts a MemorySet (returned unchanged), a 2-d array, or an iterable of
     vectors. Raises ParameterError on an empty set, DimensionMismatch on
-    ragged input, and ValidationError on non-bipolar entries.
+    ragged input, and ValidationError on non-bipolar entries or on a value
+    that is no collection at all.
     """
     if isinstance(memories, MemorySet):
         return memories
-    rows = [np.asarray(r) for r in memories]
+    try:
+        rows = iter(memories)
+    except TypeError:
+        raise ValidationError(
+            f"a memory set must be a collection of vectors, got a non-iterable {type(memories).__name__}"
+        ) from None
+    rows = [np.asarray(r) for r in rows]
     if len(rows) == 0:
         raise ParameterError("memory set is empty")
     widths = {int(r.size) for r in rows}

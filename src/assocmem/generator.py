@@ -42,6 +42,7 @@ from .core import (
     DimensionMismatch,
     ParameterError,
     ValidationError,
+    _fields,
     _frozen,
     _index_array,
     _start_neurons,
@@ -194,7 +195,7 @@ def spread_full(weights, start, proximity=None, order=None) -> SpreadTrace:
         steps.append(SpreadStep(i, field, value))
 
     final = _frozen(x.astype(BIPOLAR_DTYPE))
-    flags = frozenset(np.flatnonzero(_unstable(w @ x, x)).tolist())
+    flags = frozenset(np.flatnonzero(_unstable(_fields(w, x), x)).tolist())
     return SpreadTrace(
         steps=tuple(steps),
         final=final,

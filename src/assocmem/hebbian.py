@@ -12,9 +12,17 @@ a time) recall are provided on top of that definition, together with the
 quadratic energy E(s) = -1/2 s^T W s used to check that asynchronous
 updates only ever descend (Hopfield 1982 dynamics).
 
+The first field h = W x of a recall, and the field of is_stored, energy
+and recall_sync, costs O(m n) for a matrix train built from m < n
+memories with m n <= 2**53: it is (x X^T) X - m x in float64 BLAS, exact
+because every product and partial sum is an integer of magnitude at most
+m n, and the memories X cost 8 m n bytes while W lives. Any other matrix
+(m >= n, loaded, hand-written or copied) pays the O(n^2) int64 product.
+core._fields makes that choice from the matrix itself.
+
 Both recalls carry the field vector h = W x instead of recomputing it,
 and pay only for the neurons that change. A synchronous recall computes
-h once, in O(n^2); after that a pass that changes the neurons in C adds
+h once; after that a pass that changes the neurons in C adds
 2 * sum_{j in C} x'_j W[j] to h, in O(n |C|) (W is symmetric, so rows
 stand for columns), and its energy -1/2 x.h is an O(n) dot; a pass that
 repeats an earlier state reuses that state's energy. An asynchronous
@@ -39,10 +47,12 @@ from .core import (
     _ROW_BLOCK,
     DimensionMismatch,
     ParameterError,
+    _fields,
     _frozen,
     _index_array,
     _seed,
     _trust,
+    _trust_factor,
     _unstable,
     _whole,
     as_bipolar,
@@ -58,13 +68,16 @@ def train(memories) -> np.ndarray:
     """Build the weight matrix from a memory set via the outer-product rule.
 
     Returns a frozen int64 matrix, symmetric with a zero diagonal, that
-    validate_weights accepts in O(1).
+    validate_weights accepts in O(1). With m < n memories and m n <= 2**53
+    the matrix also carries its memories, so its fields cost O(m n) (see
+    core._fields).
     """
     mset = validate_memory_set(memories)
     x = mset.vectors.astype(np.int64)
     weights = x.T @ x
     np.fill_diagonal(weights, 0)
-    return _trust(weights, "weights")
+    _trust_factor(_trust(weights, "weights"), mset.vectors)
+    return weights
 
 
 def _weights_and_state(weights, state) -> tuple[np.ndarray, np.ndarray]:
@@ -79,13 +92,13 @@ def _weights_and_state(weights, state) -> tuple[np.ndarray, np.ndarray]:
 def recall_sync(weights, state) -> np.ndarray:
     """One synchronous update pass: sgn applied componentwise to W x."""
     w, x = _weights_and_state(weights, state)
-    return sgn(w @ x)
+    return sgn(_fields(w, x))
 
 
 def is_stored(weights, state) -> bool:
     """True when the state is a fixed point of one synchronous pass."""
     w, x = _weights_and_state(weights, state)
-    return not _unstable(w @ x, x).any()
+    return not _unstable(_fields(w, x), x).any()
 
 
 def _energy(x: np.ndarray, h: np.ndarray) -> int:
@@ -100,7 +113,7 @@ def _energy(x: np.ndarray, h: np.ndarray) -> int:
 def energy(weights, state) -> float:
     """Quadratic energy E(s) = -1/2 s^T W s, as the float nearest its exact integer value."""
     w, x = _weights_and_state(weights, state)
-    return float(_energy(x, w @ x))
+    return float(_energy(x, _fields(w, x)))
 
 
 @dataclass(frozen=True)
@@ -161,7 +174,7 @@ def recall_async(weights, state, schedule="cyclic", max_passes: int | None = Non
     n = x.size
     max_passes = _pass_budget(max_passes, n)
     orders = _resolve_orders(schedule, n, seed)
-    h = w @ x
+    h = _fields(w, x)
     e = _energy(x, h)
     ef = float(e)
     trace = [ef]
@@ -211,7 +224,7 @@ def recall_sync_iterated(weights, state, max_passes: int | None = None) -> Recal
     """
     w, cur = _weights_and_state(weights, state)
     max_passes = _pass_budget(max_passes, cur.size)
-    h = w @ cur
+    h = _fields(w, cur)
     trace = [float(_energy(cur, h))]
     prev = None
     for t in range(1, max_passes + 1):

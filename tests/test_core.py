@@ -87,6 +87,11 @@ class TestMemoryValidation:
         with pytest.raises(ValidationError):
             validate_memory_set([(1, 2, 1)])
 
+    @pytest.mark.parametrize("scalar", [np.array(1), 1])
+    def test_non_iterable(self, scalar):
+        with pytest.raises(ValidationError, match="must be a collection of vectors"):
+            validate_memory_set(scalar)
+
     def test_first_bad_entry_in_a_later_memory(self):
         # the whole set is checked at once; the message still names the
         # first bad entry in row-major order, here in the second memory
