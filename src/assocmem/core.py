@@ -28,9 +28,10 @@ _fields, the one owner of "the field of a state", then computes W s as
 (s X^T) X - m s in float64 BLAS, in O(m n) per state instead of O(n^2);
 every product and partial sum is an integer of magnitude at most m n, so
 the fields are exact. Any other matrix (loaded, hand-written, copied, or
-trained with m >= n) gives its fields as the int64 product W s. The
-re-freeze caveat covers the factor too: a trusted matrix changed and frozen
-again keeps its old factor.
+trained with m >= n) gives its fields as the int64 product W s.
+_block_fields makes the same choice for the spread, one block of neurons
+at a time. The re-freeze caveat covers the factor too: a trusted matrix
+changed and frozen again keeps its old factor.
 
 Indices are 0-based throughout the library; error messages and reports
 speak of "neuron 1" like a person would.
@@ -64,7 +65,8 @@ WEIGHT_TOTAL_LIMIT = 2**62
 # float weights beyond this magnitude may not be the integers they were meant to be
 FLOAT_EXACT_LIMIT = 2**53
 
-# rows per block of the proximity symmetry check and the synchronous field update
+# rows per block of the proximity symmetry check and the synchronous field update,
+# and positions per block of the spread's sign solve
 _ROW_BLOCK = 64
 
 
@@ -182,17 +184,51 @@ def _factor_fields(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return fields
 
 
+def _factor(w: np.ndarray) -> np.ndarray | None:
+    """The kept float64 memories X of a trusted W = X^T X - m I, or None."""
+    return _FACTORS.get(id(w)) if _trusted(w, "weights") else None
+
+
 def _fields(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Exact int64 fields W s of a validated matrix, for one state or each row of a stack.
 
     Through the training factor when ``w`` carries one (see the module
     docstring), else as the int64 product; both are exact, so they agree.
     """
-    x = _FACTORS.get(id(w)) if _trusted(w, "weights") else None
+    x = _factor(w)
     if x is not None:
         return _factor_fields(x, s).astype(np.int64)
     # W is symmetric, so a row of s @ w is W times that row
     return w @ s if s.ndim == 1 else s @ w
+
+
+def _block_fields(w: np.ndarray, s: np.ndarray, blocks):
+    """For each block of neurons in turn, its int64 fields W[block] s and its couplings.
+
+    The couplings are the block's own weights W[block][:, block], exact off
+    the diagonal; the diagonal is m through the factor, 0 otherwise, and is
+    the caller's to discard. ``s`` must be 0 on a block when its fields are
+    asked for, and is read lazily: the caller writes the entries of one block
+    into s before it asks for the next block.
+
+    Through the factor, q = X s is carried and a block of b costs O(b^2 m)
+    float64 BLAS: the fields are X[:, block]^T q while s is 0 on the block,
+    the couplings X[:, block]^T X[:, block], then q grows by
+    X[:, block] s[block]. Every value is an integer of magnitude at most
+    m n <= 2**53, so all are exact. Any other matrix gives both from the
+    block's b rows, O(b n) int64, with the int64 bound of validate_weights.
+    """
+    x = _factor(w)
+    if x is None:
+        for block in blocks:
+            rows = w[block]
+            yield rows @ s, rows[:, block]
+        return
+    q = x @ s
+    for block in blocks:
+        xb = x[:, block]
+        yield (xb.T @ q).astype(np.int64), (xb.T @ xb).astype(np.int64)
+        q += xb @ s[block]
 
 
 def sgn(v):

@@ -25,10 +25,27 @@ point of one synchronous pass.
 The arithmetic needs no relabeled copy. A neuron the activity has not
 reached yet is silent, held at 0, and adds nothing to a field, so the full
 row of the weights as they are, dotted with the fragment in original
-coordinates, is exactly the generator-row field. A spread of n neurons
-costs O(n^2) time, one row dot per step, and O(n) memory beyond the
-weights, which are validated once (in O(1) for a matrix a validator
-already returned, see core).
+coordinates, is exactly the generator-row field. The spread assigns 64
+positions at a time. For a block of b positions, f0 holds the fields from
+the neurons assigned before it, and C the couplings among its own
+neurons, strictly lower triangular in spread order. The block's values
+are then the unique solution of x_b = sgn(f0 + C x_b), found by starting
+from sgn(f0) and iterating. Each round settles at least one more leading
+entry, so the solve ends within b rounds. The reported fields are
+f0 + C x_b, exactly the per-step generator-row fields.
+
+f0 and C come from core._block_fields. A matrix that train built and that
+keeps its memories X gets both through X, never forming a row of W: f0 is
+X[:, block]^T q, with q = X x carried over the assigned neurons, and C is
+X[:, block]^T X[:, block], O(b m) float64 BLAS work per position. Any
+other matrix reads the block's b rows: O(n) int64 work per position,
+O(n^2) per spread, and b rows of memory (200 KB at n=400). The weights
+are validated once (in O(1) for a matrix a validator already returned,
+see core). Each round of a solve costs O(b^2); a block usually settles
+in one or two rounds. Couplings that overturn every guess settle
+one neuron per round: on an antiferromagnetic chain (W[i, i+1] = -1, in
+index order) a block takes b - 1 rounds, each a b x b product, and the
+spread costs several times what one row dot per neuron would (README).
 """
 
 from __future__ import annotations
@@ -38,10 +55,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _ROW_BLOCK,
     BIPOLAR_DTYPE,
     DimensionMismatch,
     ParameterError,
     ValidationError,
+    _block_fields,
     _fields,
     _frozen,
     _index_array,
@@ -53,6 +72,9 @@ from .core import (
     validate_proximity,
     validate_weights,
 )
+
+# keeps the couplings of a block on earlier positions of the spread order
+_STRICTLY_LOWER = _frozen(np.tri(_ROW_BLOCK, k=-1, dtype=np.int64))
 
 
 def decompose(weights) -> np.ndarray:
@@ -160,9 +182,10 @@ def spread_full(weights, start, proximity=None, order=None) -> SpreadTrace:
     is built, so a start neuron beyond it is reported as that mismatch.
     The fragment grows one neuron per step, each new neuron taking sgn of
     its generator-row field over the neurons assigned before it; exactly
-    n - len(start) steps are performed. The field is one dot of the
+    n - len(start) steps are performed. The field is the dot of the
     neuron's weight row with the fragment, where every neuron not reached
-    yet is silent (0).
+    yet is silent (0); the steps are solved 64 positions at a time, as the
+    module docstring describes.
     """
     w = validate_weights(weights)
     n = w.shape[0]
@@ -181,18 +204,27 @@ def spread_full(weights, start, proximity=None, order=None) -> SpreadTrace:
     if order.start_set != frozenset(seed):
         raise ParameterError("explicit order was built for a different start set")
 
-    # each neuron is written once, by the seed or by its own step; until then it is
-    # silent (0), so w[i] @ x is the generator-row field of neuron i over the neurons
-    # assigned before it. |w[i] @ x| is at most the absolute sum of column i, at most
-    # 2**61 (see hebbian.recall_sync_iterated), so the int64 dot cannot wrap.
+    # each neuron is written once, by the seed or by its block; until then it is
+    # silent (0). Every field and every partial sum below, for any guess, is a sum of
+    # distinct entries of one weight row times +-1 or 0, so its magnitude is at most
+    # the row's absolute sum, at most 2**61 (see hebbian.recall_sync_iterated): no
+    # int64 product wraps.
     x = np.zeros(n, dtype=np.int64)
     x[list(seed)] = list(seed.values())
+    rest = order.permutation[len(seed):]
+    blocks = [rest[k:k + _ROW_BLOCK] for k in range(0, rest.size, _ROW_BLOCK)]
     steps: list[SpreadStep] = []
-    for i in order.permutation[len(seed):].tolist():
-        field = int(w[i] @ x)
-        value = 1 if field >= 0 else -1
-        x[i] = value
-        steps.append(SpreadStep(i, field, value))
+    for block, (f0, couplings) in zip(blocks, _block_fields(w, x, blocks)):
+        c = couplings * _STRICTLY_LOWER[:block.size, :block.size]
+        h = f0
+        # round r leaves at least the first r values right: b rounds settle b values
+        for _ in range(block.size):
+            v = np.where(h >= 0, 1, -1)
+            h = f0 + c @ v
+            if not _unstable(h, v).any():
+                break
+        x[block] = v
+        steps += map(SpreadStep, block.tolist(), h.tolist(), v.tolist())
 
     final = _frozen(x.astype(BIPOLAR_DTYPE))
     flags = frozenset(np.flatnonzero(_unstable(_fields(w, x), x)).tolist())

@@ -15,7 +15,9 @@ from assocmem import (
     retrieve_report,
     sgn,
     spread_full,
+    train,
 )
+from assocmem import core, generator
 from conftest import random_memories, random_symmetric_weights
 
 PROX = np.array(
@@ -320,6 +322,58 @@ class TestSpreadOracle:
         assert np.array_equal(trace.final, final)
         assert trace.consistency_flags == flags
         assert trace.start == tuple(sorted(start.items()))
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 130, 200])
+    def test_blocks_match_reference(self, n):
+        # trained weights take the factor path, an untrusted copy the rows path; random
+        # starts scatter the seeds over the blocks, and even m gives zero-field ties
+        rng = np.random.default_rng(n)
+        for m in (n // 20 + 1, 2 * (n // 12) + 2):
+            w = train(random_memories(rng, m, n))
+            assert core._factor(w) is not None and core._factor(np.array(w)) is None
+            k = int(rng.integers(1, n // 3))
+            picks = rng.choice(n, size=k, replace=False)
+            start = dict(zip(picks.tolist(), rng.choice((-1, 1), size=k).tolist()))
+            d = np.triu(rng.integers(1, 4, size=(n, n)).astype(float), 1)
+            for proximity in (None, d + d.T):
+                perm, steps, final, flags = reference_spread(w, start, proximity)
+                for weights in (w, np.array(w)):
+                    trace = spread_full(weights, start, proximity=proximity)
+                    assert trace.order.permutation.tolist() == perm
+                    assert trace.steps == steps
+                    assert np.array_equal(trace.final, final)
+                    assert trace.consistency_flags == flags
+
+    def test_antiferromagnetic_chain_settles_one_neuron_per_round(self, monkeypatch):
+        # W[i, i+1] = -1 in index order: each block's first guess sgn(f0) is +1 past its
+        # first neuron, and every round overturns one more value; the worst case
+        n = 2 * core._ROW_BLOCK + 5
+        w = np.zeros((n, n), dtype=np.int64)
+        i = np.arange(n - 1)
+        w[i, i + 1] = w[i + 1, i] = -1
+        calls = []
+
+        def spy(fields, states):
+            unstable = core._unstable(fields, states)
+            calls.append((fields.size, bool(unstable.any())))
+            return unstable
+
+        monkeypatch.setattr(generator, "_unstable", spy)
+        trace = spread_full(w, {0: 1})
+        alternating = tuple(SpreadStep(j, (-1) ** j, (-1) ** j) for j in range(1, n))
+        assert trace.steps == alternating == reference_spread(w, {0: 1}, None)[1]
+        assert trace.consistency_flags == frozenset()
+        *solve, final_flags = calls
+        assert final_flags == (n, False)
+        rounds, count = [], 0  # (block size, rounds until its values are stable)
+        for size, unstable in solve:
+            count += 1
+            if not unstable:
+                rounds.append((size, count))
+                count = 0
+        assert count == 0
+        assert rounds == [(64, 63), (64, 63), (4, 3)]
+        assert all(count <= size + 1 for size, count in rounds)
 
 
 @st.composite
