@@ -30,8 +30,10 @@ every product and partial sum is an integer of magnitude at most m n, so
 the fields are exact. Any other matrix (loaded, hand-written, copied, or
 trained with m >= n) gives its fields as the int64 product W s.
 _block_fields makes the same choice for the spread, one block of neurons
-at a time. The re-freeze caveat covers the factor too: a trusted matrix
-changed and frozen again keeps its old factor.
+at a time, and _next_fields for each later pass of a synchronous recall,
+where any other matrix updates the previous fields from the rows of the
+neurons that changed. The re-freeze caveat covers the factor too: a
+trusted matrix changed and frozen again keeps its old factor.
 
 Indices are 0-based throughout the library; error messages and reports
 speak of "neuron 1" like a person would.
@@ -200,6 +202,32 @@ def _fields(w: np.ndarray, s: np.ndarray) -> np.ndarray:
         return _factor_fields(x, s).astype(np.int64)
     # W is symmetric, so a row of s @ w is W times that row
     return w @ s if s.ndim == 1 else s @ w
+
+
+def _row_sum(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Sum of the listed rows of w, gathered _ROW_BLOCK rows at a time."""
+    total = np.zeros(w.shape[1], dtype=np.int64)
+    for k in range(0, rows.size, _ROW_BLOCK):
+        total += w[rows[k:k + _ROW_BLOCK]].sum(axis=0)
+    return total
+
+
+def _next_fields(w: np.ndarray, h: np.ndarray, cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """Exact int64 fields W nxt of a validated matrix, given h = W cur; h may be changed.
+
+    Through the factor they are (nxt X^T) X - m nxt afresh, O(m n) float64
+    BLAS as in _fields, and h is left alone. Any other matrix adds to h, in
+    place, twice the rows of the neurons that rose to +1 minus those that fell
+    to -1 (W is symmetric, so rows stand for columns): O(n |C|) int64 for the
+    changed neurons C, with the int64 bound of validate_weights.
+    """
+    x = _factor(w)
+    if x is not None:
+        return _factor_fields(x, nxt).astype(np.int64)
+    delta = _row_sum(w, np.flatnonzero(nxt > cur)) - _row_sum(w, np.flatnonzero(nxt < cur))
+    h += delta
+    h += delta
+    return h
 
 
 def _block_fields(w: np.ndarray, s: np.ndarray, blocks):

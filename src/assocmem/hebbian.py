@@ -12,28 +12,32 @@ a time) recall are provided on top of that definition, together with the
 quadratic energy E(s) = -1/2 s^T W s used to check that asynchronous
 updates only ever descend (Hopfield 1982 dynamics).
 
-The first field h = W x of a recall, and the field of is_stored, energy
-and recall_sync, costs O(m n) for a matrix train built from m < n
-memories with m n <= 2**53: it is (x X^T) X - m x in float64 BLAS, exact
-because every product and partial sum is an integer of magnitude at most
-m n, and the memories X cost 8 m n bytes while W lives. Any other matrix
-(m >= n, loaded, hand-written or copied) pays the O(n^2) int64 product.
-core._fields makes that choice from the matrix itself.
+Every field of a synchronous recall, the first field of an asynchronous
+one, and the field of is_stored, energy and recall_sync cost O(m n) for a
+matrix train built from m < n memories with m n <= 2**53: W x is
+(x X^T) X - m x in float64 BLAS, exact because every product and partial
+sum is an integer of magnitude at most m n, and the memories X cost
+8 m n bytes while W lives. Any other matrix (m >= n, loaded, hand-written
+or copied) pays the O(n^2) int64 product for a whole field. core._fields
+and core._next_fields make that choice from the matrix itself.
 
-Both recalls carry the field vector h = W x instead of recomputing it,
-and pay only for the neurons that change. A synchronous recall computes
-h once; after that a pass that changes the neurons in C adds
-2 * sum_{j in C} x'_j W[j] to h, in O(n |C|) (W is symmetric, so rows
-stand for columns), and its energy -1/2 x.h is an O(n) dot; a pass that
-repeats an earlier state reuses that state's energy. An asynchronous
-recall computes h once, reads h[i] at each visit in O(1), and adds the
-flip times row W[i] to h in O(n) when neuron i flips. Before each pass it
-compares sgn(h) with the state, one O(n) vector check: when they agree
-the pass could flip nothing, so it is counted and its n equal trace
-entries are written without visiting any neuron. Energies are exact
-integers, bounded by 2**62 through validate_weights; the asynchronous
-recall updates its energy as a Python int on each flip, so every trace
-entry is the float nearest the exact energy.
+Both recalls pay only for what changes. After its first field, a
+synchronous recall takes the field of each new state x' from
+core._next_fields: afresh through the kept memories, or, for any other
+matrix, by adding 2 * sum_{j in C} x'_j W[j] to the last field for the
+neurons C that changed, in O(n |C|) int64 (W is symmetric, so rows stand
+for columns). Its energy -1/2 x.h is an O(n) dot, and a pass that repeats
+an earlier state reuses that state's energy. An asynchronous recall
+computes h once and carries the half fields g = h >> 1: a flip adds
++-2 W[i] to h, so no field changes parity, and h[i] >= 0 exactly when
+g[i] >= 0. A visit reads g[i] as a Python int through a memoryview in
+O(1), and a flip of neuron i adds +-W[i] to g once, in O(n). Before each
+pass it compares the signs of g with the state, one O(n) vector check:
+when they agree the pass could flip nothing, so it is counted and its n
+equal trace entries are written without visiting any neuron. Energies
+are exact integers, bounded by 2**62 through validate_weights; the
+asynchronous recall updates its energy as a Python int on each flip, so
+every trace entry is the float nearest the exact energy.
 """
 
 from __future__ import annotations
@@ -44,12 +48,12 @@ from itertools import repeat
 import numpy as np
 
 from .core import (
-    _ROW_BLOCK,
     DimensionMismatch,
     ParameterError,
     _fields,
     _frozen,
     _index_array,
+    _next_fields,
     _seed,
     _trust,
     _trust_factor,
@@ -180,39 +184,36 @@ def recall_async(weights, state, schedule="cyclic", max_passes: int | None = Non
     trace = [ef]
     x = x.copy()
     xs = x.tolist()
+    # A flip adds (v - x_i) * W[i] = +-2 W[i] to h (W is symmetric), so no field
+    # changes parity: h = 2 g + p with the half fields g = h >> 1 and p = h & 1 fixed.
+    # h >= 0 exactly when g >= 0, so a visit reads only g[i] and a flip adds +-W[i] to
+    # g once. Fields and rows stay within 2**61, see recall_sync_iterated.
+    p = (h & 1).tolist()
+    g = h >> 1
+    # gv[i] reads g[i] as a Python int and sees every in-place update of g below,
+    # so g must not be rebound while gv is alive
+    gv = memoryview(g)
     for passes in range(1, max_passes + 1):
-        if not _unstable(h, x).any():
+        if not _unstable(g, x).any():
             # no visit can flip a neuron: the pass only repeats the energy n times
             trace.extend([ef] * n)
             converged = True
             break
         for i in next(orders).tolist():
-            hi = int(h[i])
-            v = 1 if hi >= 0 else -1
+            gi = gv[i]
+            v = 1 if gi >= 0 else -1
             if v != xs[i]:
-                e -= (v - xs[i]) * hi
+                e -= (v - xs[i]) * (2 * gi + p[i])
                 ef = float(e)  # the exact energy, rounded once
-                # h += (v - x_i) * W[i], in place as v - x_i = +-2 (W is symmetric);
-                # fields and rows stay within 2**61, see recall_sync_iterated
                 if v > 0:
-                    h += w[i]
-                    h += w[i]
+                    g += w[i]
                 else:
-                    h -= w[i]
-                    h -= w[i]
+                    g -= w[i]
                 xs[i] = x[i] = v
             trace.append(ef)
     else:
-        converged = not _unstable(h, x).any()
+        converged = not _unstable(g, x).any()
     return RecallResult(state=_frozen(x), iterations=passes, converged=converged, energy_trace=tuple(trace))
-
-
-def _row_sum(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Sum of the listed rows of w, gathered _ROW_BLOCK rows at a time."""
-    total = np.zeros(w.shape[1], dtype=np.int64)
-    for k in range(0, rows.size, _ROW_BLOCK):
-        total += w[rows[k:k + _ROW_BLOCK]].sum(axis=0)
-    return total
 
 
 def recall_sync_iterated(weights, state, max_passes: int | None = None) -> RecallResult:
@@ -241,14 +242,14 @@ def recall_sync_iterated(weights, state, max_passes: int | None = None) -> Recal
                 energy_trace=tuple(trace),
                 cycle=(nxt, cur),
             )
-        # W nxt = W cur + 2 * (the rows of the neurons that rose to +1, minus those
-        # that fell to -1), as W is symmetric. No int64 value can wrap: the total
+        # Through the kept memories, W nxt = (nxt X^T) X - m nxt is exact in float64:
+        # every product and partial sum is an integer of magnitude at most m n <= 2**53.
+        # Otherwise W nxt = W cur + 2 * (the rows of the neurons that rose to +1, minus
+        # those that fell to -1), as W is symmetric. No int64 value can wrap: the total
         # absolute weight is at most 2**62 and counts each column twice (once as a
         # row), so a column sums to at most 2**61 in absolute value. That bounds h,
         # both row sums and delta by 2**61, and h + 2 * delta by 3 * 2**61 < 2**63.
-        delta = _row_sum(w, np.flatnonzero(nxt > cur)) - _row_sum(w, np.flatnonzero(nxt < cur))
-        h += delta
-        h += delta
+        h = _next_fields(w, h, cur, nxt)
         trace.append(float(_energy(nxt, h)))
         prev = cur
         cur = nxt

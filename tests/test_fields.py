@@ -1,6 +1,7 @@
-"""The field of a state, core._fields: a trained matrix carries its memories
-and gives its fields through them in float64, any other matrix through the
-int64 product, and the two paths agree exactly in every consumer."""
+"""The field of a state, core._fields and core._next_fields: a trained matrix
+carries its memories and gives its fields through them in float64, any other
+matrix through the int64 product or row sums, and the two paths agree exactly
+in every consumer."""
 
 import gc
 import weakref
@@ -150,12 +151,23 @@ class TestFactorRegistry:
         recall_sync(w, memories[0])
         assert spy == [(8,)]
 
+    def test_synchronous_passes_take_the_factor(self, spy):
+        # the first field and the field after every pass that changed the state
+        rng = np.random.default_rng(7)
+        memories = random_memories(rng, 4, 24)
+        w = train(memories)
+        result = recall_sync_iterated(w, random_memories(rng, 1, 24)[0])
+        assert result.iterations > 2
+        assert spy == [(24,)] * result.iterations
+
     def test_copy_takes_the_int64_path(self, spy):
         memories = random_memories(np.random.default_rng(3), 3, 8)
         w = train(memories)
         copy = w.copy()
         assert np.array_equal(recall_sync(copy, memories[0]), recall_sync(np.array(w), memories[0]))
         assert is_stored(copy, memories[1]) == is_stored(np.array(w), memories[1])
+        s = -memories[2]
+        assert _trace(recall_sync_iterated(copy, s)) == _trace(recall_sync_iterated(np.array(w), s))
         assert spy == []
 
     def test_writeable_again_takes_the_int64_path(self, spy):
@@ -167,6 +179,8 @@ class TestFactorRegistry:
         s = np.ones(8, dtype=np.int8)
         assert np.array_equal(core._fields(w, s), w @ s)
         assert energy(w, s) == -int(s @ w @ s) / 2
+        t = -s
+        assert np.array_equal(core._next_fields(w, w @ s, s, t), w @ t)
         assert spy == []
 
     def test_no_factor_when_m_is_not_below_n(self):

@@ -12,6 +12,7 @@ from assocmem import (
     recall_sync_iterated,
     train,
 )
+from assocmem import core
 from conftest import WORKED_WEIGHTS, random_memories, random_symmetric_weights
 
 memory_sets = st.integers(min_value=2, max_value=8).flatmap(
@@ -258,20 +259,26 @@ def recall_cases(draw):
     """Weights, a start state, an update schedule and a pass budget.
 
     Weights are trained (mostly converging), trained and negated (synchronous
-    two-cycles), or small random integers (frequent zero-field ties), then
-    scaled by an integer, up to a total absolute weight just below 2**62.
+    two-cycles), or small random integers (frequent zero-field ties), copied
+    and then scaled by an integer, up to a total absolute weight just below
+    2**62; or they are kept: the matrix train returns for m < n memories,
+    unscaled, whose fields go through its memories.
     """
-    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(("trained", "negated", "small", "kept")))
+    n = draw(st.integers(2 if kind == "kept" else 1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(("trained", "negated", "small")))
-    if kind == "small":
-        w = random_symmetric_weights(rng, n, lo=-1, hi=2)
+    if kind == "kept":
+        w = train(random_memories(rng, int(rng.integers(1, n)), n))
+        assert core._factor(w) is not None
     else:
-        w = train(random_memories(rng, int(rng.integers(1, n + 3)), n)).copy()
-        if kind == "negated":
-            w = -w
-    scale = draw(st.sampled_from((1, 3, 2**40, "limit")))
-    w *= 2**62 // max(1, int(np.abs(w).sum())) if scale == "limit" else scale
+        if kind == "small":
+            w = random_symmetric_weights(rng, n, lo=-1, hi=2)
+        else:
+            w = train(random_memories(rng, int(rng.integers(1, n + 3)), n)).copy()
+            if kind == "negated":
+                w = -w
+        scale = draw(st.sampled_from((1, 3, 2**40, "limit")))
+        w *= 2**62 // max(1, int(np.abs(w).sum())) if scale == "limit" else scale
     x = random_memories(rng, 1, n)[0]
     schedule = draw(st.sampled_from(("cyclic", "random", "explicit")))
     if schedule == "explicit":
@@ -371,7 +378,10 @@ class TestRecallOracle:
 class TestRecallOracleCases:
     """Fixed cases the strategy above rarely or never draws, against the same references:
     passes that change many rows, including more than one block, fields at the
-    2**62 limit, and a fixed point confirmed only after flipping passes."""
+    2**62 limit, a fixed point confirmed only after flipping passes, and on
+    matrices that keep their memories, passes that change more and then fewer
+    neurons than there are memories, a 2-cycle, and a flip that turns over the
+    field of a neuron visited later in the same pass."""
 
     @staticmethod
     def assert_both_match(w, x, schedule="cyclic", seed=0):
@@ -429,3 +439,36 @@ class TestRecallOracleCases:
         assert (result.iterations, result.converged) == (3, True)
         assert result.state.tolist() == [1, 1, 1, 1, 1, -1]
         assert len(result.energy_trace) == 1 + 3 * 6
+
+    def test_kept_memories_many_then_few_changes(self):
+        # m = 4: pass 1 changes more than m neurons, pass 2 fewer but some, pass 3 none
+        rng = np.random.default_rng(4)
+        memories = random_memories(rng, 4, 24)
+        x = random_memories(rng, 1, 24)[0]
+        w = train(memories)
+        assert core._factor(w) is not None
+        first = recall_sync(w, x)
+        second = recall_sync(w, first)
+        assert np.count_nonzero(first != x) > 4 > np.count_nonzero(second != first) > 0
+        assert np.array_equal(recall_sync(w, second), second)
+        self.assert_both_match(w, x, schedule="random", seed=4)
+
+    def test_kept_memories_two_cycle(self):
+        # passes change 5, 4 and 4 neurons; the third returns to the state after the first
+        w = train([(1, -1, -1, 1, -1, -1, 1, -1), (-1, -1, 1, -1, -1, 1, -1, -1), (-1, 1, 1, -1, -1, -1, -1, 1)])
+        assert core._factor(w) is not None
+        x = [1, -1, 1, -1, 1, 1, 1, -1]
+        self.assert_both_match(w, x)
+        result = recall_sync_iterated(w, x)
+        assert (result.iterations, result.converged, result.cycle is not None) == (3, False, True)
+
+    def test_kept_memories_flip_turns_a_later_field_over(self):
+        # the order flips neurons 5 and 3 before it visits neuron 2, whose field said +1
+        # at the start of the pass and says -1 by then, so the two kinds of pass part there
+        w = train([(1, 1, -1, -1, 1, 1), (-1, 1, -1, 1, -1, 1)])
+        assert core._factor(w) is not None
+        x = [1, 1, -1, 1, 1, -1]
+        order = [5, 4, 3, 0, 1, 2]
+        assert recall_sync(w, x).tolist() == [1, 1, 1, -1, 1, 1]
+        assert recall_async(w, x, schedule=order, max_passes=1).state.tolist() == [1, 1, -1, -1, 1, 1]
+        self.assert_both_match(w, x, schedule=order)
