@@ -52,18 +52,31 @@ from .core import (
 
 ENUMERATION_LIMIT = 20
 
-_CHUNK = 1 << 16
+# neurons in the low part of a split-half enumeration: a 2^14 x n int64 table
+_LOW_BITS = 14
 
 
-def _states_chunk(start: int, stop: int, n: int) -> np.ndarray:
-    """Bipolar states for integers [start, stop): bit 0 -> -1, MSB first.
+def _states(count: int, n: int) -> np.ndarray:
+    """Bipolar states for integers [0, count): bit 0 -> -1, MSB first.
 
     Integer order is exactly lexicographic order with -1 sorted before +1.
     """
-    ints = np.arange(start, stop, dtype=np.uint64)[:, None]
+    ints = np.arange(count, dtype=np.uint64)[:, None]
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
     bits = (ints >> shifts) & np.uint64(1)
     return np.where(bits == 1, 1, -1).astype(np.int8)
+
+
+def _half_fields(rows: np.ndarray) -> np.ndarray:
+    """Row g holds sum_j s_j rows[j] for the state s of integer g (as in _states).
+
+    Each neuron doubles the table, as the least significant bit of the new
+    index, so the k neurons of ``rows`` cost O(2^k n) int64 additions.
+    """
+    table = np.zeros((1, rows.shape[1]), dtype=np.int64)
+    for row in rows:
+        table = np.stack([table - row, table + row], axis=1).reshape(-1, rows.shape[1])
+    return table
 
 
 def enumerate_fixed_points(weights, limit_n: int = ENUMERATION_LIMIT) -> list[np.ndarray]:
@@ -71,17 +84,28 @@ def enumerate_fixed_points(weights, limit_n: int = ENUMERATION_LIMIT) -> list[np
 
     Exhaustive over 2^n states; refuses n above ``limit_n`` (default 20,
     about a million states) unless the caller raises the limit explicitly.
+
+    The state splits into its first n - k neurons (high part h) and its
+    last k = min(n, 14) (low part l), and W x = F_high[h] + F_low[l], with
+    each table holding the fields of one part alone. A state then costs one
+    O(n) row addition, O(2^n n) in all, and the tables 8 n (2^k + 2^(n-k))
+    bytes. Every field and partial sum of a validated matrix is bounded by
+    its total absolute weight, at most 2**62, so the int64 sums are exact.
     """
     w = validate_weights(weights)
     n = w.shape[0]
     _whole(limit_n, "limit_n", n, f"enumeration over 2^{n} states exceeds the limit n <= {limit_n}")
+    k = min(n, _LOW_BITS)
+    f_high, f_low = _half_fields(w[:n - k]), _half_fields(w[n - k:])
+    high = _states(1 << (n - k), n - k)
+    states = np.empty((1 << k, n), dtype=np.int8)
+    states[:, n - k:] = _states(1 << k, k)
     found: list[np.ndarray] = []
-    total = 1 << n
-    for lo in range(0, total, _CHUNK):
-        states = _states_chunk(lo, min(lo + _CHUNK, total), n)
-        fields = _fields(w, states)
+    for h in range(1 << (n - k)):
+        states[:, :n - k] = high[h]
+        stable = ~_unstable(f_low + f_high[h], states).any(axis=1)
         # rows of a frozen array are read-only views
-        found.extend(_frozen(states[~_unstable(fields, states).any(axis=1)]))
+        found.extend(_frozen(states[stable]))
     return found
 
 

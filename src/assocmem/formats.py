@@ -8,12 +8,18 @@ are UTF-8; a line ends at \\n, \\r\\n or a lone \\r, and any other Unicode
 separator is whitespace within a line. Every parse failure is a ParseError
 whose message starts with ``path:line:``, so it can be found in an editor.
 
+Each line is read with one split; only a line that split cannot vouch for
+is read again token by token, and that scan exists to name the first bad
+token.
+
 Weights and reports share one structured-text format: a JSON document with
 two-space indentation, a fixed key order, and a trailing newline, so runs
 with identical configuration emit byte-identical files and any two reports
-diff cleanly. Every document embeds the tool name, version, the command,
-and its full configuration including the seed (explicitly null for
-deterministic commands).
+diff cleanly. A document's bytes are exactly those of
+``json.dumps(doc, indent=2) + "\\n"``, produced through json's C encoder
+(see render_document). Every document embeds the tool name, version, the
+command, and its full configuration including the seed (explicitly null
+for deterministic commands).
 """
 
 from __future__ import annotations
@@ -37,6 +43,10 @@ from .core import (
 _TOKEN = re.compile(r"\S+")
 
 _MEMORY_TOKENS = {"1": 1, "+1": 1, "-1": -1}
+
+_ENCODE = json.JSONEncoder().encode
+
+_CONTAINERS = (dict, list, tuple)
 
 
 class ParseError(ValueError):
@@ -74,53 +84,78 @@ def _content_lines(path: Path):
             yield lineno, body
 
 
+def _rows(path: Path, read_line, read_token) -> list[tuple[int, list]]:
+    """(line number, values) for each content line of a file, read with one split.
+
+    ``read_line(body)`` reads a whole line, or returns None or raises
+    KeyError or ValueError where it cannot vouch for it; that line is then
+    read token by token, and ``read_token(token, where)`` raises the
+    ParseError naming the first bad token, ``where`` being its "path:line:col".
+    """
+    rows = []
+    for lineno, body in _content_lines(path):
+        try:
+            row = read_line(body)
+        except (KeyError, ValueError):
+            row = None
+        if row is None:
+            row = [read_token(m.group(), f"{path}:{lineno}:{m.start() + 1}") for m in _TOKEN.finditer(body)]
+        rows.append((lineno, row))
+    return rows
+
+
+def _memory_line(body: str) -> list[int]:
+    return [_MEMORY_TOKENS[token] for token in body.split()]
+
+
+def _memory_token(token: str, where: str) -> int:
+    if token not in _MEMORY_TOKENS:
+        raise ParseError(f"{where}: bad memory token {token!r}, expected 1 or -1")
+    return _MEMORY_TOKENS[token]
+
+
+def _distance_line(body: str) -> list[float] | None:
+    """The distances of a plain ASCII line when all are in [0, inf), else None.
+
+    float() alone reads plain tokens. With the least value at or above 0,
+    the sum is below inf unless some value is inf or NaN, or the finite
+    values overflow it; the token scan then tells these apart.
+    """
+    if "_" in body or not body.isascii():
+        return None
+    row = list(map(float, body.split()))
+    return row if min(row) >= 0 and sum(row) < math.inf else None
+
+
+def _distance_token(token: str, where: str) -> float:
+    try:
+        value = _ascii_number(token)
+    except ValueError:
+        raise ParseError(f"{where}: bad distance token {token!r}") from None
+    if not 0 <= value < math.inf:
+        raise ParseError(f"{where}: distances must be finite and nonnegative, got {token}")
+    return value
+
+
 def parse_memories(path) -> MemorySet:
     """Parse a memory file into a validated MemorySet."""
     p = Path(path)
-    rows = []
-    widths = []
-    for lineno, body in _content_lines(p):
-        row = []
-        for match in _TOKEN.finditer(body):
-            token = match.group()
-            if token not in _MEMORY_TOKENS:
-                raise ParseError(
-                    f"{p}:{lineno}:{match.start() + 1}: bad memory token {token!r}, expected 1 or -1"
-                )
-            row.append(_MEMORY_TOKENS[token])
-        rows.append(row)
-        widths.append((lineno, len(row)))
+    rows = _rows(p, _memory_line, _memory_token)
     if not rows:
         raise ParseError(f"{p}:1: no memory vectors found")
-    first_line, first_width = widths[0]
-    for lineno, width in widths[1:]:
-        if width != first_width:
+    first_line, first = rows[0]
+    for lineno, row in rows[1:]:
+        if len(row) != len(first):
             raise ParseError(
-                f"{p}:{lineno}: memory has {width} entries, line {first_line} has {first_width}"
+                f"{p}:{lineno}: memory has {len(row)} entries, line {first_line} has {len(first)}"
             )
-    return validate_memory_set(rows)
+    return validate_memory_set([row for _, row in rows])
 
 
 def parse_proximity(path) -> np.ndarray:
     """Parse a proximity file into a distance matrix that validate_proximity trusts."""
     p = Path(path)
-    rows = []
-    for lineno, body in _content_lines(p):
-        # a line of plain ASCII holds only plain tokens, so float() alone reads it
-        read = float if "_" not in body and body.isascii() else _ascii_number
-        row = []
-        for match in _TOKEN.finditer(body):
-            token = match.group()
-            try:
-                value = read(token)
-            except ValueError:
-                raise ParseError(f"{p}:{lineno}:{match.start() + 1}: bad distance token {token!r}") from None
-            if not 0 <= value < math.inf:
-                raise ParseError(
-                    f"{p}:{lineno}:{match.start() + 1}: distances must be finite and nonnegative, got {token}"
-                )
-            row.append(value)
-        rows.append((lineno, row))
+    rows = _rows(p, _distance_line, _distance_token)
     if not rows:
         raise ParseError(f"{p}:1: no proximity rows found")
     width = len(rows[0][1])
@@ -146,8 +181,38 @@ def document(kind: str, command: str, config: dict, **payload) -> dict:
     return doc
 
 
+def _render(obj, newline: str) -> str:
+    """``obj`` laid out as json.dumps(indent=2) lays it out where ``newline`` starts its line."""
+    if isinstance(obj, dict):
+        items, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, brackets = obj, "[]"
+    else:
+        return _ENCODE(obj)
+    if not obj:
+        return brackets
+    inner = newline + "  "
+    if not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items))):
+        # all scalars: one C encoder call, its item separator carrying the line break
+        body = json.JSONEncoder(separators=("," + inner, ": ")).encode(obj)[1:-1]
+    elif brackets == "[]":
+        body = ("," + inner).join(_render(item, inner) for item in obj)
+    else:
+        # '{"key": 0}' less its brace and ': 0}' is the key as the encoder writes it
+        body = ("," + inner).join(
+            _ENCODE({key: 0})[1:-4] + ": " + _render(value, inner) for key, value in obj.items()
+        )
+    return brackets[0] + inner + body + newline + brackets[1]
+
+
 def render_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """The bytes of ``json.dumps(doc, indent=2) + "\\n"``, through json's C encoder.
+
+    json.dumps takes its pure-Python encoder whenever it indents, at about a
+    microsecond per number; here each container holding only scalars (a weight
+    row, a sample list, a config) is one C encoder call instead.
+    """
+    return _render(doc, "\n") + "\n"
 
 
 def weights_document(weights, config: dict, command: str = "train", **extra) -> dict:

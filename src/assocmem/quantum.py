@@ -43,7 +43,8 @@ def as_amplitudes(amplitudes) -> np.ndarray:
         raise ValidationError("an amplitude vector needs at least two entries")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("amplitudes must be finite")
-    total = float(np.sum(arr * arr))
+    with np.errstate(over="ignore"):  # finite entries beyond ~1.3e154 square to inf, and are refused
+        total = float(np.sum(arr * arr))
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise ValidationError(f"amplitudes are not normalized: sum of squares is {total!r}")
     return _frozen(arr.copy())

@@ -16,6 +16,7 @@ from assocmem import (
 )
 from assocmem import analysis
 from assocmem.analysis import _capacity_trial
+from assocmem.core import WEIGHT_TOTAL_LIMIT, _unstable
 from conftest import random_memories, random_symmetric_weights
 
 
@@ -28,6 +29,27 @@ def brute_force_fixed_points(weights):
         if is_stored(weights, state):
             out.append(state)
     return out
+
+
+def chunked_fixed_points(weights):
+    """The enumerator before split-half tables: the int64 product states @ W for
+    each chunk of 2^16 states, O(2^n n^2)."""
+    w = np.asarray(weights, dtype=np.int64)
+    n = w.shape[0]
+    total = 1 << n
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+    found = []
+    for lo in range(0, total, 1 << 16):
+        ints = np.arange(lo, min(lo + (1 << 16), total), dtype=np.uint64)[:, None]
+        states = np.where((ints >> shifts) & np.uint64(1) == 1, 1, -1).astype(np.int8)
+        found.extend(states[~_unstable(states @ w, states).any(axis=1)])
+    return found
+
+
+def _near_limit(rng, n):
+    """A random symmetric matrix scaled until its total absolute weight nearly reaches 2**62."""
+    w = random_symmetric_weights(rng, n, lo=-50, hi=51)
+    return w * (WEIGHT_TOTAL_LIMIT // max(1, int(np.abs(w).sum())))
 
 
 class TestEnumerate:
@@ -65,6 +87,37 @@ class TestEnumerate:
             fast = [tuple(p) for p in enumerate_fixed_points(w)]
             slow = [tuple(p) for p in brute_force_fixed_points(w)]
             assert fast == slow
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 15, 16, 18])
+    def test_matches_chunked_product(self, n):
+        # trained nets with even m give zero fields, so the sgn(0) = +1 tie decides;
+        # at n above 14 the state splits into a high and a low table
+        rng = np.random.default_rng(1000 + n)
+        nets = [
+            train(random_memories(rng, 2, n)),
+            train(random_memories(rng, 4, n)),
+            random_symmetric_weights(rng, n),
+            _near_limit(rng, n),
+        ]
+        for w in nets if n <= 12 else nets[1:]:
+            assert int(np.abs(w).sum()) <= WEIGHT_TOTAL_LIMIT
+            got = enumerate_fixed_points(w)
+            want = chunked_fixed_points(w)
+            assert [p.tolist() for p in got] == [p.tolist() for p in want]
+
+    def test_fields_at_the_weight_limit(self):
+        # |field| = 2**61 on every state, and the tables' sums stay exact
+        w = np.array([[0, 2**61], [2**61, 0]])
+        assert [p.tolist() for p in enumerate_fixed_points(w)] == [[-1, -1], [1, 1]]
+        assert [p.tolist() for p in enumerate_fixed_points(-w)] == [[-1, 1], [1, -1]]
+
+    def test_limit_refused_before_any_table(self, monkeypatch):
+        def no_tables(rows):
+            raise AssertionError("a table was built for a refused enumeration")
+
+        monkeypatch.setattr(analysis, "_half_fields", no_tables)
+        with pytest.raises(ParameterError):
+            enumerate_fixed_points(np.zeros((21, 21), dtype=int))
 
     def test_lexicographic_order(self):
         rng = np.random.default_rng(23)

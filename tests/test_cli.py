@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -297,6 +301,21 @@ class TestCollapse:
 
     def test_unnormalized_amps(self):
         assert run_cli(["collapse", "--amps", "1,1", "--samples", "10", "--seed", "0"]) == 5
+
+    def test_overflowing_amps_leave_only_the_refusal_on_stderr(self):
+        # a subprocess, so that a numpy warning would reach stderr as a user sees it
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        argv = ["collapse", "--amps=1e308,1e308", "--samples", "3", "--seed", "1"]
+        for flags in ([], ["-W", "error"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "assocmem.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 5
+            assert proc.stdout == ""
+            assert proc.stderr == (
+                "assocmem: invalid parameter: amplitudes are not normalized: sum of squares is inf\n"
+            )
 
     def test_missing_seed(self):
         assert run_cli(["collapse", "--amps", "0.6,0.8", "--samples", "10"]) == 5

@@ -1,12 +1,19 @@
+import enum
 import json
+import math
 import re
+from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from assocmem import ParseError, load_weights, parse_memories, parse_proximity, train
-from assocmem.formats import render_document, weights_document
+from assocmem.core import _proximity_fault, validate_memory_set
+from assocmem.formats import _ascii_number, _content_lines, render_document, weights_document
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestParseMemories:
@@ -183,6 +190,60 @@ class TestWeightsDocuments:
         assert render_document(doc).endswith("\n")
 
 
+# text a renderer that splits or joins on separators would mangle
+_awkward_text = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from([", ", ": ", ",\n  ", '"', '\\"', "{}", "[]", "\u00e9t\u00e9", "\u2028", "\U0001f600"]),
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63 - 2, max_value=2**64 + 2),
+    st.floats(),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    _awkward_text,
+)
+_keys = st.one_of(_awkward_text, st.integers(), st.floats(), st.booleans(), st.none())
+_documents = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_keys, inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+class TestRenderDocument:
+    @given(doc=_documents)
+    @example(doc={"a": [], "b": {}, "c": [[], {}, [1, True, 1.0]], ", ": {": ": -0.0}})
+    @example(doc=[1, [2, [3, {"n": [math.nan, math.inf, -math.inf, 2**70]}]]])
+    @settings(max_examples=400)
+    def test_matches_indented_dumps(self, doc):
+        assert render_document(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
+    def test_golden_documents_re_render_to_their_bytes(self, name):
+        text = (GOLDEN / name).read_text(encoding="utf-8")
+        assert render_document(json.loads(text)) == text
+
+    def test_subclasses_render_as_their_base_types(self):
+        class Row(list):
+            pass
+
+        level = enum.IntEnum("Level", "LOW HIGH")
+        doc = OrderedDict([("rows", Row([Row([1, level.HIGH]), (2.5, "x")])), ("empty", Row())])
+        assert render_document(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_refuses_what_json_refuses(self):
+        with pytest.raises(TypeError):
+            render_document({"a": [np.int64(1)]})
+        with pytest.raises(TypeError):
+            render_document({"a": {(1, 2): 3}})
+
+
 # tokens a hand-edited file might hold: good ones, stray signs, typos,
 # non-finite and underscored numbers, comments and odd whitespace
 _FUZZ_TOKENS = [
@@ -214,6 +275,153 @@ def _mangled(draw, make_row):
 
 _memory_files = st.one_of(_random_lines, _mangled(lambda i, j: "1" if (i + j) % 2 else "-1"))
 _proximity_files = st.one_of(_random_lines, _mangled(lambda i, j: str(abs(i - j))))
+
+
+def reference_memories(path):
+    """The token loop parse_memories used before it read each line with one split."""
+    p = Path(path)
+    tokens = {"1": 1, "+1": 1, "-1": -1}
+    rows = []
+    widths = []
+    for lineno, body in _content_lines(p):
+        row = []
+        for match in re.finditer(r"\S+", body):
+            token = match.group()
+            if token not in tokens:
+                raise ParseError(
+                    f"{p}:{lineno}:{match.start() + 1}: bad memory token {token!r}, expected 1 or -1"
+                )
+            row.append(tokens[token])
+        rows.append(row)
+        widths.append((lineno, len(row)))
+    if not rows:
+        raise ParseError(f"{p}:1: no memory vectors found")
+    first_line, first_width = widths[0]
+    for lineno, width in widths[1:]:
+        if width != first_width:
+            raise ParseError(
+                f"{p}:{lineno}: memory has {width} entries, line {first_line} has {first_width}"
+            )
+    return validate_memory_set(rows)
+
+
+def reference_proximity(path):
+    """The token loop parse_proximity used before it read each line with one split."""
+    p = Path(path)
+    rows = []
+    for lineno, body in _content_lines(p):
+        read = float if "_" not in body and body.isascii() else _ascii_number
+        row = []
+        for match in re.finditer(r"\S+", body):
+            token = match.group()
+            try:
+                value = read(token)
+            except ValueError:
+                raise ParseError(f"{p}:{lineno}:{match.start() + 1}: bad distance token {token!r}") from None
+            if not 0 <= value < math.inf:
+                raise ParseError(
+                    f"{p}:{lineno}:{match.start() + 1}: distances must be finite and nonnegative, got {token}"
+                )
+            row.append(value)
+        rows.append((lineno, row))
+    if not rows:
+        raise ParseError(f"{p}:1: no proximity rows found")
+    width = len(rows[0][1])
+    for lineno, row in rows:
+        if len(row) != width:
+            raise ParseError(f"{p}:{lineno}: row has {len(row)} entries, expected {width}")
+    if len(rows) != width:
+        lineno = rows[min(width, len(rows) - 1)][0]
+        raise ParseError(f"{p}:{lineno}: proximity matrix must be square, got {len(rows)} rows of {width}")
+    matrix = np.array([row for _, row in rows], dtype=np.float64)
+    fault = _proximity_fault(matrix)
+    if fault is not None:
+        row, message = fault
+        raise ParseError(f"{p}:{rows[row][0]}: {message}")
+    return matrix
+
+
+def _outcome(parse, path):
+    """What a parser makes of a file: its values (with their dtype), or its ParseError text."""
+    try:
+        result = parse(path)
+    except ParseError as exc:
+        return "error", str(exc)
+    if hasattr(result, "vectors"):
+        return "memories", result.vectors.dtype, result.vectors.tolist(), result.duplicates
+    # tolist() keeps the sign of -0.0 apart in repr; compare reprs so it counts
+    return "matrix", result.dtype, repr(result.tolist())
+
+
+# whitespace that str.split and the token pattern agree on, and one (U+200B) that neither takes
+_SEPARATORS = [" ", "  ", "\t", "\v", "\f", "\x1c", "\x1f", "\x85", "\u00a0", "\u2028", "\u3000", "\u200b"]
+
+
+@st.composite
+def _separated_square(draw, make_row, tokens):
+    """An n x n file with random separators and comments, maybe one token swapped or a line dropped."""
+    n = draw(st.integers(1, 4))
+    rows = [[make_row(i, j) for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(st.sampled_from(tokens))
+    lines = []
+    for row in rows:
+        seps = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=n + 1, max_size=n + 1))
+        line = seps[0] + "".join(token + sep for token, sep in zip(row, seps[1:]))
+        lines.append(line + draw(st.sampled_from(["", "# note", "#\u00e9 1 x"])))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# header", "\x85", "\u00a0"])))
+    if draw(st.booleans()):
+        del lines[draw(st.integers(0, n - 1))]
+    return lines
+
+
+_DISTANCES = ["1", "0.5", "2e0", "1e308", "1.7976931348623157e308", "3.25", "1E1"]
+_extra_tokens = _FUZZ_TOKENS + ["1e308", "-1e308", "1.5", "0.0", "-0.0", "\u00a01", "1\u00a0", "\u200b1"]
+
+_differential_memory_files = st.one_of(
+    _memory_files,
+    _separated_square(lambda i, j: "1" if (i + j) % 2 else "-1", _extra_tokens),
+    _separated_square(lambda i, j: "+1" if i == j else "-1", _extra_tokens),
+)
+_differential_proximity_files = st.one_of(
+    _proximity_files,
+    _separated_square(lambda i, j: "0" if i == j else _DISTANCES[(i + j) % len(_DISTANCES)], _extra_tokens),
+)
+
+
+class TestParsersMatchTokenLoop:
+    """The one-split readers give the values or the error text of the token loop, exactly."""
+
+    @given(lines=_differential_memory_files, newline=st.sampled_from(["\n", "\r\n", "\r"]))
+    @example(lines=["1 -1", "1 2 1"], newline="\n")
+    @example(lines=["1\x1c-1\x85+1", "-1\u00a01\u30001"], newline="\r\n")
+    @example(lines=["1 \u200b-1"], newline="\n")
+    @settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_memories(self, tmp_path, lines, newline):
+        path = tmp_path / "input.txt"
+        path.write_bytes(newline.join(lines).encode("utf-8"))
+        assert _outcome(parse_memories, path) == _outcome(reference_memories, path)
+
+    @given(lines=_differential_proximity_files, newline=st.sampled_from(["\n", "\r\n", "\r"]))
+    @example(lines=["0 1e308 1e308", "1e308 0 1e308", "1e308 1e308 0"], newline="\n")
+    @example(lines=["0\x1c1\u00a0", "1\x85-0 # x"], newline="\r\n")
+    @example(lines=["0 nan", "nan 0"], newline="\n")
+    @example(lines=["0 1 -1", "1 0 x", "1 1 0"], newline="\n")
+    @example(lines=["0 1_0", "10 0"], newline="\n")
+    @settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_proximity(self, tmp_path, lines, newline):
+        path = tmp_path / "input.txt"
+        path.write_bytes(newline.join(lines).encode("utf-8"))
+        assert _outcome(parse_proximity, path) == _outcome(reference_proximity, path)
+
+    @given(data=st.binary(max_size=40))
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_raw_bytes(self, tmp_path, data):
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        assert _outcome(parse_memories, path) == _outcome(reference_memories, path)
+        assert _outcome(parse_proximity, path) == _outcome(reference_proximity, path)
 
 
 def _check_failure(path, parse):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,13 @@ class TestAmplitudes:
     def test_tolerance_is_tight(self):
         with pytest.raises(ValidationError):
             as_amplitudes([math.sqrt(0.5) + 1e-4, math.sqrt(0.5)])
+
+    @pytest.mark.parametrize("amps", [[1e308, 1e308], [1e155, 0.0], [-1e200, 1.0]])
+    def test_squares_beyond_float_range_are_refused_without_a_warning(self, amps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^amplitudes are not normalized: sum of squares is inf$"):
+                as_amplitudes(amps)
 
 
 class TestReorgCount:
