@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,6 +232,10 @@ def capacity_experiment(n: int, m_values, trials: int, seed: int, workers: int =
     if threads == 1:
         run_share(0)
     else:
+        # imported here: concurrent.futures (and logging with it) would cost every
+        # command its start-up time, and only this branch uses a pool
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_share, range(threads)))
 

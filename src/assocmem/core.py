@@ -20,6 +20,10 @@ copy, kept apart for weights and proximity. A copy,
 slice or arithmetic result is a new object and is checked in full, and so
 is a trusted array while it is writeable again. Changing a trusted array
 and freezing it again voids the guarantee, since the change cannot be seen.
+A raw proximity matrix passed to generator.order_from_proximity or
+generator.spread_full is used once: _checked_proximity checks it in full
+for that call and neither copies nor remembers it. validate_proximity is
+built on the same check and returns a frozen, trusted copy.
 
 Trust can also carry the training factor. For a matrix W = X^T X - m I that
 hebbian.train built from m < n memories with m n <= 2**53, the float64
@@ -421,35 +425,64 @@ def validate_weights(weights) -> np.ndarray:
     return _trust(out, "weights")
 
 
+def _mirror_gap(arr: np.ndarray, i: int) -> np.ndarray:
+    """|P - P^T| on rows i to i + _ROW_BLOCK of a square matrix, from column i on.
+
+    The row blocks of the upper triangle, diagonal included, and their
+    mirrors cover every entry, with no n x n temporary.
+    """
+    return np.abs(arr[i:i + _ROW_BLOCK, i:] - arr[i:, i:i + _ROW_BLOCK].T)
+
+
+def _proximity_ok(arr: np.ndarray) -> bool:
+    """True when a square float matrix breaks no proximity invariant; one decision, no location.
+
+    A NaN or infinite entry leaves NaN or inf in its mirror gap, and NaN
+    propagates through the max, so the symmetry test refuses every
+    non-finite matrix with no pass of its own. The off-diagonal entries are
+    positive exactly when every non-positive entry lies on the diagonal.
+    """
+    diag = np.diagonal(arr)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, a refusal, not a warning
+        symmetric = all(_mirror_gap(arr, i).max() <= PROXIMITY_TOL for i in range(0, arr.shape[0], _ROW_BLOCK))
+    return (
+        symmetric
+        and bool(np.all(np.abs(diag) <= PROXIMITY_TOL))
+        and np.count_nonzero(arr <= 0) == np.count_nonzero(diag <= 0)
+    )
+
+
 def _proximity_fault(arr: np.ndarray) -> tuple[int, str] | None:
-    """The first broken invariant of a square float matrix, as (row, message), or None."""
+    """The first broken invariant of a square float matrix, as (row, message), or None.
+
+    _proximity_ok accepts a legal matrix; only a refused one is scanned again,
+    check by check, to locate its first fault.
+    """
+    if _proximity_ok(arr):
+        return None
     if not np.all(np.isfinite(arr)):
         return int(np.argwhere(~np.isfinite(arr))[0][0]), "proximity entries must be finite"
-    # asymmetry is mirrored, so the row-major first offender lies above the diagonal:
-    # compare row blocks of the upper triangle with their transposes, no n x n temporary
+    # asymmetry is mirrored, so the row-major first offender lies above the diagonal
     for i in range(0, arr.shape[0], _ROW_BLOCK):
-        asym = np.abs(arr[i:i + _ROW_BLOCK, i:] - arr[i:, i:i + _ROW_BLOCK].T) > PROXIMITY_TOL
+        asym = _mirror_gap(arr, i) > PROXIMITY_TOL
         if asym.any():
             r, c = (i + int(k) for k in np.argwhere(asym)[0])
             return r, f"proximity matrix is asymmetric at ({r + 1}, {c + 1})"
-    if np.any(np.abs(np.diag(arr)) > PROXIMITY_TOL):
-        i = int(np.flatnonzero(np.abs(np.diag(arr)) > PROXIMITY_TOL)[0])
+    bad = np.flatnonzero(np.abs(np.diag(arr)) > PROXIMITY_TOL)
+    if bad.size:
+        i = int(bad[0])
         return i, f"proximity diagonal must be zero, neuron {i + 1} has {arr[i, i]}"
-    # count the non-positive entries off the diagonal; locate only when there are some
-    if np.count_nonzero(arr <= 0) > np.count_nonzero(np.diag(arr) <= 0):
-        off = ~np.eye(arr.shape[0], dtype=bool)
-        i, j = [(int(a), int(b)) for a, b in np.argwhere(off & (arr <= 0))][0]
-        return i, f"off-diagonal proximity must be positive, ({i + 1}, {j + 1}) has {arr[i, j]}"
-    return None
+    # every other invariant holds, so a non-positive entry lies off the diagonal
+    i, j = (int(k) for k in np.argwhere((arr <= 0) & ~np.eye(arr.shape[0], dtype=bool))[0])
+    return i, f"off-diagonal proximity must be positive, ({i + 1}, {j + 1}) has {arr[i, j]}"
 
 
-def validate_proximity(proximity) -> np.ndarray:
-    """Validate a pairwise-distance matrix.
+def _checked_proximity(proximity) -> np.ndarray:
+    """A trusted proximity matrix as it is, else the caller's values as float64, checked in full.
 
-    Symmetric within 1e-9, zero diagonal, strictly positive off-diagonal.
-    Distances are not required to obey the triangle inequality; coiled or
-    twisted pathways make neuron separations non-Cartesian. A matrix this
-    function (or parse_proximity) returned is returned as it is, in O(1).
+    Nothing is copied or remembered: a float64 array comes back as the very
+    object given, still writeable, and the next call checks it again. For a
+    matrix used once, such as the one an order is sorted from.
     """
     if _trusted(proximity, "proximity"):
         return proximity
@@ -459,7 +492,19 @@ def validate_proximity(proximity) -> np.ndarray:
     fault = _proximity_fault(arr)
     if fault is not None:
         raise ValidationError(fault[1])
-    return _trust(arr.copy(), "proximity")
+    return arr
+
+
+def validate_proximity(proximity) -> np.ndarray:
+    """Validate a pairwise-distance matrix; returns a frozen float64 copy.
+
+    Symmetric within 1e-9, zero diagonal, strictly positive off-diagonal.
+    Distances are not required to obey the triangle inequality; coiled or
+    twisted pathways make neuron separations non-Cartesian. A matrix this
+    function (or parse_proximity) returned is returned as it is, in O(1).
+    """
+    arr = _checked_proximity(proximity)
+    return arr if _trusted(arr, "proximity") else _trust(arr.copy(), "proximity")
 
 
 def normalize_start(start, n: int) -> dict[int, int]:

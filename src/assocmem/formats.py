@@ -79,8 +79,10 @@ def _content_lines(path: Path):
         head = _split_lines(data[: exc.start].decode("utf-8"))
         raise ParseError(f"{path}:{len(head)}:{len(head[-1]) + 1}: not UTF-8 text") from None
     for lineno, raw in enumerate(_split_lines(text), start=1):
-        body = raw.split("#", 1)[0]
-        if body.strip():
+        # only a line holding "#" is split, and a blank line is found without a
+        # stripped copy: isspace and strip share one Unicode whitespace set
+        body = raw.split("#", 1)[0] if "#" in raw else raw
+        if body and not body.isspace():
             yield lineno, body
 
 

@@ -51,6 +51,7 @@ spread costs several times what one row dot per neuron would (README).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +62,7 @@ from .core import (
     ParameterError,
     ValidationError,
     _block_fields,
+    _checked_proximity,
     _fields,
     _frozen,
     _index_array,
@@ -69,7 +71,6 @@ from .core import (
     _whole,
     normalize_start,
     validate_memory_set,
-    validate_proximity,
     validate_weights,
 )
 
@@ -142,14 +143,14 @@ def order_from_proximity(proximity, start_set) -> SpreadOrder:
     members, modeling activity arriving from the nearest active site. Ties
     break toward the smaller neuron index; start members head the order,
     sorted by index. The order is one stable sort of those distances, with
-    the start members keyed first.
+    the start members keyed first. The matrix is checked in full for this
+    call and is neither copied nor remembered (see core).
     """
-    p = validate_proximity(proximity)
+    p = _checked_proximity(proximity)
     return _order(p.shape[0], start_set, p)
 
 
-@dataclass(frozen=True)
-class SpreadStep:
+class SpreadStep(NamedTuple):
     """One assignment during a spread: the neuron (original index), its
     integer field before thresholding, and the resulting value."""
 
@@ -178,8 +179,10 @@ def spread_full(weights, start, proximity=None, order=None) -> SpreadTrace:
     from ``order`` (an explicit SpreadOrder), from ``proximity`` distances,
     or falls back to index order. An explicit order or a proximity matrix
     must cover exactly the neurons of the weights (DimensionMismatch
-    otherwise); a proximity matrix is validated and sized before its order
-    is built, so a start neuron beyond it is reported as that mismatch.
+    otherwise); a proximity matrix is checked once, in full, and sized
+    before its order is built, so a start neuron beyond it is reported as
+    that mismatch. Like order_from_proximity, the spread neither copies nor
+    remembers the matrix.
     The fragment grows one neuron per step, each new neuron taking sgn of
     its generator-row field over the neurons assigned before it; exactly
     n - len(start) steps are performed. The field is the dot of the
@@ -193,14 +196,14 @@ def spread_full(weights, start, proximity=None, order=None) -> SpreadTrace:
     if proximity is not None and order is not None:
         raise ParameterError("give either a proximity matrix or an explicit order, not both")
     if proximity is not None:
-        proximity = validate_proximity(proximity)
+        proximity = _checked_proximity(proximity)
     # sized before any order is built: a start neuron beyond a small proximity
     # matrix is a size mismatch, not a start out of range
     size = order.n if order is not None else n if proximity is None else proximity.shape[0]
     if size != n:
         raise DimensionMismatch(f"order covers {size} neurons, weights have {n}")
     if order is None:
-        order = index_order(n, seed.keys()) if proximity is None else order_from_proximity(proximity, seed.keys())
+        order = _order(n, seed.keys(), proximity)
     if order.start_set != frozenset(seed):
         raise ParameterError("explicit order was built for a different start set")
 
@@ -224,7 +227,7 @@ def spread_full(weights, start, proximity=None, order=None) -> SpreadTrace:
             if not _unstable(h, v).any():
                 break
         x[block] = v
-        steps += map(SpreadStep, block.tolist(), h.tolist(), v.tolist())
+        steps += map(SpreadStep._make, zip(block.tolist(), h.tolist(), v.tolist()))
 
     final = _frozen(x.astype(BIPOLAR_DTYPE))
     flags = frozenset(np.flatnonzero(_unstable(_fields(w, x), x)).tolist())

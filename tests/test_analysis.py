@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 
@@ -198,7 +199,8 @@ class TestCapacity:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(analysis, "ThreadPoolExecutor", SerialPool)
+        # capacity_experiment imports the pool class where it starts one
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         serial = capacity_experiment(20, [2, 3], trials=50, seed=1)
         assert sizes == []  # one worker runs inline
         assert capacity_experiment(20, [2, 3], trials=50, seed=1, workers=10**6) == serial

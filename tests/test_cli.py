@@ -370,3 +370,12 @@ class TestErrorChannels:
     def test_version(self, capsys):
         assert run_cli(["--version"]) == 0
         assert "assocmem" in capsys.readouterr().out
+
+
+class TestStartup:
+    def test_import_leaves_the_thread_pool_out(self):
+        # every command imports the package; only capacity with workers > 1 uses a pool
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        code = "import sys, assocmem, assocmem.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

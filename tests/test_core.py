@@ -26,7 +26,7 @@ from assocmem import (
 )
 from assocmem import core, formats
 from assocmem.cli import main
-from assocmem.core import PROXIMITY_TOL, _proximity_fault
+from assocmem.core import PROXIMITY_TOL, _proximity_fault, _proximity_ok
 
 
 class TestSgn:
@@ -194,6 +194,58 @@ class TestWeightsValidation:
         assert energy(w, (1, 1, -1)) == float(2**59)
 
 
+PLANTS = [
+    "nan", "inf", "-inf", "gap_inside", "gap_outside", "diagonal_inside", "diagonal_outside",
+    "zero", "negative", "one_sided",
+]
+
+
+def plant_fault(p, plant, rng):
+    """Plant one kind of entry at a random place of a legal matrix; some stay legal."""
+    i, j = (int(k) for k in rng.integers(p.shape[0], size=2))
+    tol = PROXIMITY_TOL
+    if plant == "nan":
+        p[i, j] = np.nan
+    elif plant in ("inf", "-inf"):
+        p[i, j] = p[j, i] = float(plant)
+    elif plant.startswith("diagonal"):
+        p[i, i] = rng.choice([-1, 1]) * (1.0 if plant == "diagonal_inside" else 1.5) * tol
+    elif i == j:
+        return
+    elif plant == "gap_inside":
+        # 2e-9 - 1e-9 is exactly the tolerance, which is not a fault
+        p[i, j], p[j, i] = tol, 2 * tol
+    elif plant == "gap_outside":
+        p[i, j] += 1.5 * tol
+    elif plant == "zero":
+        p[i, j] = p[j, i] = 0.0
+    elif plant == "negative":
+        p[i, j] = p[j, i] = -rng.random()
+    else:
+        # non-positive on one side only, its mirror within the tolerance
+        p[i, j], p[j, i] = rng.choice([0.0, -0.25 * tol]), 0.5 * tol
+
+
+def reference_proximity_fault(p):
+    """The first fault over the full matrix, checked in order: finite, symmetric, diagonal, positive."""
+    bad = ~np.isfinite(p)
+    if bad.any():
+        return int(np.argwhere(bad)[0][0]), "proximity entries must be finite"
+    asym = np.abs(p - p.T) > PROXIMITY_TOL
+    if asym.any():
+        i, j = (int(k) for k in np.argwhere(asym)[0])
+        return i, f"proximity matrix is asymmetric at ({i + 1}, {j + 1})"
+    diag = np.abs(np.diag(p)) > PROXIMITY_TOL
+    if diag.any():
+        i = int(np.flatnonzero(diag)[0])
+        return i, f"proximity diagonal must be zero, neuron {i + 1} has {p[i, i]}"
+    low = (p <= 0) & ~np.eye(p.shape[0], dtype=bool)
+    if low.any():
+        i, j = (int(k) for k in np.argwhere(low)[0])
+        return i, f"off-diagonal proximity must be positive, ({i + 1}, {j + 1}) has {p[i, j]}"
+    return None
+
+
 class TestProximityValidation:
     def test_identity_distances(self):
         p = np.ones((3, 3)) - np.eye(3)
@@ -233,25 +285,49 @@ class TestProximityValidation:
     @given(
         n=st.integers(1, 200),
         seed=st.integers(0, 2**32 - 1),
-        planted=st.integers(0, 4),
+        plants=st.lists(st.sampled_from(PLANTS), max_size=3),
     )
-    @example(n=130, seed=0, planted=1)
-    @example(n=65, seed=1, planted=3)
-    def test_first_asymmetry_matches_full_matrix_reference(self, n, seed, planted):
+    @example(n=130, seed=0, plants=["gap_outside"])
+    @example(n=65, seed=1, plants=["gap_outside", "gap_inside", "gap_outside"])
+    @example(n=2, seed=0, plants=["gap_inside"])
+    @example(n=3, seed=0, plants=["diagonal_inside"])
+    @example(n=1, seed=0, plants=["nan"])
+    @example(n=70, seed=3, plants=["one_sided", "zero"])
+    def test_first_fault_matches_full_matrix_reference(self, n, seed, plants):
         rng = np.random.default_rng(seed)
         a = rng.random((n, n)) + 0.5
         p = a + a.T
         np.fill_diagonal(p, 0.0)
-        for _ in range(planted if n > 1 else 0):
-            i, j = rng.choice(n, size=2, replace=False)
-            # half of the plants stay within the tolerance and are not faults
-            p[i, j] += rng.choice([0.5, 2.0]) * PROXIMITY_TOL
-        asym = np.abs(p - p.T) > PROXIMITY_TOL
-        want = None
-        if asym.any():
-            i, j = (int(k) for k in np.argwhere(asym)[0])
-            want = (i, f"proximity matrix is asymmetric at ({i + 1}, {j + 1})")
+        for plant in plants:
+            plant_fault(p, plant, rng)
+        want = reference_proximity_fault(p)
         assert _proximity_fault(p) == want
+        assert _proximity_ok(p) == (want is None)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entries_refused_without_a_warning(self, value):
+        p = np.ones((3, 3))
+        np.fill_diagonal(p, 0.0)
+        p[2, 1] = p[1, 2] = value
+        with pytest.raises(ValidationError, match="^proximity entries must be finite$"):
+            validate_proximity(p)
+
+    @pytest.mark.parametrize("n", [2, 65, 130, 200])
+    def test_asymmetry_in_the_last_row_block(self, n):
+        p = np.ones((n, n))
+        np.fill_diagonal(p, 0.0)
+        p[n - 1, n - 2] += 2 * PROXIMITY_TOL
+        assert not _proximity_ok(p)
+        assert _proximity_fault(p) == (n - 2, f"proximity matrix is asymmetric at ({n - 1}, {n})")
+
+    def test_faults_at_the_tolerance_are_accepted(self):
+        # 2e-9 - 1e-9 and |-1e-9| are exactly PROXIMITY_TOL: within it, not beyond
+        p = np.ones((3, 3))
+        np.fill_diagonal(p, [PROXIMITY_TOL, -PROXIMITY_TOL, 0.0])
+        p[0, 2], p[2, 0] = PROXIMITY_TOL, 2 * PROXIMITY_TOL
+        assert _proximity_ok(p)
+        assert _proximity_fault(p) is None
 
     def test_asymmetry_below_the_diagonal_of_a_later_row_block(self):
         p = np.ones((150, 150))

@@ -71,6 +71,18 @@ class TestParseMemories:
         with pytest.raises(ParseError, match=r"m\.txt:2:3: not UTF-8 text"):
             parse_memories(f)
 
+    def test_whitespace_and_comment_lines_are_skipped(self, tmp_path):
+        # U+3000 and \x1c are Unicode whitespace, U+200B is not
+        f = tmp_path / "m.txt"
+        f.write_text("\u3000\n1 -1\n\x1c\x1c\n# only a comment\n \u3000# note\n-1 1#x\n\u200b\n", encoding="utf-8")
+        assert list(_content_lines(f)) == [(2, "1 -1"), (6, "-1 1"), (7, "\u200b")]
+        f.write_text("\u3000\n1 -1\n\x1c\n# only a comment\n-1 1\n", encoding="utf-8")
+        assert parse_memories(f).vectors.tolist() == [[1, -1], [-1, 1]]
+
+    def test_isspace_and_strip_agree_on_every_code_point(self):
+        # a blank line is found with isspace; strip defined blank before
+        assert all(chr(c).isspace() == (chr(c).strip() == "") for c in range(0x110000))
+
 
 
 class TestParseProximity:

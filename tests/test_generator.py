@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +18,7 @@ from assocmem import (
     sgn,
     spread_full,
     train,
+    validate_proximity,
 )
 from assocmem import core, generator
 from conftest import random_memories, random_symmetric_weights
@@ -156,6 +159,17 @@ class TestSpreadFull:
         trace = spread_full(worked_weights, {0: 1, 1: -1, 2: 1})
         assert trace.steps == (SpreadStep(3, -2, -1),)
 
+    def test_steps_are_immutable_records(self, worked_weights):
+        step = spread_full(worked_weights, {0: 1, 1: -1, 2: 1}).steps[0]
+        assert (step.neuron, step.field, step.value) == (3, -2, -1)
+        assert all(type(v) is int for v in step)
+        assert step == SpreadStep(neuron=3, field=-2, value=-1) != SpreadStep(3, -2, 1)
+        assert repr(step) == "SpreadStep(neuron=3, field=-2, value=-1)"
+        for name in ("neuron", "field", "value"):
+            with pytest.raises(AttributeError):
+                setattr(step, name, 0)
+        assert step.field == -2
+
     def test_seeds_stay_clamped(self, worked_weights):
         # coupled neurons 1 and 3 are seeded with opposite signs: both keep their seed
         trace = spread_full(worked_weights, {3: -1, 1: 1})
@@ -246,6 +260,49 @@ class TestSpreadFull:
         order = index_order(4, {1})
         with pytest.raises(ParameterError):
             spread_full(worked_weights, {0: 1}, order=order)
+
+    def test_raw_proximity_is_checked_once_and_neither_copied_nor_trusted(self, worked_weights, monkeypatch):
+        raw = PROX.copy()
+        checks = []
+        fault = core._proximity_fault
+
+        def spy(arr):
+            checks.append(arr is raw)
+            return fault(arr)
+
+        monkeypatch.setattr(core, "_proximity_fault", spy)
+        order = order_from_proximity(raw, {2})
+        trace = spread_full(worked_weights, {2: 1}, proximity=raw)
+        # one full check of the caller's own array per call, the spread's included
+        assert checks == [True, True]
+        assert np.array_equal(trace.order.permutation, order.permutation)
+        assert raw.flags.writeable and np.array_equal(raw, PROX)
+        assert not core._trusted(raw, "proximity")
+        raw[0, 1] = 7.0
+        with pytest.raises(ValidationError, match=r"^proximity matrix is asymmetric at \(1, 2\)$"):
+            order_from_proximity(raw, {2})
+        with pytest.raises(ValidationError, match=r"^proximity matrix is asymmetric at \(1, 2\)$"):
+            spread_full(worked_weights, {2: 1}, proximity=raw)
+        raw[0, 1] = PROX[0, 1]
+        checked = validate_proximity(raw)
+        assert checked is not raw and not checked.flags.writeable and np.array_equal(checked, raw)
+        checks.clear()
+        assert validate_proximity(checked) is checked
+        order_from_proximity(checked, {2})
+        spread_full(worked_weights, {2: 1}, proximity=checked)
+        assert checks == []
+
+    def test_raw_proximity_is_not_copied(self):
+        # the check's temporaries are a few row blocks; a copy would be the whole matrix
+        points = np.random.default_rng(5).random((600, 2))
+        raw = np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=-1))
+        tracemalloc.start()
+        try:
+            order_from_proximity(raw, {0, 1})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < raw.nbytes / 2
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_proximity_of_the_wrong_size_rejected(self, worked_weights, k):
