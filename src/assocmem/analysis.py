@@ -88,8 +88,8 @@ def enumerate_fixed_points(weights, limit_n: int = ENUMERATION_LIMIT) -> list[np
     last k = min(n, 14) (low part l), and W x = F_high[h] + F_low[l], with
     each table holding the fields of one part alone. A state then costs one
     O(n) row addition, O(2^n n) in all, and the tables 8 n (2^k + 2^(n-k))
-    bytes. Every field and partial sum of a validated matrix is bounded by
-    its total absolute weight, at most 2**62, so the int64 sums are exact.
+    bytes. Every table entry and sum is a field over a state in {-1, 0, +1},
+    so the int64 sums are exact (the bound of validate_weights).
     """
     w = validate_weights(weights)
     n = w.shape[0]

@@ -112,6 +112,8 @@ def _run_train(args) -> dict:
 
 
 def _run_recall(args) -> dict:
+    if args.seed is not None and not (args.asynchronous and args.schedule == "random"):
+        raise ParameterError("--seed only applies to the random asynchronous schedule")
     config = {
         "weights": args.weights,
         "state": args.state,

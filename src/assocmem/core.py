@@ -32,12 +32,10 @@ _fields, the one owner of "the field of a state", then computes W s as
 (s X^T) X - m s in float64 BLAS, in O(m n) per state instead of O(n^2);
 every product and partial sum is an integer of magnitude at most m n, so
 the fields are exact. Any other matrix (loaded, hand-written, copied, or
-trained with m >= n) gives its fields as the int64 product W s.
-_block_fields makes the same choice for the spread, one block of neurons
-at a time, and _next_fields for each later pass of a synchronous recall,
-where any other matrix updates the previous fields from the rows of the
-neurons that changed. The re-freeze caveat covers the factor too: a
-trusted matrix changed and frozen again keeps its old factor.
+trained with m >= n) gives its fields as the int64 product W s, exact by
+the bound of validate_weights. _block_fields makes the same choice for the
+spread, one block of neurons at a time. The re-freeze caveat covers the
+factor too: a trusted matrix changed and frozen again keeps its old factor.
 
 Indices are 0-based throughout the library; error messages and reports
 speak of "neuron 1" like a person would.
@@ -71,8 +69,8 @@ WEIGHT_TOTAL_LIMIT = 2**62
 # float weights beyond this magnitude may not be the integers they were meant to be
 FLOAT_EXACT_LIMIT = 2**53
 
-# rows per block of the proximity symmetry check and the synchronous field update,
-# and positions per block of the spread's sign solve
+# rows per block of the proximity symmetry check, and positions per block of the
+# spread's sign solve
 _ROW_BLOCK = 64
 
 
@@ -206,32 +204,6 @@ def _fields(w: np.ndarray, s: np.ndarray) -> np.ndarray:
         return _factor_fields(x, s).astype(np.int64)
     # W is symmetric, so a row of s @ w is W times that row
     return w @ s if s.ndim == 1 else s @ w
-
-
-def _row_sum(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Sum of the listed rows of w, gathered _ROW_BLOCK rows at a time."""
-    total = np.zeros(w.shape[1], dtype=np.int64)
-    for k in range(0, rows.size, _ROW_BLOCK):
-        total += w[rows[k:k + _ROW_BLOCK]].sum(axis=0)
-    return total
-
-
-def _next_fields(w: np.ndarray, h: np.ndarray, cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-    """Exact int64 fields W nxt of a validated matrix, given h = W cur; h may be changed.
-
-    Through the factor they are (nxt X^T) X - m nxt afresh, O(m n) float64
-    BLAS as in _fields, and h is left alone. Any other matrix adds to h, in
-    place, twice the rows of the neurons that rose to +1 minus those that fell
-    to -1 (W is symmetric, so rows stand for columns): O(n |C|) int64 for the
-    changed neurons C, with the int64 bound of validate_weights.
-    """
-    x = _factor(w)
-    if x is not None:
-        return _factor_fields(x, nxt).astype(np.int64)
-    delta = _row_sum(w, np.flatnonzero(nxt > cur)) - _row_sum(w, np.flatnonzero(nxt < cur))
-    h += delta
-    h += delta
-    return h
 
 
 def _block_fields(w: np.ndarray, s: np.ndarray, blocks):
@@ -384,11 +356,16 @@ def _abs_total(w: np.ndarray) -> int:
 def validate_weights(weights) -> np.ndarray:
     """Validate a symmetric, zero-diagonal, integer weight matrix.
 
-    Returns a frozen int64 copy. Every field W x and every energy s^T W s
-    is bounded by the total absolute weight, so matrices whose total
-    exceeds WEIGHT_TOTAL_LIMIT (2**62) are refused: int64 arithmetic on an
-    accepted matrix is exact. A matrix this function (or train or
-    load_weights) returned is returned as it is, in O(1).
+    Returns a frozen int64 copy. A matrix whose total absolute weight
+    exceeds WEIGHT_TOTAL_LIMIT (2**62) is refused, and this is the int64
+    bound every kernel relies on: an accepted matrix counts each column
+    twice in its total (once more as a row, the diagonal being zero), so
+    each column sums to at most 2**61 in absolute value, and so does every
+    field, row and partial sum of W s over a state s in {-1, 0, +1}. Every
+    energy s^T W s, and its partial sums, stay within the 2**62 total.
+    int64 arithmetic on an accepted matrix is therefore exact. A matrix
+    this function (or train or load_weights) returned is returned as it
+    is, in O(1).
     """
     if _trusted(weights, "weights"):
         return weights

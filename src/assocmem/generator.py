@@ -209,9 +209,8 @@ def spread_full(weights, start, proximity=None, order=None) -> SpreadTrace:
 
     # each neuron is written once, by the seed or by its block; until then it is
     # silent (0). Every field and every partial sum below, for any guess, is a sum of
-    # distinct entries of one weight row times +-1 or 0, so its magnitude is at most
-    # the row's absolute sum, at most 2**61 (see hebbian.recall_sync_iterated): no
-    # int64 product wraps.
+    # distinct entries of one weight row times +-1 or 0, so no int64 product wraps
+    # (the bound of validate_weights).
     x = np.zeros(n, dtype=np.int64)
     x[list(seed)] = list(seed.values())
     rest = order.permutation[len(seed):]

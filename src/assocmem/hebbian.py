@@ -13,31 +13,29 @@ quadratic energy E(s) = -1/2 s^T W s used to check that asynchronous
 updates only ever descend (Hopfield 1982 dynamics).
 
 Every field of a synchronous recall, the first field of an asynchronous
-one, and the field of is_stored, energy and recall_sync cost O(m n) for a
-matrix train built from m < n memories with m n <= 2**53: W x is
-(x X^T) X - m x in float64 BLAS, exact because every product and partial
-sum is an integer of magnitude at most m n, and the memories X cost
-8 m n bytes while W lives. Any other matrix (m >= n, loaded, hand-written
-or copied) pays the O(n^2) int64 product for a whole field. core._fields
-and core._next_fields make that choice from the matrix itself.
+one, and the field of is_stored, energy and recall_sync come from
+core._fields, which picks the cheaper exact product from the matrix itself.
+For a matrix train built from m < n memories with m n <= 2**53, W x is
+(x X^T) X - m x in O(m n) float64 BLAS, exact because every product and
+partial sum is an integer of magnitude at most m n, and the memories X
+cost 8 m n bytes while W lives. Any other matrix (m >= n, loaded,
+hand-written or copied) pays the O(n^2) int64 product, exact by the bound
+of validate_weights.
 
-Both recalls pay only for what changes. After its first field, a
-synchronous recall takes the field of each new state x' from
-core._next_fields: afresh through the kept memories, or, for any other
-matrix, by adding 2 * sum_{j in C} x'_j W[j] to the last field for the
-neurons C that changed, in O(n |C|) int64 (W is symmetric, so rows stand
-for columns). Its energy -1/2 x.h is an O(n) dot, and a pass that repeats
-an earlier state reuses that state's energy. An asynchronous recall
-computes h once and carries the half fields g = h >> 1: a flip adds
-+-2 W[i] to h, so no field changes parity, and h[i] >= 0 exactly when
-g[i] >= 0. A visit reads g[i] as a Python int through a memoryview in
-O(1), and a flip of neuron i adds +-W[i] to g once, in O(n). Before each
-pass it compares the signs of g with the state, one O(n) vector check:
-when they agree the pass could flip nothing, so it is counted and its n
-equal trace entries are written without visiting any neuron. Energies
-are exact integers, bounded by 2**62 through validate_weights; the
-asynchronous recall updates its energy as a Python int on each flip, so
-every trace entry is the float nearest the exact energy.
+A synchronous recall takes each pass's field afresh from core._fields.
+Its energy -1/2 x.h is an O(n) dot, and a pass that repeats an earlier
+state reuses that state's energy. An asynchronous recall pays only for
+what changes: it computes h once and carries the half fields g = h >> 1.
+A flip adds +-2 W[i] to h, so no field changes parity, and h[i] >= 0
+exactly when g[i] >= 0. A visit reads g[i] as a Python int through a
+memoryview in O(1), and a flip of neuron i adds +-W[i] to g once, in O(n).
+Before each pass it compares the signs of g with the state, one O(n)
+vector check: when they agree the pass could flip nothing, so it is
+counted and its n equal trace entries are written without visiting any
+neuron. Energies are exact integers, bounded by 2**62 through
+validate_weights; the asynchronous recall updates its energy as a Python
+int on each flip, so every trace entry is the float nearest the exact
+energy.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ from .core import (
     _fields,
     _frozen,
     _index_array,
-    _next_fields,
     _seed,
     _trust,
     _trust_factor,
@@ -108,8 +105,8 @@ def is_stored(weights, state) -> bool:
 def _energy(x: np.ndarray, h: np.ndarray) -> int:
     """Exact energy -1/2 x.h of state x with field h = W x.
 
-    x.h = 2 * sum_{i<j} w_ij x_i x_j is even, and bounded by the total
-    absolute weight, so the int64 dot cannot wrap.
+    x.h = 2 * sum_{i<j} w_ij x_i x_j is even, and the int64 dot cannot wrap
+    (the bound of validate_weights).
     """
     return -(int(x @ h) // 2)
 
@@ -187,7 +184,7 @@ def recall_async(weights, state, schedule="cyclic", max_passes: int | None = Non
     # A flip adds (v - x_i) * W[i] = +-2 W[i] to h (W is symmetric), so no field
     # changes parity: h = 2 g + p with the half fields g = h >> 1 and p = h & 1 fixed.
     # h >= 0 exactly when g >= 0, so a visit reads only g[i] and a flip adds +-W[i] to
-    # g once. Fields and rows stay within 2**61, see recall_sync_iterated.
+    # g once. Fields and rows stay within 2**61 (the bound of validate_weights).
     p = (h & 1).tolist()
     g = h >> 1
     # gv[i] reads g[i] as a Python int and sees every in-place update of g below,
@@ -242,14 +239,7 @@ def recall_sync_iterated(weights, state, max_passes: int | None = None) -> Recal
                 energy_trace=tuple(trace),
                 cycle=(nxt, cur),
             )
-        # Through the kept memories, W nxt = (nxt X^T) X - m nxt is exact in float64:
-        # every product and partial sum is an integer of magnitude at most m n <= 2**53.
-        # Otherwise W nxt = W cur + 2 * (the rows of the neurons that rose to +1, minus
-        # those that fell to -1), as W is symmetric. No int64 value can wrap: the total
-        # absolute weight is at most 2**62 and counts each column twice (once as a
-        # row), so a column sums to at most 2**61 in absolute value. That bounds h,
-        # both row sums and delta by 2**61, and h + 2 * delta by 3 * 2**61 < 2**63.
-        h = _next_fields(w, h, cur, nxt)
+        h = _fields(w, nxt)
         trace.append(float(_energy(nxt, h)))
         prev = cur
         cur = nxt

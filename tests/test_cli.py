@@ -86,6 +86,17 @@ class TestRecall:
         assert run_cli(argv) == 5
         assert "seed must be a nonnegative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra", [["--seed", "5"], ["--async", "--schedule", "cyclic", "--seed", "9"]], ids=["sync", "async-cyclic"]
+    )
+    def test_seed_that_determines_nothing_is_refused(self, workspace, tmp_path, capsys, extra):
+        _, _, weights = workspace
+        out = tmp_path / "report.json"
+        argv = ["recall", "--weights", str(weights), "--state", "1,1,1,1", "--out", str(out)] + extra
+        assert run_cli(argv) == 5
+        assert "--seed only applies to the random asynchronous schedule" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_state_dimension_mismatch(self, workspace):
         _, _, weights = workspace
         assert run_cli(["recall", "--weights", str(weights), "--state", "1,1,1"]) == 4

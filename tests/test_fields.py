@@ -1,7 +1,6 @@
-"""The field of a state, core._fields and core._next_fields: a trained matrix
-carries its memories and gives its fields through them in float64, any other
-matrix through the int64 product or row sums, and the two paths agree exactly
-in every consumer."""
+"""The field of a state, core._fields: a trained matrix carries its memories
+and gives its fields through them in float64, any other matrix through the
+int64 product, and the two paths agree exactly in every consumer."""
 
 import gc
 import weakref
@@ -46,6 +45,22 @@ def _trace(result):
         [e.hex() for e in result.energy_trace],
         cycle,
     )
+
+
+def _iterated(w, s):
+    """_trace of iterated synchronous recall from the definitions: sgn(W s) and s W s every pass."""
+    w = np.asarray(w, dtype=np.int64)
+    cur, prev = np.asarray(s, dtype=np.int64), None
+    trace = [-int(cur @ w @ cur) / 2]
+    for t in range(1, 10 * cur.size + 1):
+        nxt = np.where(w @ cur >= 0, 1, -1)
+        trace.append(-int(nxt @ w @ nxt) / 2)
+        if np.array_equal(nxt, cur):
+            return cur.tolist(), t, True, [e.hex() for e in trace], None
+        if prev is not None and np.array_equal(nxt, prev):
+            return nxt.tolist(), t, False, [e.hex() for e in trace], [nxt.tolist(), cur.tolist()]
+        prev, cur = cur, nxt
+    return cur.tolist(), t, False, [e.hex() for e in trace], None
 
 
 def _spread(trace):
@@ -179,8 +194,9 @@ class TestFactorRegistry:
         s = np.ones(8, dtype=np.int8)
         assert np.array_equal(core._fields(w, s), w @ s)
         assert energy(w, s) == -int(s @ w @ s) / 2
-        t = -s
-        assert np.array_equal(core._next_fields(w, w @ s, s, t), w @ t)
+        # every start, among them runs of 5 passes and 2-cycles, on the changed weights
+        for start in (np.where((k >> np.arange(8)) & 1, 1, -1) for k in range(256)):
+            assert _trace(recall_sync_iterated(w, start)) == _iterated(w, start)
         assert spy == []
 
     def test_no_factor_when_m_is_not_below_n(self):

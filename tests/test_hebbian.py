@@ -417,8 +417,9 @@ class TestRecallOracleCases:
 
     def test_star_at_the_weight_limit(self):
         # neuron 0 is joined to all others with weights summing to 2**61, so the total
-        # is 2**62; from this start every neuron changes on every synchronous pass, the
-        # changed rows carry the whole total, and h[0] moves by 2 * 2**61 per pass
+        # is 2**62; from this start every neuron changes on every synchronous pass, and
+        # each pass's product W x has h[0] = +-2**61 and an energy dot x.h of -2**62,
+        # the whole total
         n = 200
         c = 2**61 // (n - 1) + np.arange(n - 1, dtype=np.int64) - (n - 2)
         c[-1] += 2**61 - int(c.sum())

@@ -1,0 +1,507 @@
+"""Run recorded mutants of the library against the tests that should catch them.
+
+A mutant replaces one exact anchor text in one file under src/ by a
+replacement, and names the test node ids that must fail while it is in
+place. A full run copies src/ and tests/ to a temporary directory, runs
+every listed test once on the unmutated copy (each must pass there), then
+applies one mutant at a time, runs only that mutant's tests, and reports it:
+
+    caught    every listed test fails
+    survived  some listed test passes: a test is missing, so add one;
+              never drop the mutant
+    stale     the anchor no longer occurs exactly once in its file, or a
+              listed test is no longer defined: update the entry
+
+A pytest run that ends in a usage or collection error (a listed node id
+that pytest cannot find, say) stops the whole run with pytest's output, so
+it never counts as a passing or failing test.
+
+Usage, from anywhere:
+
+    python tools/mutants.py             # full run, one pytest process per mutant
+    python tools/mutants.py --check     # anchors and test names only, no pytest
+
+--check looks for each listed test's classes and function in its file but
+not for a parametrize id such as ``[64]``; the full run's unmutated pass
+finds a gone id.
+
+The exit status is 0 when no mutant is stale and, on a full run, every one
+is caught; 1 otherwise. Uses the standard library and pytest only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600.0  # per pytest process; a mutant whose tests hang is caught
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the checkout root
+    anchor: str  # occurs exactly once in the file
+    replacement: str
+    tests: tuple[str, ...]  # node ids, each of which must fail
+
+
+CORE, HEBBIAN, GENERATOR = "src/assocmem/core.py", "src/assocmem/hebbian.py", "src/assocmem/generator.py"
+ANALYSIS, FORMATS, QUANTUM = "src/assocmem/analysis.py", "src/assocmem/formats.py", "src/assocmem/quantum.py"
+
+MUTANTS = (
+    # fields through the kept memories
+    Mutant(
+        "factor-fields-without-the-diagonal-term", CORE,
+        "    fields -= m * s\n", "",
+        (
+            "tests/test_fields.py::TestFieldOracle::test_stack_of_states_gives_each_row_its_fields",
+            "tests/test_analysis.py::TestCapacity::test_trial_matches_int64_oracle",
+        ),
+    ),
+    Mutant(
+        "factor-kept-for-m-above-n", CORE,
+        "    if m < n and m * n <= FLOAT_EXACT_LIMIT:\n", "    if m > n and m * n <= FLOAT_EXACT_LIMIT:\n",
+        (
+            "tests/test_fields.py::TestFactorRegistry::test_no_factor_when_m_is_not_below_n",
+            "tests/test_fields.py::TestFactorRegistry::test_trained_weights_take_the_factor",
+        ),
+    ),
+    Mutant(
+        "factor-kept-beyond-the-exact-limit", CORE,
+        "    if m < n and m * n <= FLOAT_EXACT_LIMIT:\n", "    if m < n:\n",
+        (
+            "tests/test_fields.py::TestFactorRegistry::test_no_factor_beyond_the_exact_limit",
+        ),
+    ),
+    Mutant(
+        "factor-outlives-its-weights", CORE,
+        "        weakref.finalize(w, _FACTORS.pop, id(w), None)\n", "",
+        (
+            "tests/test_fields.py::TestFactorRegistry::test_entry_dies_with_its_weights",
+        ),
+    ),
+    # one field rule for every synchronous pass, and the trust check on the factor
+    Mutant(
+        "sync-field-of-the-old-state", HEBBIAN,
+        "        h = _fields(w, nxt)\n", "        h = _fields(w, cur)\n",
+        (
+            "tests/test_fields.py::TestFactorRegistry::test_writeable_again_takes_the_int64_path",
+            "tests/test_hebbian.py::TestRecallOracleCases::test_star_at_the_weight_limit",
+            "tests/test_hebbian.py::TestRecallOracleCases::test_kept_memories_two_cycle",
+        ),
+    ),
+    Mutant(
+        "factor-without-trust-check", CORE,
+        'return _FACTORS.get(id(w)) if _trusted(w, "weights") else None', "return _FACTORS.get(id(w))",
+        (
+            "tests/test_fields.py::TestFactorRegistry::test_writeable_again_takes_the_int64_path",
+        ),
+    ),
+    # asynchronous recall reads the half fields as they change
+    Mutant(
+        "async-reads-a-pass-snapshot", HEBBIAN,
+        "        for i in next(orders).tolist():\n            gi = gv[i]\n",
+        "        snapshot = g.tolist()\n        for i in next(orders).tolist():\n            gi = snapshot[i]\n",
+        (
+            "tests/test_hebbian.py::TestRecallOracleCases::test_kept_memories_flip_turns_a_later_field_over",
+            "tests/test_hebbian.py::TestRecallAsync::test_worked_example_cyclic",
+        ),
+    ),
+    # the spread's block sign solve
+    Mutant(
+        "block-mask-keeps-the-diagonal", GENERATOR,
+        "np.tri(_ROW_BLOCK, k=-1, dtype=np.int64)", "np.tri(_ROW_BLOCK, k=0, dtype=np.int64)",
+        (
+            "tests/test_generator.py::TestSpreadOracle::test_blocks_match_reference[64]",
+            "tests/test_generator.py::TestSpreadFull::test_worked_example_fields",
+        ),
+    ),
+    Mutant(
+        "block-stops-after-one-round", GENERATOR,
+        "        for _ in range(block.size):\n", "        for _ in range(1):\n",
+        (
+            "tests/test_generator.py::TestSpreadOracle::test_antiferromagnetic_chain_settles_one_neuron_per_round",
+        ),
+    ),
+    Mutant(
+        "block-threshold-strict", GENERATOR,
+        "            v = np.where(h >= 0, 1, -1)\n", "            v = np.where(h > 0, 1, -1)\n",
+        (
+            "tests/test_generator.py::TestSpreadFull::test_worked_example_fields",
+            "tests/test_acceptance.py::test_criterion_1_worked_network",
+        ),
+    ),
+    Mutant(
+        "block-skips-the-q-update", CORE,
+        "        q += xb @ s[block]\n", "",
+        (
+            "tests/test_generator.py::TestSpreadOracle::test_blocks_match_reference[130]",
+            "tests/test_generator.py::TestSpreadOracle::test_blocks_match_reference[200]",
+        ),
+    ),
+    Mutant(
+        "block-full-size-mask", GENERATOR,
+        "couplings * _STRICTLY_LOWER[:block.size, :block.size]", "couplings * _STRICTLY_LOWER",
+        (
+            "tests/test_generator.py::TestSpreadFull::test_fields_depend_only_on_already_assigned",
+            "tests/test_generator.py::TestRetrieveReport::test_clean_retrieval",
+        ),
+    ),
+    # documents through json's C encoder
+    Mutant(
+        "render-indent-one-space", FORMATS,
+        '    inner = newline + "  "\n', '    inner = newline + " "\n',
+        (
+            "tests/test_formats.py::TestRenderDocument::test_golden_documents_re_render_to_their_bytes[line_weights.json]",
+            "tests/test_formats.py::TestRenderDocument::test_subclasses_render_as_their_base_types",
+        ),
+    ),
+    Mutant(
+        "render-keeps-the-closing-bracket", FORMATS,
+        ".encode(obj)[1:-1]", ".encode(obj)[1:]",
+        (
+            "tests/test_cli.py::TestRecall::test_synchronous_fixed_point",
+            "tests/test_formats.py::TestRenderDocument::test_golden_documents_re_render_to_their_bytes[line_weights.json]",
+        ),
+    ),
+    Mutant(
+        "render-key-slice-off-by-one", FORMATS,
+        "_ENCODE({key: 0})[1:-4]", "_ENCODE({key: 0})[1:-3]",
+        (
+            "tests/test_cli.py::TestFixedPoints::test_census",
+        ),
+    ),
+    Mutant(
+        "render-keys-through-str", FORMATS,
+        "_ENCODE({key: 0})[1:-4]", "_ENCODE(str(key))",
+        (
+            "tests/test_formats.py::TestRenderDocument::test_matches_indented_dumps",
+        ),
+    ),
+    Mutant(
+        "render-every-container-as-scalars", FORMATS,
+        "    if not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items))):\n",
+        "    if True:\n",
+        (
+            "tests/test_formats.py::TestRenderDocument::test_golden_documents_re_render_to_their_bytes[recall_worked_sync.json]",
+        ),
+    ),
+    Mutant(
+        "render-exact-types-only", FORMATS,
+        "issubclass(kind, _CONTAINERS)", "kind in _CONTAINERS",
+        (
+            "tests/test_formats.py::TestRenderDocument::test_subclasses_render_as_their_base_types",
+        ),
+    ),
+    # one split per file line
+    Mutant(
+        "distance-line-without-the-finiteness-sum", FORMATS,
+        "return row if min(row) >= 0 and sum(row) < math.inf else None",
+        "return row if min(row) >= 0 else None",
+        (
+            "tests/test_formats.py::TestParseProximity::test_non_finite_token[inf]",
+            "tests/test_formats.py::TestParseProximity::test_non_finite_token[nan]",
+        ),
+    ),
+    Mutant(
+        "distance-line-takes-negatives", FORMATS,
+        "return row if min(row) >= 0 and sum(row) < math.inf else None",
+        "return row if sum(row) < math.inf else None",
+        (
+            "tests/test_formats.py::TestParseProximity::test_negative_distance",
+        ),
+    ),
+    Mutant(
+        "distance-line-without-the-ascii-guard", FORMATS,
+        '    if "_" in body or not body.isascii():\n', '    if "_" in body:\n',
+        (
+            "tests/test_formats.py::TestParseProximity::test_only_decimal_reals[\\u0661]",
+        ),
+    ),
+    Mutant(
+        "distance-line-without-the-underscore-guard", FORMATS,
+        '    if "_" in body or not body.isascii():\n', "    if not body.isascii():\n",
+        (
+            "tests/test_formats.py::TestParseProximity::test_only_decimal_reals[1_0]",
+        ),
+    ),
+    Mutant(
+        "token-columns-0-based", FORMATS,
+        'f"{path}:{lineno}:{m.start() + 1}"', 'f"{path}:{lineno}:{m.start()}"',
+        (
+            "tests/test_formats.py::TestParseMemories::test_bad_token_reports_line_and_column",
+        ),
+    ),
+    Mutant(
+        "unknown-memory-token-read-as-plus-one", FORMATS,
+        "[_MEMORY_TOKENS[token] for token in body.split()]", "[_MEMORY_TOKENS.get(token, 1) for token in body.split()]",
+        (
+            "tests/test_cli.py::TestErrorChannels::test_parse_error",
+            "tests/test_formats.py::TestParseMemories::test_bad_token_reports_line_and_column",
+        ),
+    ),
+    Mutant(
+        "line-value-error-not-caught", FORMATS,
+        "        except (KeyError, ValueError):\n", "        except KeyError:\n",
+        (
+            "tests/test_formats.py::TestParseProximity::test_bad_token",
+        ),
+    ),
+    Mutant(
+        "blank-test-by-ascii-whitespace", FORMATS,
+        "        if body and not body.isspace():\n", '        if body.strip(" \\t\\n\\r\\x0b\\x0c"):\n',
+        (
+            "tests/test_formats.py::TestParseMemories::test_whitespace_and_comment_lines_are_skipped",
+        ),
+    ),
+    # the split-half enumerator
+    Mutant(
+        "enumerate-first-high-state-for-all", ANALYSIS,
+        "        states[:, :n - k] = high[h]\n", "        states[:, :n - k] = high[0]\n",
+        (
+            "tests/test_analysis.py::TestEnumerate::test_matches_chunked_product[15]",
+        ),
+    ),
+    Mutant(
+        "enumerate-first-high-fields-for-all", ANALYSIS,
+        "f_low + f_high[h]", "f_low + f_high[0]",
+        (
+            "tests/test_analysis.py::TestEnumerate::test_matches_chunked_product[16]",
+        ),
+    ),
+    Mutant(
+        "half-table-signs-swapped", ANALYSIS,
+        "np.stack([table - row, table + row], axis=1)", "np.stack([table + row, table - row], axis=1)",
+        (
+            "tests/test_analysis.py::TestClassify::test_worked_census",
+            "tests/test_analysis.py::TestEnumerate::test_matches_chunked_product[10]",
+        ),
+    ),
+    Mutant(
+        "half-table-new-neuron-as-msb", ANALYSIS,
+        "np.stack([table - row, table + row], axis=1)", "np.stack([table - row, table + row], axis=0)",
+        (
+            "tests/test_analysis.py::TestClassify::test_worked_census",
+            "tests/test_analysis.py::TestEnumerate::test_matches_chunked_product[2]",
+        ),
+    ),
+    Mutant(
+        "half-table-int32", ANALYSIS,
+        "    return table\n", "    return table.astype(np.int32)\n",
+        (
+            "tests/test_analysis.py::TestEnumerate::test_fields_at_the_weight_limit",
+        ),
+    ),
+    Mutant(
+        "stability-test-strict", CORE,
+        "return (fields >= 0) != (states > 0)", "return (fields > 0) != (states > 0)",
+        (
+            "tests/test_analysis.py::TestEnumerate::test_zero_weights",
+            "tests/test_hebbian.py::TestRecallAsync::test_zero_field_tie_keeps_energy_flat",
+        ),
+    ),
+    Mutant(
+        "amplitudes-overflow-warns", QUANTUM,
+        '    with np.errstate(over="ignore"):', "    if True:",
+        (
+            "tests/test_quantum.py::TestAmplitudes::test_squares_beyond_float_range_are_refused_without_a_warning[amps0]",
+            "tests/test_cli.py::TestCollapse::test_overflowing_amps_leave_only_the_refusal_on_stderr",
+        ),
+    ),
+    # the one-pass proximity check
+    Mutant(
+        "proximity-count-term-dropped", CORE,
+        "\n        and np.count_nonzero(arr <= 0) == np.count_nonzero(diag <= 0)", "",
+        (
+            "tests/test_core.py::TestProximityValidation::test_zero_off_diagonal_rejected",
+        ),
+    ),
+    Mutant(
+        "proximity-mirror-gap-strict", CORE,
+        "_mirror_gap(arr, i).max() <= PROXIMITY_TOL", "_mirror_gap(arr, i).max() < PROXIMITY_TOL",
+        (
+            "tests/test_core.py::TestProximityValidation::test_faults_at_the_tolerance_are_accepted",
+        ),
+    ),
+    Mutant(
+        "proximity-diagonal-strict", CORE,
+        "np.all(np.abs(diag) <= PROXIMITY_TOL)", "np.all(np.abs(diag) < PROXIMITY_TOL)",
+        (
+            "tests/test_core.py::TestProximityValidation::test_faults_at_the_tolerance_are_accepted",
+            "tests/test_generator.py::TestOrderOracle::test_builders_match_reference",
+        ),
+    ),
+    Mutant(
+        "proximity-last-row-block-skipped", CORE,
+        "for i in range(0, arr.shape[0], _ROW_BLOCK))", "for i in range(0, arr.shape[0] - _ROW_BLOCK, _ROW_BLOCK))",
+        (
+            "tests/test_core.py::TestProximityValidation::test_asymmetry_in_the_last_row_block[2]",
+            "tests/test_core.py::TestProximityValidation::test_asymmetry_in_the_last_row_block[130]",
+            "tests/test_core.py::TestProximityValidation::test_asymmetry_in_the_last_row_block[200]",
+        ),
+    ),
+    Mutant(
+        "proximity-without-errstate", CORE,
+        '    with np.errstate(invalid="ignore"):', "    if True:",
+        (
+            "tests/test_core.py::TestProximityValidation::test_non_finite_entries_refused_without_a_warning[inf]",
+        ),
+    ),
+    Mutant(
+        "validate-proximity-without-its-copy", CORE,
+        '_trust(arr.copy(), "proximity")', '_trust(arr, "proximity")',
+        (
+            "tests/test_generator.py::TestSpreadFull::test_raw_proximity_is_checked_once_and_neither_copied_nor_trusted",
+        ),
+    ),
+    Mutant(
+        "checked-proximity-copies-and-trusts", CORE,
+        "    return arr\n\n\ndef validate_proximity", '    return _trust(arr.copy(), "proximity")\n\n\ndef validate_proximity',
+        (
+            "tests/test_generator.py::TestSpreadFull::test_raw_proximity_is_not_copied",
+        ),
+    ),
+    Mutant(
+        "spread-checks-a-copy-again", GENERATOR,
+        "        proximity = _checked_proximity(proximity)\n",
+        "        proximity = _checked_proximity(_checked_proximity(proximity).copy())\n",
+        (
+            "tests/test_core.py::TestTrust::test_spread_validates_a_parsed_proximity_once",
+        ),
+    ),
+    Mutant(
+        "spread-steps-as-plain-tuples", GENERATOR,
+        "steps += map(SpreadStep._make, zip(block.tolist(), h.tolist(), v.tolist()))",
+        "steps += zip(block.tolist(), h.tolist(), v.tolist())",
+        (
+            "tests/test_generator.py::TestSpreadFull::test_steps_are_immutable_records",
+        ),
+    ),
+    Mutant(
+        "thread-pool-imported-at-start-up", ANALYSIS,
+        "import math\nimport os\n", "import math\nimport os\nfrom concurrent.futures import ThreadPoolExecutor\n",
+        (
+            "tests/test_cli.py::TestStartup::test_import_leaves_the_thread_pool_out",
+        ),
+    ),
+)
+
+
+def _defines(source: str, node_id: str) -> bool:
+    """True when the test file text defines every class and function a node id names."""
+    *scopes, func = node_id.split("::")[1:]
+    names = [("class", scope) for scope in scopes] + [("def", func.split("[", 1)[0])]
+    return all(re.search(rf"^\s*{kw} {re.escape(name)}\b", source, re.MULTILINE) for kw, name in names)
+
+
+def stale_reasons(mutant: Mutant) -> list[str]:
+    """Why ``mutant`` cannot be run as written against the checkout; empty when it can."""
+    reasons = []
+    target = ROOT / mutant.path
+    count = target.read_text(encoding="utf-8").count(mutant.anchor) if target.is_file() else 0
+    if count != 1:
+        reasons.append(f"anchor occurs {count} times in {mutant.path}")
+    if not mutant.tests:
+        reasons.append("lists no test")
+    for node_id in mutant.tests:
+        test_file = ROOT / node_id.split("::", 1)[0]
+        if not test_file.is_file() or not _defines(test_file.read_text(encoding="utf-8"), node_id):
+            reasons.append(f"no test {node_id}")
+    return reasons
+
+
+def _passing(proc: subprocess.CompletedProcess, tests) -> list[str]:
+    """The listed tests that pytest's short summary (-rfE) reports neither failed nor in
+    error, by node id or, for a test module that could not be collected, by its file.
+    Any exit status but 0 (all passed) or 1 (some failed) stops the run."""
+    if proc.returncode not in (0, 1):
+        raise SystemExit(f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
+    failed = {m.group(2) for m in re.finditer(r"^(FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE)}
+    return [t for t in tests if t not in failed and t.split("::", 1)[0] not in failed]
+
+
+def _pytest(work: Path, tests) -> list[str]:
+    """The listed tests that pass in ``work``."""
+    # a mutant and the original can have one size and one mtime second, so a cached
+    # .pyc of either could stand in for the other
+    env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    # a fixed Hypothesis seed and no example database carried from one mutant to the next
+    # a test module that a mutant cannot import reports ERROR and the others still run
+    argv = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+            "--continue-on-collection-errors", f"--rootdir={work}", *tests]
+    try:
+        proc = subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    finally:
+        shutil.rmtree(work / ".hypothesis", ignore_errors=True)
+    return _passing(proc, tests)
+
+
+def run(mutants) -> dict[str, str]:
+    """Each mutant's outcome (caught, survived or stale), from a copy of src/ and tests/."""
+    outcomes: dict[str, str] = {}
+    runnable = []
+    for mutant in mutants:
+        reasons = stale_reasons(mutant)
+        if reasons:
+            outcomes[mutant.name] = "stale"
+            print(f"stale     {mutant.name}: {'; '.join(reasons)}", flush=True)
+        else:
+            runnable.append(mutant)
+    if not runnable:
+        return outcomes
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part, ignore=ignore)
+        baseline = sorted({t for m in runnable for t in m.tests})
+        failing = sorted(set(baseline) - set(_pytest(work, baseline)))
+        if failing:
+            raise SystemExit(f"listed tests fail without any mutant: {failing}")
+        for mutant in runnable:
+            target = work / mutant.path
+            original = target.read_text(encoding="utf-8")
+            target.write_text(original.replace(mutant.anchor, mutant.replacement), encoding="utf-8")
+            start = time.perf_counter()
+            try:
+                passing = _pytest(work, mutant.tests)
+            except subprocess.TimeoutExpired:
+                passing = []  # a hung test does not pass
+            finally:
+                target.write_text(original, encoding="utf-8")
+            outcome = "survived" if passing else "caught"
+            outcomes[mutant.name] = outcome
+            detail = f"passes {', '.join(passing)}" if passing else f"{len(mutant.tests)} listed tests fail"
+            print(f"{outcome:9} {mutant.name}: {detail} ({time.perf_counter() - start:.1f} s)", flush=True)
+    return outcomes
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--check", action="store_true", help="check anchors and test names only, run no test")
+    args = parser.parse_args(argv)
+    if args.check:
+        stale = {m.name: stale_reasons(m) for m in MUTANTS}
+        for name, reasons in stale.items():
+            if reasons:
+                print(f"stale     {name}: {'; '.join(reasons)}")
+        print(f"{len(MUTANTS)} mutants, {sum(map(bool, stale.values()))} stale")
+        return int(any(stale.values()))
+    start = time.perf_counter()
+    outcomes = run(MUTANTS)
+    counts = {k: list(outcomes.values()).count(k) for k in ("caught", "survived", "stale")}
+    print(", ".join(f"{v} {k}" for k, v in counts.items()) + f" of {len(MUTANTS)}, in {time.perf_counter() - start:.0f} s")
+    return int(counts["caught"] != len(MUTANTS))
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
