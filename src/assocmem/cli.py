@@ -112,13 +112,16 @@ def _run_train(args) -> dict:
 
 
 def _run_recall(args) -> dict:
-    if args.seed is not None and not (args.asynchronous and args.schedule == "random"):
+    if args.schedule is not None and not args.asynchronous:
+        raise ParameterError("--schedule only applies to asynchronous recall")
+    schedule = (args.schedule or "random") if args.asynchronous else None
+    if args.seed is not None and schedule != "random":
         raise ParameterError("--seed only applies to the random asynchronous schedule")
     config = {
         "weights": args.weights,
         "state": args.state,
         "async": bool(args.asynchronous),
-        "schedule": args.schedule if args.asynchronous else None,
+        "schedule": schedule,
         "passes": args.passes,
         "seed": args.seed,
     }
@@ -126,7 +129,7 @@ def _run_recall(args) -> dict:
     state = _parse_state(args.state)
     if args.asynchronous:
         result = hebbian.recall_async(
-            weights, state, schedule=args.schedule, max_passes=args.passes, seed=args.seed
+            weights, state, schedule=schedule, max_passes=args.passes, seed=args.seed
         )
         mode = "asynchronous"
     else:
@@ -328,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     recall.add_argument("--state", required=True, help="inline state, e.g. 1,-1,1,1")
     recall.add_argument("--async", dest="asynchronous", action="store_true",
                         help="update one neuron at a time instead of whole passes")
-    recall.add_argument("--schedule", choices=("random", "cyclic"), default="random",
-                        help="asynchronous update order (default random, needs --seed)")
+    recall.add_argument("--schedule", choices=("random", "cyclic"), default=None,
+                        help="asynchronous update order, with --async only (default random, needs --seed)")
     recall.add_argument("--passes", type=_int, default=None, help="pass budget (default 10n)")
     recall.add_argument("--seed", type=_int, default=None, help="seed for the random schedule")
     recall.add_argument("--out", default=None, help="report path (default stdout)")

@@ -69,8 +69,8 @@ WEIGHT_TOTAL_LIMIT = 2**62
 # float weights beyond this magnitude may not be the integers they were meant to be
 FLOAT_EXACT_LIMIT = 2**53
 
-# rows per block of the proximity symmetry check, and positions per block of the
-# spread's sign solve
+# rows per block of the proximity symmetry check and of hebbian.train, and positions
+# per block of the spread's sign solve
 _ROW_BLOCK = 64
 
 
@@ -166,11 +166,12 @@ def _trust_factor(w: np.ndarray, memories: np.ndarray) -> None:
 
     Kept only for m < n, where O(m n) beats O(n^2), and m n <= FLOAT_EXACT_LIMIT,
     where every float64 product and partial sum is an exact integer. The
-    memories cost 8 m n bytes while ``w`` lives.
+    memories cost 8 m n bytes while ``w`` lives; a float64 array is kept as
+    it is, not copied, and frozen.
     """
     m, n = memories.shape
     if m < n and m * n <= FLOAT_EXACT_LIMIT:
-        _FACTORS[id(w)] = _frozen(memories.astype(np.float64))
+        _FACTORS[id(w)] = _frozen(memories.astype(np.float64, copy=False))
         weakref.finalize(w, _FACTORS.pop, id(w), None)
 
 

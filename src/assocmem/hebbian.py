@@ -1,10 +1,13 @@
 """Hebbian outer-product training and threshold recall dynamics.
 
 Training sums the outer products of the memory vectors and zeroes the
-diagonal: W[i, j] = sum_k x^k[i] * x^k[j] for i != j. The sum stays in
-integer arithmetic and is not normalized by the number of memories; the
-sgn threshold is invariant under positive scaling, so normalization would
-only discard exactness.
+diagonal: W[i, j] = sum_k x^k[i] * x^k[j] for i != j. The sum is formed
+in float64 BLAS and stored as int64. It is exact: each term is +-1, so
+every product and partial sum is an integer of magnitude at most m, and
+float64 holds every such integer up to 2**53, in any summation order. The
+sum is not normalized by the number of memories; the sgn threshold is
+invariant under positive scaling, so normalization would only discard
+exactness.
 
 A memory x counts as stored when one synchronous pass reproduces it,
 x == sgn(W x). Iterated synchronous recall and asynchronous (one neuron at
@@ -48,6 +51,7 @@ import numpy as np
 from .core import (
     DimensionMismatch,
     ParameterError,
+    _ROW_BLOCK,
     _fields,
     _frozen,
     _index_array,
@@ -72,12 +76,20 @@ def train(memories) -> np.ndarray:
     validate_weights accepts in O(1). With m < n memories and m n <= 2**53
     the matrix also carries its memories, so its fields cost O(m n) (see
     core._fields).
+
+    Costs O(m n^2) float64 BLAS work, exact for any memory set that fits in
+    memory (see the module docstring). The matrix is filled one block of _ROW_BLOCK rows at a time,
+    so its peak memory is W itself, the float64 memories (8 m n bytes) and
+    one 64 x n float64 block.
     """
     mset = validate_memory_set(memories)
-    x = mset.vectors.astype(np.int64)
-    weights = x.T @ x
+    x = mset.vectors.astype(np.float64)
+    n = x.shape[1]
+    weights = np.empty((n, n), dtype=np.int64)
+    for i in range(0, n, _ROW_BLOCK):
+        weights[i:i + _ROW_BLOCK] = x[:, i:i + _ROW_BLOCK].T @ x
     np.fill_diagonal(weights, 0)
-    _trust_factor(_trust(weights, "weights"), mset.vectors)
+    _trust_factor(_trust(weights, "weights"), x)
     return weights
 
 

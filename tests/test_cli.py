@@ -97,6 +97,24 @@ class TestRecall:
         assert "--seed only applies to the random asynchronous schedule" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("schedule", ["cyclic", "random"])
+    def test_schedule_on_synchronous_recall_is_refused(self, workspace, tmp_path, capsys, schedule):
+        _, _, weights = workspace
+        out = tmp_path / "report.json"
+        argv = ["recall", "--weights", str(weights), "--state", "1,1,-1,1", "--schedule", schedule, "--out", str(out)]
+        assert run_cli(argv) == 5
+        assert "--schedule only applies to asynchronous recall" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_async_without_schedule_runs_the_random_schedule(self, workspace, capsys):
+        _, _, weights = workspace
+        argv = ["recall", "--weights", str(weights), "--state", "1,1,-1,1", "--async", "--seed", "3"]
+        assert run_cli(argv) == 0
+        implicit = capsys.readouterr().out
+        assert run_cli(argv + ["--schedule", "random"]) == 0
+        assert capsys.readouterr().out == implicit
+        assert json.loads(implicit)["config"]["schedule"] == "random"
+
     def test_state_dimension_mismatch(self, workspace):
         _, _, weights = workspace
         assert run_cli(["recall", "--weights", str(weights), "--state", "1,1,1"]) == 4

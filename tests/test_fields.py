@@ -155,6 +155,7 @@ class TestFactorRegistry:
         w = train(random_memories(np.random.default_rng(1), 3, 8))
         factor = weakref.ref(core._FACTORS[id(w)])
         assert factor().shape == (3, 8) and factor().dtype == np.float64
+        assert not factor().flags.writeable
         del w
         gc.collect()
         assert core._FACTORS == {}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -52,6 +54,48 @@ class TestTrain:
         assert np.all(np.abs(off) <= m)
         # every off-diagonal entry is a sum of m terms from {-1, +1}
         assert np.all((off - m) % 2 == 0)
+
+    @given(
+        st.one_of(st.sampled_from((1, 63, 64, 65, 128, 130)), st.integers(1, 200)).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(1, n + 70), st.integers(0, 2**32 - 1))
+        )
+    )
+    @example((1, 1, 0))
+    @example((1, 71, 1))
+    @example((63, 64, 2))
+    @example((64, 64, 3))
+    @example((65, 65, 4))
+    @example((65, 64, 5))
+    @example((128, 198, 6))
+    @example((130, 129, 7))
+    @example((130, 200, 8))
+    def test_matches_the_int64_product(self, case):
+        # row blocks of 64 through float64 BLAS against the plain int64 sum, m >= n included
+        n, m, seed = case
+        memories = random_memories(np.random.default_rng(seed), m, n)
+        w = train(memories)
+        x = memories.astype(np.int64)
+        expected = x.T @ x
+        np.fill_diagonal(expected, 0)
+        assert w.dtype == np.int64
+        assert np.array_equal(w, expected)
+        assert not w.flags.writeable and core._trusted(w, "weights")
+        factor = core._factor(w)
+        assert (factor is not None) == (m < n and m * n <= core.FLOAT_EXACT_LIMIT)
+        if factor is not None:
+            assert factor.dtype == np.float64 and not factor.flags.writeable
+            assert np.array_equal(factor, memories)
+
+    def test_peak_memory_is_the_matrix_and_one_row_block(self):
+        # a float64 n x n product cast to int64 would hold twice the matrix at once
+        memories = random_memories(np.random.default_rng(9), 40, 600)
+        tracemalloc.start()
+        try:
+            w = train(memories)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * w.nbytes
 
 
 class TestRecallSync:

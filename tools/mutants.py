@@ -89,6 +89,42 @@ MUTANTS = (
             "tests/test_fields.py::TestFactorRegistry::test_entry_dies_with_its_weights",
         ),
     ),
+    Mutant(
+        "factor-kept-writeable", CORE,
+        "_FACTORS[id(w)] = _frozen(memories.astype(np.float64, copy=False))",
+        "_FACTORS[id(w)] = memories.astype(np.float64, copy=False)",
+        (
+            "tests/test_fields.py::TestFactorRegistry::test_entry_dies_with_its_weights",
+            "tests/test_hebbian.py::TestTrain::test_matches_the_int64_product",
+        ),
+    ),
+    # training through float64 BLAS, one row block at a time
+    Mutant(
+        "train-block-narrower-than-its-stride", HEBBIAN,
+        "        weights[i:i + _ROW_BLOCK] = x[:, i:i + _ROW_BLOCK].T @ x\n",
+        "        weights[i:i + _ROW_BLOCK - 1] = x[:, i:i + _ROW_BLOCK - 1].T @ x\n",
+        (
+            "tests/test_hebbian.py::TestTrain::test_matches_the_int64_product",
+        ),
+    ),
+    Mutant(
+        "train-diagonal-left-unzeroed", HEBBIAN,
+        "    np.fill_diagonal(weights, 0)\n", "",
+        (
+            "tests/test_hebbian.py::TestTrain::test_worked_example",
+            "tests/test_hebbian.py::TestTrain::test_symmetric_zero_diagonal_bounded",
+            "tests/test_hebbian.py::TestTrain::test_matches_the_int64_product",
+        ),
+    ),
+    Mutant(
+        "train-unblocked-plain-cast", HEBBIAN,
+        "    weights = np.empty((n, n), dtype=np.int64)\n    for i in range(0, n, _ROW_BLOCK):\n"
+        "        weights[i:i + _ROW_BLOCK] = x[:, i:i + _ROW_BLOCK].T @ x\n",
+        "    weights = (x.T @ x).astype(np.int64)\n",
+        (
+            "tests/test_hebbian.py::TestTrain::test_peak_memory_is_the_matrix_and_one_row_block",
+        ),
+    ),
     # one field rule for every synchronous pass, and the trust check on the factor
     Mutant(
         "sync-field-of-the-old-state", HEBBIAN,
