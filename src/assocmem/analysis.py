@@ -17,9 +17,11 @@ operationalization, so the report carries two readings side by side:
   exact fixed point, which collapses to zero at much lighter loading.
 
 A trial never forms the n x n weights: it reads the fields of its m
-memories off the overlap matrix in float64 BLAS, at O(min(m, n) m n), and
-loads with m n above 2**53, where that float arithmetic stops being exact,
-are refused.
+memories off the overlap matrix in BLAS, at O(min(m, n) m n), in float32
+while m n <= 2**24 and in float64 above, and loads with m n above 2**53,
+where float64 stops being exact, are refused. Its memories are bit 7 of
+each byte of Generator.bytes, the very bits Generator.integers(0, 2,
+dtype=int8) draws from the same stream.
 
 Reproducibility contract: the per-trial generators are derived from
 (seed, m, trial) through SeedSequence spawn keys, and aggregation sums
@@ -39,6 +41,7 @@ from .core import (
     FLOAT_EXACT_LIMIT,
     DimensionMismatch,
     ParameterError,
+    _exact_float,
     _factor_fields,
     _fields,
     _frozen,
@@ -175,14 +178,22 @@ def _capacity_trial(n: int, m: int, seed: int, trial: int) -> int:
     point. The generator stream depends only on (seed, m, trial), never on
     scheduling.
 
+    The memories are bit 7 of each of m n bytes of Generator.bytes, mapped
+    0 -> -1 and 1 -> +1: Generator.integers(0, 2, dtype=int8) keeps exactly
+    that bit of the same little-endian uint32 stream, so the draw is the
+    same, for less work.
+
     The fields of the memories are X W with W = X^T X - m I, so W is never
     formed: core._factor_fields gives them as (X X^T) X - m X, or
-    X (X^T X) - m X when m > n, at O(min(m, n) m n) in float64 BLAS. Every
-    product and partial sum is an integer of magnitude at most m n, exact
-    while m n <= 2**53, which capacity_experiment enforces.
+    X (X^T X) - m X when m > n, at O(min(m, n) m n) in BLAS. Every product
+    and partial sum is an integer of magnitude at most m n, exact in float32
+    while m n <= 2**24 and in float64 while m n <= 2**53, which
+    capacity_experiment enforces.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m, trial)))
-    x = (rng.integers(0, 2, size=(m, n), dtype=np.int8) * 2 - 1).astype(np.float64)
+    x = (np.frombuffer(rng.bytes(m * n), np.uint8).reshape(m, n) >> 7).astype(_exact_float(m * n))
+    x += x
+    x -= 1
     fields = _factor_fields(x, x)
     unstable = int(np.count_nonzero(_unstable(fields, x)))
     if m == 1 and unstable != 0:
@@ -194,11 +205,14 @@ def capacity_experiment(n: int, m_values, trials: int, seed: int, workers: int =
     """Monte Carlo capacity sweep.
 
     For each memory count m in ``m_values``, draws ``trials`` independent
-    sets of m uniform bipolar memories, trains the outer-product weights,
-    and records the per-bit instability (fraction of memory components one
-    synchronous pass flips) plus the fraction of trials where every memory
-    is exact. ``threshold_capacity_ratio`` is the largest m/n whose per-bit
-    stability is at least 99%, or 0.0 if no load in the sweep qualifies.
+    sets of m uniform bipolar memories and records, without forming the
+    weights (see _capacity_trial), the per-bit instability (fraction of
+    memory components one synchronous pass of the outer-product net flips)
+    plus the fraction of trials where every memory is exact.
+    ``threshold_capacity_ratio`` is the largest m/n whose per-bit stability
+    is at least 99%, or 0.0 if no load in the sweep qualifies. A repeated m
+    is refused: its trials would draw the very same streams, so a second
+    row would be a copy, not a second estimate.
 
     ``workers`` > 1 deals the trials round-robin to that many threads of a
     pool, at most one per CPU; results are stored by index, so they are
@@ -214,6 +228,9 @@ def capacity_experiment(n: int, m_values, trials: int, seed: int, workers: int =
     ms = [_whole(m, "m", 1, "every m must be at least 1") for m in m_values]
     if not ms:
         raise ParameterError("m_values is empty")
+    repeated = [m for i, m in enumerate(ms) if m in ms[:i]]
+    if repeated:
+        raise ParameterError(f"m = {repeated[0]} is repeated in the loads; its trials would draw the same streams")
     seed = _seed(seed)
     workers = _whole(workers, "workers", 1, "workers must be at least 1")
     if max(ms) * n > FLOAT_EXACT_LIMIT:

@@ -69,6 +69,9 @@ WEIGHT_TOTAL_LIMIT = 2**62
 # float weights beyond this magnitude may not be the integers they were meant to be
 FLOAT_EXACT_LIMIT = 2**53
 
+# float32 holds every integer up to this magnitude
+FLOAT32_EXACT_LIMIT = 2**24
+
 # rows per block of the proximity symmetry check and of hebbian.train, and positions
 # per block of the spread's sign solve
 _ROW_BLOCK = 64
@@ -175,15 +178,21 @@ def _trust_factor(w: np.ndarray, memories: np.ndarray) -> None:
         weakref.finalize(w, _FACTORS.pop, id(w), None)
 
 
+def _exact_float(bound: int) -> type:
+    """float32 when it holds every integer of magnitude at most ``bound``, else float64."""
+    return np.float32 if bound <= FLOAT32_EXACT_LIMIT else np.float64
+
+
 def _factor_fields(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Float64 fields under W = X^T X - m I of one state s, or of each row of s.
+    """Fields under W = X^T X - m I of one state s, or of each row of s, in X's dtype.
 
     W is never formed: the fields are (s X^T) X - m s, or s (X^T X) - m s when
     X has more rows than columns, whichever association is cheaper. They are
-    exact integers while m n <= 2**53, which every caller ensures.
+    exact integers while m n is at most FLOAT32_EXACT_LIMIT for a float32 X,
+    or FLOAT_EXACT_LIMIT for a float64 one, which every caller ensures.
     """
     m, n = x.shape
-    s = s.astype(np.float64, copy=False)
+    s = s.astype(x.dtype, copy=False)
     fields = (s @ x.T) @ x if m <= n else s @ (x.T @ x)
     fields -= m * s
     return fields

@@ -242,11 +242,22 @@ class TestCapacity:
             dict(n=20, m_values=[2], trials=50, seed=1, workers=0),
             # m * n just above 2**53: refused before a single memory is drawn
             dict(n=2**27, m_values=[2**26 + 1], trials=50, seed=1),
+            # a second m = 4 row would come from the very same (m, trial) streams
+            dict(n=20, m_values=[4, 2, 4], trials=50, seed=1),
         ],
     )
     def test_parameter_validation(self, kwargs):
         with pytest.raises(ParameterError):
             capacity_experiment(**kwargs)
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**40])
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 7), (2, 3), (3, 5), (5, 13), (7, 3), (45, 10), (400, 63)])
+    def test_draw_is_bit_7_of_the_generator_bytes(self, seed, m, n):
+        # _capacity_trial draws through bytes; integers(0, 2, int8) keeps the same bit
+        stream = np.random.SeedSequence(entropy=seed, spawn_key=(m, 0))
+        bits = np.frombuffer(np.random.default_rng(stream).bytes(m * n), np.uint8).reshape(m, n) >> 7
+        want = np.random.default_rng(stream).integers(0, 2, size=(m, n), dtype=np.int8)
+        np.testing.assert_array_equal(bits, want)
 
     @given(
         n=st.integers(10, 60),

@@ -276,6 +276,10 @@ class TestCapacity:
     def test_bad_m_list(self):
         assert run_cli(["capacity", "--n", "30", "--m-list", "2,x", "--trials", "50", "--seed", "1"]) == 5
 
+    def test_repeated_m_is_refused(self, capsys):
+        assert run_cli(["capacity", "--n", "30", "--m-list", "4,2,4", "--trials", "50", "--seed", "1"]) == 5
+        assert "m = 4 is repeated" in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry", ["1_0", "\u0663"])
     def test_m_list_takes_plain_ascii_digits(self, capsys, entry):
         argv = ["capacity", "--n", "30", "--m-list", f"2,{entry}", "--trials", "50", "--seed", "1"]

@@ -215,3 +215,25 @@ class TestFactorRegistry:
         assert id(w) in core._FACTORS  # m n = 12, at the limit
         w = train(random_memories(rng, 2, 7))
         assert id(w) not in core._FACTORS
+
+
+class TestExactFloat:
+    # an all-ones X, so every field of the all-ones state is m n - m, and the
+    # last partial sum of (s X^T) X is m n itself
+    def test_float32_up_to_its_exact_limit(self):
+        m, n = 256, 65536  # m n = 2**24
+        assert core._exact_float(m * n) is np.float32
+        fields = core._factor_fields(np.ones((m, n), core._exact_float(m * n)), np.ones(n, np.int8))
+        assert fields.dtype == np.float32
+        assert set(fields.tolist()) == {m * n - m}
+
+    def test_float64_past_it(self):
+        m, n = 257, 65281  # m n = 2**24 + 1
+        ones = np.ones(n, np.int8)
+        assert core._exact_float(m * n) is np.float64
+        x = np.ones((m, n), core._exact_float(m * n))
+        assert set(core._factor_fields(x, ones).tolist()) == {m * n - m} == {16776960}
+        del x
+        # the bound is needed: float32 rounds the sum 2**24 + 1 to 2**24
+        x = np.ones((m, n), np.float32)
+        assert set(core._factor_fields(x, ones).tolist()) == {16776959}

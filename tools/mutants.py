@@ -98,6 +98,22 @@ MUTANTS = (
             "tests/test_hebbian.py::TestTrain::test_matches_the_int64_product",
         ),
     ),
+    # capacity trials: memories from the generator's bytes, float32 up to 2**24
+    Mutant(
+        "capacity-draw-low-bit", ANALYSIS,
+        "np.uint8).reshape(m, n) >> 7)", "np.uint8).reshape(m, n) & 1)",
+        (
+            "tests/test_analysis.py::TestCapacity::test_trial_matches_int64_oracle",
+            "tests/test_golden.py::test_report_bytes[capacity_small.json]",
+        ),
+    ),
+    Mutant(
+        "float32-limit-raised", CORE,
+        "np.float32 if bound <= FLOAT32_EXACT_LIMIT", "np.float32 if bound <= 2 * FLOAT32_EXACT_LIMIT",
+        (
+            "tests/test_fields.py::TestExactFloat::test_float64_past_it",
+        ),
+    ),
     # training through float64 BLAS, one row block at a time
     Mutant(
         "train-block-narrower-than-its-stride", HEBBIAN,
