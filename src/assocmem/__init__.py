@@ -36,7 +36,6 @@ from .generator import (
     SpreadStep,
     SpreadTrace,
     decompose,
-    index_order,
     order_from_proximity,
     retrieve_report,
     spread_full,
@@ -93,7 +92,6 @@ __all__ = [
     "SpreadStep",
     "SpreadTrace",
     "decompose",
-    "index_order",
     "order_from_proximity",
     "retrieve_report",
     "spread_full",

@@ -58,22 +58,15 @@ ENUMERATION_LIMIT = 20
 _LOW_BITS = 14
 
 
-def _states(count: int, n: int) -> np.ndarray:
-    """Bipolar states for integers [0, count): bit 0 -> -1, MSB first.
-
-    Integer order is exactly lexicographic order with -1 sorted before +1.
-    """
-    ints = np.arange(count, dtype=np.uint64)[:, None]
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-    bits = (ints >> shifts) & np.uint64(1)
-    return np.where(bits == 1, 1, -1).astype(np.int8)
-
-
 def _half_fields(rows: np.ndarray) -> np.ndarray:
-    """Row g holds sum_j s_j rows[j] for the state s of integer g (as in _states).
+    """Row g holds sum_j s_j rows[j] for the state s of integer g.
 
-    Each neuron doubles the table, as the least significant bit of the new
-    index, so the k neurons of ``rows`` cost O(2^k n) int64 additions.
+    The state of g sets s_j = +1 where bit k - 1 - j of g is 1 and -1 where
+    it is 0, for the k rows: the first row is the most significant bit, so
+    integer order is lexicographic order with -1 before +1. Of the identity
+    rows the table is the states themselves, in that order. Each neuron
+    doubles the table, as the least significant bit of the new index, so
+    the k neurons of ``rows`` cost O(2^k n) int64 additions.
     """
     table = np.zeros((1, rows.shape[1]), dtype=np.int64)
     for row in rows:
@@ -89,19 +82,21 @@ def enumerate_fixed_points(weights, limit_n: int = ENUMERATION_LIMIT) -> list[np
 
     The state splits into its first n - k neurons (high part h) and its
     last k = min(n, 14) (low part l), and W x = F_high[h] + F_low[l], with
-    each table holding the fields of one part alone. A state then costs one
-    O(n) row addition, O(2^n n) in all, and the tables 8 n (2^k + 2^(n-k))
-    bytes. Every table entry and sum is a field over a state in {-1, 0, +1},
-    so the int64 sums are exact (the bound of validate_weights).
+    each table holding the fields of one part alone. The states are the
+    same builder's tables of identity rows, so they index as the fields do.
+    A state then costs one O(n) row addition, O(2^n n) in all, and the
+    tables 8 n (2^k + 2^(n-k)) bytes. Every table entry and sum is a field
+    over a state in {-1, 0, +1}, so the int64 sums are exact (the bound of
+    validate_weights).
     """
     w = validate_weights(weights)
     n = w.shape[0]
     _whole(limit_n, "limit_n", n, f"enumeration over 2^{n} states exceeds the limit n <= {limit_n}")
     k = min(n, _LOW_BITS)
     f_high, f_low = _half_fields(w[:n - k]), _half_fields(w[n - k:])
-    high = _states(1 << (n - k), n - k)
+    high = _half_fields(np.eye(n - k, dtype=np.int8))
     states = np.empty((1 << k, n), dtype=np.int8)
-    states[:, n - k:] = _states(1 << k, k)
+    states[:, n - k:] = _half_fields(np.eye(k, dtype=np.int8))
     found: list[np.ndarray] = []
     for h in range(1 << (n - k)):
         states[:, :n - k] = high[h]

@@ -131,6 +131,12 @@ def _index_array(values, refusal: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _numeric(arr: np.ndarray, what: str) -> None:
+    """Refuse an array that is not integer or float: bool, complex, string or object."""
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must be numeric, got dtype {arr.dtype}")
+
+
 def _start_neurons(start_set, n: int) -> np.ndarray:
     """The distinct neurons of a start set, sorted, refused unless each is one of n."""
     start = np.unique(_index_array(list(start_set), "start neuron indices must be integers"))
@@ -273,11 +279,6 @@ def _unstable(fields, states):
     return (fields >= 0) != (states > 0)
 
 
-def _is_bipolar(arr: np.ndarray) -> bool:
-    """True when every entry is +1 or -1."""
-    return np.count_nonzero(arr == 1) + np.count_nonzero(arr == -1) == arr.size
-
-
 def as_bipolar(values) -> np.ndarray:
     """Validate a state vector with entries in {+1, -1}; returns a frozen int8 copy."""
     arr = np.asarray(values)
@@ -285,9 +286,8 @@ def as_bipolar(values) -> np.ndarray:
         raise ValidationError(f"expected a 1-d state vector, got shape {arr.shape}")
     if arr.size < 1:
         raise ValidationError("a state needs at least one neuron")
-    if arr.dtype.kind not in "iuf":
-        raise ValidationError(f"state entries must be numeric, got dtype {arr.dtype}")
-    if not _is_bipolar(arr):
+    _numeric(arr, "state entries")
+    if np.count_nonzero(arr == 1) + np.count_nonzero(arr == -1) != arr.size:
         i = int(np.flatnonzero((arr != 1) & (arr != -1))[0])
         raise ValidationError(f"state entries must be +1 or -1, neuron {i + 1} has {arr[i]!r}")
     return _frozen(arr.astype(BIPOLAR_DTYPE))
@@ -324,8 +324,9 @@ def validate_memory_set(memories) -> MemorySet:
 
     Accepts a MemorySet (returned unchanged), a 2-d array, or an iterable of
     vectors. Raises ParameterError on an empty set, DimensionMismatch on
-    ragged input, and ValidationError on non-bipolar entries or on a value
-    that is no collection at all.
+    ragged input, and ValidationError on a value that is no collection at
+    all. Each row then goes through as_bipolar in turn, so a non-bipolar
+    set is refused with the first bad row's exception.
     """
     if isinstance(memories, MemorySet):
         return memories
@@ -341,13 +342,7 @@ def validate_memory_set(memories) -> MemorySet:
     widths = {int(r.size) for r in rows}
     if len(widths) != 1:
         raise DimensionMismatch(f"memories have mixed dimensions {sorted(widths)}")
-    vectors = None
-    if widths != {0} and all(r.ndim == 1 and r.dtype.kind in "iuf" for r in rows):
-        vectors = np.stack(rows)
-    if vectors is None or not _is_bipolar(vectors):
-        for r in rows:
-            as_bipolar(r)  # raises for the first bad row, with its message
-    vectors = vectors.astype(BIPOLAR_DTYPE, copy=False)
+    vectors = np.stack([as_bipolar(r) for r in rows])
     groups: dict[bytes, list[int]] = {}
     for i, row in enumerate(vectors):
         groups.setdefault(row.tobytes(), []).append(i)
@@ -384,6 +379,7 @@ def validate_weights(weights) -> np.ndarray:
         raise DimensionMismatch(f"weight matrix must be square, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise ValidationError("weight matrix needs at least one neuron")
+    _numeric(arr, "weight entries")
     if arr.dtype.kind == "f":
         if not np.all(np.isfinite(arr)) or not np.all(arr == np.round(arr)):
             raise ValidationError("weight entries must be integers")
@@ -392,8 +388,6 @@ def validate_weights(weights) -> np.ndarray:
     elif arr.dtype == np.uint64:
         if int(arr.max()) > np.iinfo(np.int64).max:
             raise ValidationError("weight entries exceed the int64 range")
-    elif arr.dtype.kind not in "iu":
-        raise ValidationError(f"weight entries must be numeric, got dtype {arr.dtype}")
     out = arr.astype(np.int64)
     peak = max(-int(out.min()), int(out.max()))
     if peak * out.size > WEIGHT_TOTAL_LIMIT:
@@ -467,13 +461,17 @@ def _proximity_fault(arr: np.ndarray) -> tuple[int, str] | None:
 def _checked_proximity(proximity) -> np.ndarray:
     """A trusted proximity matrix as it is, else the caller's values as float64, checked in full.
 
-    Nothing is copied or remembered: a float64 array comes back as the very
-    object given, still writeable, and the next call checks it again. For a
-    matrix used once, such as the one an order is sorted from.
+    Integer and float entries are read as float64; a bool, complex, string
+    or object array is refused, never cast. Nothing is copied or remembered:
+    a float64 array comes back as the very object given, still writeable,
+    and the next call checks it again. For a matrix used once, such as the
+    one an order is sorted from.
     """
     if _trusted(proximity, "proximity"):
         return proximity
-    arr = np.asarray(proximity, dtype=np.float64)
+    arr = np.asarray(proximity)
+    _numeric(arr, "proximity entries")
+    arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"proximity matrix must be square, got shape {arr.shape}")
     fault = _proximity_fault(arr)

@@ -68,7 +68,6 @@ from .core import (
     _index_array,
     _start_neurons,
     _unstable,
-    _whole,
     normalize_start,
     validate_memory_set,
     validate_weights,
@@ -123,17 +122,6 @@ def _order(n: int, start_set, proximity=None) -> SpreadOrder:
     key = np.zeros(n) if proximity is None else proximity[start].min(axis=0)
     key[start] = -np.inf
     return SpreadOrder(np.argsort(key, kind="stable"), frozenset(start.tolist()))
-
-
-def index_order(n: int, start_set) -> SpreadOrder:
-    """Spread order with no proximity information: plain index order.
-
-    Start neurons first (by index), remaining neurons by index: the order
-    order_from_proximity gives when every distance is equal, built by the
-    same stable sort.
-    """
-    n = _whole(n, "n", 0, f"neuron count must be a nonnegative integer, got {n!r}")
-    return _order(n, start_set)
 
 
 def order_from_proximity(proximity, start_set) -> SpreadOrder:

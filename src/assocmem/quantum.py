@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError, _frozen, _seed, _whole
+from .core import ValidationError, _frozen, _numeric, _seed, _whole
 
 NORMALIZATION_TOL = 1e-9
 
@@ -34,9 +34,13 @@ NORMALIZATION_TOL = 1e-9
 def as_amplitudes(amplitudes) -> np.ndarray:
     """Validate a real amplitude vector: k >= 2, finite, sum of squares 1.
 
-    Normalization tolerance is 1e-9. Returns a frozen float64 copy.
+    Integer and float entries are read as float64; bool, complex, string and
+    object entries are refused. Normalization tolerance is 1e-9. Returns a
+    frozen float64 copy.
     """
-    arr = np.asarray(amplitudes, dtype=np.float64)
+    arr = np.asarray(amplitudes)
+    _numeric(arr, "amplitudes")
+    arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 1:
         raise ValidationError(f"amplitudes must be a 1-d vector, got shape {arr.shape}")
     if arr.size < 2:

@@ -15,6 +15,7 @@ from assocmem import (
     is_stored,
     load_weights,
     normalize_start,
+    order_from_proximity,
     parse_proximity,
     recall_sync_iterated,
     sgn,
@@ -68,6 +69,107 @@ class TestSgn:
         assert sgn(c * v) == sgn(v)
 
 
+# odd memory sets, each with its int8 rows and duplicate groups, or with the
+# exception type and message of its refusal; the refusals name the first bad row
+ODD_MEMORY_SETS = {
+    "int8 array": (
+        lambda: np.array([[1, -1, 1], [-1, 1, 1], [1, -1, 1]], dtype=np.int8),
+        ([[1, -1, 1], [-1, 1, 1], [1, -1, 1]], ((0, 2),)),
+    ),
+    "int64 array": (lambda: np.array([[1, -1], [-1, 1]], dtype=np.int64), ([[1, -1], [-1, 1]], ())),
+    "uint8 rows": (lambda: [np.ones(2, dtype=np.uint8)] * 2, ([[1, 1], [1, 1]], ((0, 1),))),
+    "float rows": (
+        lambda: np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, -1.0]]),
+        ([[1, -1], [-1, -1], [1, -1], [-1, -1]], ((0, 2), (1, 3))),
+    ),
+    "tuple rows": (lambda: [(1, -1, -1), (1, 1, 1)], ([[1, -1, -1], [1, 1, 1]], ())),
+    "mixed dtype rows": (
+        lambda: [np.array([1, -1], dtype=np.int8), (-1.0, 1.0), [1, -1]],
+        ([[1, -1], [-1, 1], [1, -1]], ((0, 2),)),
+    ),
+    "generator of rows": (lambda: (r for r in [(1, -1), (1, -1)]), ([[1, -1], [1, -1]], ((0, 1),))),
+    "empty 2-d array": (lambda: np.empty((0, 3)), (ParameterError, "memory set is empty")),
+    "empty list": (lambda: [], (ParameterError, "memory set is empty")),
+    "bool row": (
+        lambda: [np.array([True, True])],
+        (ValidationError, "state entries must be numeric, got dtype bool"),
+    ),
+    "bool row after a good one": (
+        lambda: [np.array([1, -1]), np.array([True, False])],
+        (ValidationError, "state entries must be numeric, got dtype bool"),
+    ),
+    "string row": (lambda: [["1", "-1"]], (ValidationError, "state entries must be numeric, got dtype <U2")),
+    "string set": (lambda: "ab", (ValidationError, "expected a 1-d state vector, got shape ()")),
+    "complex row": (
+        lambda: [(1 + 0j, -1)],
+        (ValidationError, "state entries must be numeric, got dtype complex128"),
+    ),
+    "object row": (
+        lambda: [np.array([1, -1], dtype=object)],
+        (ValidationError, "state entries must be numeric, got dtype object"),
+    ),
+    "0-d rows": (lambda: [1, -1], (ValidationError, "expected a 1-d state vector, got shape ()")),
+    "0-d numpy rows": (
+        lambda: [np.int8(1), np.int8(1)],
+        (ValidationError, "expected a 1-d state vector, got shape ()"),
+    ),
+    "2-d rows": (
+        lambda: [np.ones((1, 2)), np.ones((1, 2))],
+        (ValidationError, "expected a 1-d state vector, got shape (1, 2)"),
+    ),
+    "3-d array": (
+        lambda: np.ones((2, 1, 2), dtype=np.int8),
+        (ValidationError, "expected a 1-d state vector, got shape (1, 2)"),
+    ),
+    "2-d row after a good one": (
+        lambda: [(1, -1), [[1], [-1]]],
+        (ValidationError, "expected a 1-d state vector, got shape (2, 1)"),
+    ),
+    "empty rows": (lambda: [[], []], (ValidationError, "a state needs at least one neuron")),
+    "empty columns": (
+        lambda: np.empty((3, 0), dtype=np.int8),
+        (ValidationError, "a state needs at least one neuron"),
+    ),
+    "ragged rows": (lambda: [(1, -1), (1,)], (DimensionMismatch, "memories have mixed dimensions [1, 2]")),
+    "ragged rows with a bad entry": (
+        lambda: [(1, 2), (1,)],
+        (DimensionMismatch, "memories have mixed dimensions [1, 2]"),
+    ),
+    "bad entry in a later row": (
+        lambda: [(1, -1, 1), (1, 1, 0), (5, 1, 1)],
+        (ValidationError, "state entries must be +1 or -1, neuron 3 has np.int64(0)"),
+    ),
+    "bad float entry in a later row": (
+        lambda: [(1.0, -1.0), (1.0, 0.5)],
+        (ValidationError, "state entries must be +1 or -1, neuron 2 has np.float64(0.5)"),
+    ),
+    "nan entry": (
+        lambda: [(1.0, float("nan"))],
+        (ValidationError, "state entries must be +1 or -1, neuron 2 has np.float64(nan)"),
+    ),
+    "bad entry then a bool row": (
+        lambda: [(1, 3), np.array([True, False])],
+        (ValidationError, "state entries must be +1 or -1, neuron 2 has np.int64(3)"),
+    ),
+    "bool row then a bad entry": (
+        lambda: [np.array([True, False]), (1, 3)],
+        (ValidationError, "state entries must be numeric, got dtype bool"),
+    ),
+    "non-iterable int": (
+        lambda: 5,
+        (ValidationError, "a memory set must be a collection of vectors, got a non-iterable int"),
+    ),
+    "non-iterable 0-d array": (
+        lambda: np.array(1),
+        (ValidationError, "a memory set must be a collection of vectors, got a non-iterable ndarray"),
+    ),
+    "non-iterable None": (
+        lambda: None,
+        (ValidationError, "a memory set must be a collection of vectors, got a non-iterable NoneType"),
+    ),
+}
+
+
 class TestMemoryValidation:
     def test_well_formed(self):
         mset = validate_memory_set([(1, 1, 1, 1), (1, -1, 1, -1)])
@@ -93,8 +195,8 @@ class TestMemoryValidation:
             validate_memory_set(scalar)
 
     def test_first_bad_entry_in_a_later_memory(self):
-        # the whole set is checked at once; the message still names the
-        # first bad entry in row-major order, here in the second memory
+        # each row is checked in turn, so the message names the first bad
+        # entry in row-major order, here in the second memory
         with pytest.raises(ValidationError) as err:
             validate_memory_set([(1, -1, 1), (1, 1, 0), (5, 1, 1)])
         assert str(err.value) == "state entries must be +1 or -1, neuron 3 has np.int64(0)"
@@ -116,6 +218,19 @@ class TestMemoryValidation:
     def test_accepts_2d_array(self):
         arr = np.array([[1, -1], [-1, 1]])
         assert validate_memory_set(arr).m == 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", list(ODD_MEMORY_SETS))
+    def test_odd_input(self, name):
+        build, expected = ODD_MEMORY_SETS[name]
+        if isinstance(expected[0], type):
+            with pytest.raises(expected[0]) as err:
+                validate_memory_set(build())
+            assert (type(err.value), str(err.value)) == expected
+            return
+        mset = validate_memory_set(build())
+        assert mset.vectors.dtype == np.int8 and not mset.vectors.flags.writeable
+        assert (mset.vectors.tolist(), mset.duplicates) == expected
 
 
 class TestBipolar:
@@ -341,6 +456,34 @@ class TestProximityValidation:
         # d(0,2) far exceeds d(0,1) + d(1,2); still a legal separation table
         p = np.array([[0, 1, 100], [1, 0, 1], [100, 1, 0]], dtype=float)
         validate_proximity(p)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "check",
+        [
+            validate_proximity,
+            lambda p: order_from_proximity(p, {0}),
+            lambda p: spread_full(np.zeros((2, 2), dtype=int), {0: 1}, proximity=p),
+        ],
+        ids=["validate_proximity", "order_from_proximity", "spread_full"],
+    )
+    @pytest.mark.parametrize(
+        "raw,dtype",
+        [
+            (np.array([[0, 1 + 5j], [1 + 5j, 0]]), "complex128"),
+            (np.array([[False, True], [True, False]]), "bool"),
+            ([["0", "1"], ["1", "0"]], "<U1"),
+            (np.array([[0, 1], [1, 0]], dtype=object), "object"),
+        ],
+        ids=["complex", "bool", "string", "object"],
+    )
+    def test_non_real_entries_refused(self, check, raw, dtype):
+        with pytest.raises(ValidationError, match=f"^proximity entries must be numeric, got dtype {dtype}$"):
+            check(raw)
+
+    def test_integer_entries_read_as_float(self):
+        p = validate_proximity([[0, 2], [2, 0]])
+        assert p.dtype == np.float64 and p.tolist() == [[0.0, 2.0], [2.0, 0.0]]
 
 
 class TestNormalizeStart:

@@ -11,7 +11,6 @@ from assocmem import (
     SpreadStep,
     ValidationError,
     decompose,
-    index_order,
     is_stored,
     order_from_proximity,
     retrieve_report,
@@ -106,19 +105,20 @@ class TestSpreadOrder:
         assert list(order.permutation) == [3, 1, 0, 2, 4]
 
     def test_index_order(self):
-        order = index_order(5, {3, 1})
+        # without a proximity matrix the spread runs in index order, start neurons first
+        order = spread_full(np.zeros((5, 5), dtype=int), {3: 1, 1: -1}).order
         assert list(order.permutation) == [1, 3, 0, 2, 4]
 
     def test_index_order_validates_start(self):
         with pytest.raises(ParameterError):
-            index_order(5, set())
+            spread_full(np.zeros((5, 5), dtype=int), {})
         with pytest.raises(ParameterError):
-            index_order(5, {5})
+            spread_full(np.zeros((5, 5), dtype=int), {5: 1})
 
     def test_out_of_range_start_names_the_neuron_1_based(self):
         message = r"^start neuron 6 out of range for 5 neurons$"
         with pytest.raises(ParameterError, match=message):
-            index_order(5, {0, 5})
+            spread_full(np.zeros((5, 5), dtype=int), {0: 1, 5: 1})
         with pytest.raises(ParameterError, match=message):
             order_from_proximity(np.ones((5, 5)) - np.eye(5), {5})
         with pytest.raises(ParameterError, match=message):
@@ -252,12 +252,12 @@ class TestSpreadFull:
             assert np.array_equal(trace2.final, trace.final[perm])
 
     def test_both_proximity_and_order_rejected(self, worked_weights):
-        order = index_order(4, {0})
+        order = SpreadOrder(np.arange(4), frozenset({0}))
         with pytest.raises(ParameterError):
             spread_full(worked_weights, {0: 1}, proximity=PROX, order=order)
 
     def test_explicit_order_must_match_start(self, worked_weights):
-        order = index_order(4, {1})
+        order = SpreadOrder(np.array([1, 0, 2, 3]), frozenset({1}))
         with pytest.raises(ParameterError):
             spread_full(worked_weights, {0: 1}, order=order)
 
@@ -313,7 +313,7 @@ class TestSpreadFull:
             with pytest.raises(DimensionMismatch, match=f"^order covers {k} neurons, weights have 4$"):
                 spread_full(worked_weights, start, proximity=p)
         with pytest.raises(DimensionMismatch, match=f"^order covers {k} neurons, weights have 4$"):
-            spread_full(worked_weights, {0: 1}, order=index_order(k, {0}))
+            spread_full(worked_weights, {0: 1}, order=SpreadOrder(np.arange(k), frozenset({0})))
 
 
 @st.composite
@@ -455,7 +455,7 @@ class TestOrderOracle:
         n = p.shape[0]
         for order, want in (
             (order_from_proximity(p, start), reference_order(n, start, p)),
-            (index_order(n, start), reference_order(n, start)),
+            (spread_full(np.zeros((n, n), dtype=int), dict.fromkeys(start, 1)).order, reference_order(n, start)),
         ):
             assert order.permutation.tolist() == want
             assert order.start_set == frozenset(start)

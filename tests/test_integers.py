@@ -19,7 +19,6 @@ from assocmem import (
     collapse_sample,
     enumerate_fixed_points,
     enumerate_reorganizations,
-    index_order,
     normalize_start,
     order_from_proximity,
     recall_async,
@@ -46,8 +45,6 @@ ENTRIES = {
     "normalize_start n": (lambda v: normalize_start({0: 1}, v), False),
     "spread_full start": (lambda v: spread_full(WORKED_WEIGHTS, {v: 1}), False),
     "retrieve_report start": (lambda v: retrieve_report(WORKED_WEIGHTS, [(v, 1)]), False),
-    "index_order n": (lambda v: index_order(v, {0}), False),
-    "index_order start": (lambda v: index_order(4, {0, v}), False),
     "order_from_proximity start": (lambda v: order_from_proximity(PROX, [v]), False),
     "SpreadOrder permutation": (lambda v: SpreadOrder([0, 1, 2, v], frozenset({0})), False),
     "SpreadOrder start_set": (lambda v: SpreadOrder(np.arange(4), [v]), False),
@@ -108,8 +105,6 @@ def test_numpy_integers_match_python_integers(k):
          lambda: normalize_start({1: 1, 3: -1}, 4)),
         (lambda: spread_full(w, {k(2): -1, k(9): 1}),
          lambda: spread_full(w, {2: -1, 9: 1})),
-        (lambda: index_order(k(6), np.array([4, 1], dtype=k)),
-         lambda: index_order(6, {4, 1})),
         (lambda: order_from_proximity(PROX, np.array([3], dtype=k)),
          lambda: order_from_proximity(PROX, {3})),
         (lambda: SpreadOrder(np.array([2, 0, 1, 3], dtype=k), frozenset({k(2)})),
@@ -135,7 +130,7 @@ def test_numpy_integers_match_python_integers(k):
         (lambda: enumerate_fixed_points(WORKED_WEIGHTS, limit_n=20.5), "limit_n must be an integer, got 20.5"),
         (lambda: capacity_experiment(20, [2], 50, "7"), "seed must be an integer, got '7'"),
         (lambda: collapse_sample(AMPS, 0, None), "count must be an integer, got None"),
-        (lambda: index_order(4.0, {0}), "n must be an integer, got 4.0"),
+        (lambda: normalize_start({0: 1}, 4.0), "n must be an integer, got 4.0"),
     ],
     ids=["max_passes", "limit_n", "seed", "count", "n"],
 )

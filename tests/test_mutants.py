@@ -37,6 +37,13 @@ def test_failed_tests_and_uncollected_modules_do_not_pass():
     assert _tool()._passing(proc, listed) == ["tests/test_a.py::test_y"]
 
 
+def test_a_parametrize_id_with_spaces_is_read_whole():
+    summary = "FAILED tests/test_a.py::test_x[m=1.5] - AssertionError\nFAILED tests/test_a.py::test_x[n m]\n"
+    listed = ["tests/test_a.py::test_x[m=1.5]", "tests/test_a.py::test_x[n m]", "tests/test_a.py::test_x[n]"]
+    proc = subprocess.CompletedProcess([], 1, stdout=summary, stderr="")
+    assert _tool()._passing(proc, listed) == ["tests/test_a.py::test_x[n]"]
+
+
 def test_a_usage_or_collection_error_stops_the_run():
     # a listed parametrize id that no longer exists: pytest runs nothing and exits 4
     output = "ERROR: not found: tests/test_a.py::test_x[64]\n"

@@ -53,6 +53,29 @@ class TestAmplitudes:
                 as_amplitudes(amps)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "check", [as_amplitudes, lambda a: collapse_sample(a, seed=0, count=3)], ids=["as_amplitudes", "collapse_sample"]
+)
+@pytest.mark.parametrize(
+    "amps,dtype",
+    [
+        ([0.6 + 0j, 0.8], "complex128"),
+        ([True, False], "bool"),
+        (["0.6", "0.8"], "<U3"),
+        (np.array([0.6, 0.8], dtype=object), "object"),
+    ],
+    ids=["complex", "bool", "string", "object"],
+)
+def test_non_real_amplitudes_refused(check, amps, dtype):
+    with pytest.raises(ValidationError, match=f"^amplitudes must be numeric, got dtype {dtype}$"):
+        check(amps)
+
+
+def test_integer_amplitudes_read_as_float():
+    assert as_amplitudes([0, 1]).tolist() == [0.0, 1.0]
+
+
 class TestReorgCount:
     @pytest.mark.parametrize("n,expected", [(10, 100), (1, 1), (37, 1369)])
     def test_square_counts(self, n, expected):

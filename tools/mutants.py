@@ -57,6 +57,25 @@ class Mutant(NamedTuple):
 CORE, HEBBIAN, GENERATOR = "src/assocmem/core.py", "src/assocmem/hebbian.py", "src/assocmem/generator.py"
 ANALYSIS, FORMATS, QUANTUM = "src/assocmem/analysis.py", "src/assocmem/formats.py", "src/assocmem/quantum.py"
 
+# the spread's seed write and its block loop, which the seeds must precede
+_SEED_WRITE = "    x[list(seed)] = list(seed.values())\n"
+_SPREAD_BLOCKS = (
+    "    rest = order.permutation[len(seed):]\n"
+    "    blocks = [rest[k:k + _ROW_BLOCK] for k in range(0, rest.size, _ROW_BLOCK)]\n"
+    "    steps: list[SpreadStep] = []\n"
+    "    for block, (f0, couplings) in zip(blocks, _block_fields(w, x, blocks)):\n"
+    "        c = couplings * _STRICTLY_LOWER[:block.size, :block.size]\n"
+    "        h = f0\n"
+    "        # round r leaves at least the first r values right: b rounds settle b values\n"
+    "        for _ in range(block.size):\n"
+    "            v = np.where(h >= 0, 1, -1)\n"
+    "            h = f0 + c @ v\n"
+    "            if not _unstable(h, v).any():\n"
+    "                break\n"
+    "        x[block] = v\n"
+    "        steps += map(SpreadStep._make, zip(block.tolist(), h.tolist(), v.tolist()))\n"
+)
+
 MUTANTS = (
     # fields through the kept memories
     Mutant(
@@ -334,7 +353,7 @@ MUTANTS = (
         "half-table-signs-swapped", ANALYSIS,
         "np.stack([table - row, table + row], axis=1)", "np.stack([table + row, table - row], axis=1)",
         (
-            "tests/test_analysis.py::TestClassify::test_worked_census",
+            "tests/test_analysis.py::TestEnumerate::test_worked_example_exact",
             "tests/test_analysis.py::TestEnumerate::test_matches_chunked_product[10]",
         ),
     ),
@@ -342,8 +361,16 @@ MUTANTS = (
         "half-table-new-neuron-as-msb", ANALYSIS,
         "np.stack([table - row, table + row], axis=1)", "np.stack([table - row, table + row], axis=0)",
         (
-            "tests/test_analysis.py::TestClassify::test_worked_census",
-            "tests/test_analysis.py::TestEnumerate::test_matches_chunked_product[2]",
+            "tests/test_analysis.py::TestEnumerate::test_worked_example_exact",
+            "tests/test_analysis.py::TestEnumerate::test_matches_chunked_product[10]",
+        ),
+    ),
+    Mutant(
+        "low-states-negated", ANALYSIS,
+        "_half_fields(np.eye(k, dtype=np.int8))", "_half_fields(-np.eye(k, dtype=np.int8))",
+        (
+            "tests/test_analysis.py::TestEnumerate::test_worked_example_exact",
+            "tests/test_analysis.py::TestEnumerate::test_matches_chunked_product[10]",
         ),
     ),
     Mutant(
@@ -438,6 +465,115 @@ MUTANTS = (
             "tests/test_generator.py::TestSpreadFull::test_steps_are_immutable_records",
         ),
     ),
+    # memory sets checked row by row; no float boundary casts a non-real array
+    Mutant(
+        "memory-rows-stacked-unchecked", CORE,
+        "np.stack([as_bipolar(r) for r in rows])", "np.stack(rows)",
+        (
+            "tests/test_core.py::TestMemoryValidation::test_first_bad_entry_in_a_later_memory",
+            "tests/test_core.py::TestMemoryValidation::test_odd_input[float rows]",
+            "tests/test_core.py::TestMemoryValidation::test_odd_input[bool row]",
+        ),
+    ),
+    Mutant(
+        "proximity-cast-without-the-numeric-check", CORE,
+        '    _numeric(arr, "proximity entries")\n', "",
+        (
+            "tests/test_core.py::TestProximityValidation::test_non_real_entries_refused[complex-validate_proximity]",
+            "tests/test_core.py::TestProximityValidation::test_non_real_entries_refused[bool-spread_full]",
+            "tests/test_core.py::TestProximityValidation::test_non_real_entries_refused[string-order_from_proximity]",
+        ),
+    ),
+    # the spread over silent neurons
+    Mutant(
+        "spread-silent-neurons-at-plus-one", GENERATOR,
+        "    x = np.zeros(n, dtype=np.int64)\n", "    x = np.ones(n, dtype=np.int64)\n",
+        (
+            "tests/test_generator.py::TestSpreadFull::test_worked_example_fields",
+            "tests/test_generator.py::TestSpreadOracle::test_blocks_match_reference[64]",
+            "tests/test_golden.py::test_report_bytes[spread_line_index.json]",
+        ),
+    ),
+    Mutant(
+        "spread-seeds-written-after-the-blocks", GENERATOR,
+        _SEED_WRITE + _SPREAD_BLOCKS, _SPREAD_BLOCKS + _SEED_WRITE,
+        (
+            "tests/test_generator.py::TestSpreadFull::test_worked_example_fields",
+            "tests/test_generator.py::TestSpreadOracle::test_blocks_match_reference[64]",
+            "tests/test_golden.py::test_report_bytes[spread_line_index.json]",
+        ),
+    ),
+    # one integer rule: int() truncates a float and parses a string, and must not come back
+    Mutant(
+        "capacity-m-through-int", ANALYSIS,
+        '_whole(m, "m", 1,', '_whole(int(m), "m", 1,',
+        (
+            "tests/test_integers.py::test_non_integers_are_refused[capacity_experiment m=1.5]",
+            "tests/test_integers.py::test_non_integers_are_refused[capacity_experiment m='3']",
+        ),
+    ),
+    Mutant(
+        "capacity-seed-through-int", ANALYSIS,
+        "    seed = _seed(seed)\n", "    seed = _seed(int(seed))\n",
+        (
+            "tests/test_integers.py::test_non_integers_are_refused[capacity_experiment seed=1.5]",
+            "tests/test_integers.py::test_non_integers_are_refused[capacity_experiment seed='3']",
+        ),
+    ),
+    Mutant(
+        "sample-count-through-int", QUANTUM,
+        '_whole(count, "count", 1,', '_whole(int(count), "count", 1,',
+        (
+            "tests/test_integers.py::test_non_integers_are_refused[collapse_sample count=1.5]",
+        ),
+    ),
+    Mutant(
+        "n-levels-through-int", QUANTUM,
+        '_whole(n_levels, "n_levels", 1,', '_whole(int(n_levels), "n_levels", 1,',
+        (
+            "tests/test_integers.py::test_non_integers_are_refused[reorg_count=1.5]",
+            "tests/test_integers.py::test_non_integers_are_refused[enumerate_reorganizations=1.5]",
+        ),
+    ),
+    Mutant(
+        "sample-seed-through-int", QUANTUM,
+        "    seed = _seed(seed)\n", "    seed = _seed(int(seed))\n",
+        (
+            "tests/test_integers.py::test_non_integers_are_refused[collapse_sample seed=1.5]",
+            "tests/test_integers.py::test_non_integers_are_refused[collapse_as_selection seed=1.5]",
+        ),
+    ),
+    Mutant(
+        "schedule-seed-through-int", HEBBIAN,
+        "np.random.default_rng(_seed(seed))", "np.random.default_rng(_seed(int(seed)))",
+        (
+            "tests/test_integers.py::test_non_integers_are_refused[recall_async seed=1.5]",
+        ),
+    ),
+    Mutant(
+        "max-passes-through-int", HEBBIAN,
+        '_whole(max_passes, "max_passes", 1,', '_whole(int(max_passes), "max_passes", 1,',
+        (
+            "tests/test_integers.py::test_non_integers_are_refused[recall_async max_passes=1.5]",
+            "tests/test_integers.py::test_non_integers_are_refused[recall_sync_iterated max_passes=1.5]",
+        ),
+    ),
+    Mutant(
+        "start-neuron-through-int", CORE,
+        "        i = operator.index(index)\n", "        i = int(index)\n",
+        (
+            "tests/test_integers.py::test_non_integers_are_refused[normalize_start index=1.5]",
+            "tests/test_integers.py::test_non_integers_are_refused[spread_full start=1.5]",
+        ),
+    ),
+    Mutant(
+        "index-array-cast-to-int64", CORE,
+        "    arr = np.asarray(values)\n    if arr.size", "    arr = np.asarray(values, dtype=np.int64)\n    if arr.size",
+        (
+            "tests/test_integers.py::test_float_schedule_is_refused_even_when_whole[schedule1]",
+            "tests/test_integers.py::test_float_spread_order_is_refused_even_when_whole",
+        ),
+    ),
     Mutant(
         "thread-pool-imported-at-start-up", ANALYSIS,
         "import math\nimport os\n", "import math\nimport os\nfrom concurrent.futures import ThreadPoolExecutor\n",
@@ -477,7 +613,8 @@ def _passing(proc: subprocess.CompletedProcess, tests) -> list[str]:
     Any exit status but 0 (all passed) or 1 (some failed) stops the run."""
     if proc.returncode not in (0, 1):
         raise SystemExit(f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
-    failed = {m.group(2) for m in re.finditer(r"^(FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE)}
+    # a parametrize id may hold spaces; the summary ends the node id at " - " or the line's end
+    failed = {m.group(2) for m in re.finditer(r"^(FAILED|ERROR) (.+?)(?: - |$)", proc.stdout, re.MULTILINE)}
     return [t for t in tests if t not in failed and t.split("::", 1)[0] not in failed]
 
 
