@@ -3,6 +3,11 @@
 enumerate_fixed_points is the brute-force oracle for the recall rule: it
 walks all 2^n bipolar states and keeps the fixed points, so everything the
 recall dynamics claim can be checked against exhaustive truth for small n.
+One private walker, _walk, is the only loop over the 2^n states: it yields
+their fields in index order, a state's index reading it as a binary number
+with neuron 0 as the top bit and +1 as 1. A consumer holds no state table;
+the census packs the one-pass image sgn(W s) of each state into an index
+and keeps the states that map to their own index.
 classify splits those fixed points into stored memories, complements of
 stored memories, and spurious attractors.
 
@@ -63,8 +68,7 @@ def _half_fields(rows: np.ndarray) -> np.ndarray:
 
     The state of g sets s_j = +1 where bit k - 1 - j of g is 1 and -1 where
     it is 0, for the k rows: the first row is the most significant bit, so
-    integer order is lexicographic order with -1 before +1. Of the identity
-    rows the table is the states themselves, in that order. Each neuron
+    integer order is lexicographic order with -1 before +1. Each neuron
     doubles the table, as the least significant bit of the new index, so
     the k neurons of ``rows`` cost O(2^k n) int64 additions.
     """
@@ -74,36 +78,51 @@ def _half_fields(rows: np.ndarray) -> np.ndarray:
     return table
 
 
+def _walk(w: np.ndarray):
+    """Yield (first, fields): the int64 fields W s of the states first, first + 1, ...
+
+    Blocks of 2^k consecutive states come in index order, from index 0 on
+    (see the module docstring), and cover every index once. A state splits
+    into its first n - k neurons (high part h) and its last k = min(n, 14)
+    (low part l), and W s = F_high[h] + F_low[l], with each _half_fields
+    table holding the fields of one part alone; block h is all of F_low plus
+    row h of F_high, so a state costs one O(n) row addition, O(2^n n) in
+    all, and the tables 8 n (2^k + 2^(n-k)) bytes. Every table entry and sum
+    is a field over a state in {-1, 0, +1}, so the int64 sums are exact (the
+    bound of validate_weights). Only fields are yielded: a consumer that
+    needs a state decodes it from its index.
+    """
+    # the last _LOW_BITS neurons form the low part, or all of them when n is smaller
+    f_high, f_low = _half_fields(w[:-_LOW_BITS]), _half_fields(w[-_LOW_BITS:])
+    for h, high in enumerate(f_high):
+        yield h << _LOW_BITS, f_low + high
+
+
 def enumerate_fixed_points(weights, limit_n: int = ENUMERATION_LIMIT) -> list[np.ndarray]:
     """All states with sgn(W x) = x, in lexicographic order (-1 before +1).
 
     Exhaustive over 2^n states; refuses n above ``limit_n`` (default 20,
-    about a million states) unless the caller raises the limit explicitly.
+    about a million states) unless the caller raises the limit explicitly,
+    and n above 63 whatever the limit, where a state index leaves int64.
 
-    The state splits into its first n - k neurons (high part h) and its
-    last k = min(n, 14) (low part l), and W x = F_high[h] + F_low[l], with
-    each table holding the fields of one part alone. The states are the
-    same builder's tables of identity rows, so they index as the fields do.
-    A state then costs one O(n) row addition, O(2^n n) in all, and the
-    tables 8 n (2^k + 2^(n-k)) bytes. Every table entry and sum is a field
-    over a state in {-1, 0, +1}, so the int64 sums are exact (the bound of
-    validate_weights).
+    The states come from _walk, at O(2^n n). The one-pass image of each
+    state, sgn(W x) with sgn(0) = +1 as in sgn and core._unstable, is packed
+    into a state index, and x is fixed exactly when that index is its own.
+    Only the fixed indices are decoded into states.
     """
     w = validate_weights(weights)
     n = w.shape[0]
     _whole(limit_n, "limit_n", n, f"enumeration over 2^{n} states exceeds the limit n <= {limit_n}")
-    k = min(n, _LOW_BITS)
-    f_high, f_low = _half_fields(w[:n - k]), _half_fields(w[n - k:])
-    high = _half_fields(np.eye(n - k, dtype=np.int8))
-    states = np.empty((1 << k, n), dtype=np.int8)
-    states[:, n - k:] = _half_fields(np.eye(k, dtype=np.int8))
-    found: list[np.ndarray] = []
-    for h in range(1 << (n - k)):
-        states[:, :n - k] = high[h]
-        stable = ~_unstable(f_low + f_high[h], states).any(axis=1)
-        # rows of a frozen array are read-only views
-        found.extend(_frozen(states[stable]))
-    return found
+    if n > 63:
+        raise ParameterError(f"enumeration packs each state into an int64 index, which needs n <= 63, got {n}")
+    bits = 1 << np.arange(n - 1, -1, -1)
+    fixed = []
+    for first, fields in _walk(w):
+        own = first + np.arange(len(fields))
+        # the image's bits, fields >= 0, are written over the fields, which serve once
+        fixed.append(own[np.greater_equal(fields, 0, out=fields) @ bits == own])
+    # rows of a frozen array are read-only views
+    return list(_frozen(np.where(np.concatenate(fixed)[:, None] & bits, 1, -1).astype(np.int8)))
 
 
 @dataclass(frozen=True)
@@ -253,8 +272,7 @@ def capacity_experiment(n: int, m_values, trials: int, seed: int, workers: int =
 
     rows = []
     for mi, m in enumerate(ms):
-        bits = trials * m * n
-        fraction = int(unstable[mi].sum()) / bits
+        fraction = int(unstable[mi].sum()) / (trials * m * n)
         per_trial = unstable[mi] / (m * n)
         se = float(np.std(per_trial, ddof=1) / math.sqrt(trials))
         rows.append(

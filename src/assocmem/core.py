@@ -41,13 +41,14 @@ Indices are 0-based throughout the library; error messages and reports
 speak of "neuron 1" like a person would.
 
 One integer rule covers every count, pass budget, seed and neuron index
-the library takes: Python and numpy integers pass, and a float, a string
-or None is refused with ParameterError, never truncated or parsed. _whole
-checks a scalar against its least legal value and refuses a non-integer
-by the parameter's name, _seed checks a seed, _neuron one start neuron
-and _start_neurons a start set, in one numpy pass; _index_array requires
-an integer dtype of every collection of neuron indices (a start set, a
-spread order, a recall schedule).
+the library takes: Python and numpy integers pass, and a float, a string,
+None or a bool is refused with ParameterError, never truncated or parsed.
+_whole checks a scalar against its least legal value and refuses a
+non-integer by the parameter's name, _seed checks a seed, _neuron one start
+neuron and _start_neurons a start set, in one numpy pass; _index_array
+requires an integer dtype of every collection of neuron indices (a start
+set, a spread order, a recall schedule) and refuses a Python list or tuple
+that holds a bool, which numpy would read as 0 or 1.
 """
 
 from __future__ import annotations
@@ -89,6 +90,16 @@ class ParameterError(ValueError):
     """A parameter is missing or outside its allowed range."""
 
 
+_BOOLS = frozenset({bool, np.bool_})
+
+
+def _integer(value) -> int:
+    """operator.index(value), with a bool refused too: TypeError for a non-integer."""
+    if isinstance(value, bool):
+        raise TypeError("a bool is not an integer")
+    return operator.index(value)
+
+
 def _whole(value, name: str, least: int, refusal: str) -> int:
     """``value`` as a Python int, refused unless it is an integer >= least.
 
@@ -96,7 +107,7 @@ def _whole(value, name: str, least: int, refusal: str) -> int:
     gets ParameterError(refusal).
     """
     try:
-        whole = operator.index(value)
+        whole = _integer(value)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
     if whole < least:
@@ -112,7 +123,7 @@ def _seed(seed) -> int:
 def _neuron(index, n: int) -> int:
     """A 0-based start neuron, refused unless it is an integer in [0, n)."""
     try:
-        i = operator.index(index)
+        i = _integer(index)
     except TypeError:
         raise ParameterError(f"start neuron index must be an integer, got {index!r}") from None
     if not 0 <= i < n:
@@ -124,7 +135,11 @@ def _index_array(values, refusal: str) -> np.ndarray:
     """``values`` as an int64 array; ParameterError(refusal) unless its dtype is integer.
 
     An empty collection holds no non-integer, whatever dtype numpy gives it.
+    A list or tuple is also refused when it holds a bool, which numpy would
+    cast to 0 or 1 beside integers; an array's dtype already tells.
     """
+    if isinstance(values, (list, tuple)) and not _BOOLS.isdisjoint(map(type, values)):
+        raise ParameterError(refusal)
     arr = np.asarray(values)
     if arr.size and arr.dtype.kind not in "iu":
         raise ParameterError(refusal)
@@ -273,8 +288,11 @@ def sgn(v):
 def _unstable(fields, states):
     """True where a state differs from sgn of its field (sgn(0) = +1), elementwise.
 
-    The library's one stability test: x is a fixed point exactly when
-    _unstable(W x, x) holds nowhere.
+    The stability test of recall, the spread, the capacity trials and the
+    complement probe: x is a fixed point exactly when _unstable(W x, x) holds
+    nowhere. The census of analysis.enumerate_fixed_points tests the same
+    rule in packed form: with the image's bits taken as fields >= 0, x is
+    fixed when the index of its image is its own index.
     """
     return (fields >= 0) != (states > 0)
 
@@ -495,15 +513,16 @@ def validate_proximity(proximity) -> np.ndarray:
 def normalize_start(start, n: int) -> dict[int, int]:
     """Normalize a start assignment (mapping or (index, value) pairs) to a dict.
 
-    Validates indices against ``n`` neurons and values against {+1, -1},
-    each value before any repeat of its neuron; a start must name at least
-    one neuron.
+    Validates indices against ``n`` neurons and values against {+1, -1}
+    (a bool is refused), each value before any repeat of its neuron; a start
+    must name at least one neuron.
     """
     n = _whole(n, "n", 0, f"neuron count must be a nonnegative integer, got {n!r}")
     out: dict[int, int] = {}
     for idx, val in start.items() if isinstance(start, Mapping) else start:
         i = _neuron(idx, n)
-        if val not in (-1, 1):
+        # True == 1, but a bool is no spin value
+        if type(val) in _BOOLS or val not in (-1, 1):
             raise ValidationError(f"start value for neuron {i + 1} must be +1 or -1, got {val!r}")
         if out.get(i, val) != val:
             raise ParameterError(f"start assigns neuron {i + 1} twice with different values")

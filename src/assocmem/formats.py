@@ -8,9 +8,11 @@ are UTF-8; a line ends at \\n, \\r\\n or a lone \\r, and any other Unicode
 separator is whitespace within a line. Every parse failure is a ParseError
 whose message starts with ``path:line:``, so it can be found in an editor.
 
-Each line is read with one split; only a line that split cannot vouch for
-is read again token by token, and that scan exists to name the first bad
-token.
+A file is read one line at a time, and each line with one split; only a
+line that split cannot vouch for is read again token by token, and that
+scan exists to name the first bad token. A byte that is not UTF-8 outranks
+every other fault, wherever it lies in the file. A proximity row becomes
+float64 as it is read, so a parse holds little more than its matrix.
 
 Weights and reports share one structured-text format: a JSON document with
 two-space indentation, a fixed key order, and a trailing newline, so runs
@@ -27,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -70,40 +73,56 @@ def _split_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def _content_lines(path: Path):
-    """Yield (line_number, comment-stripped text) pairs, 1-based."""
+def _not_utf8(path: Path) -> ParseError | None:
+    """The ParseError naming the first byte of a file that is not UTF-8, or None."""
     data = path.read_bytes()
     try:
-        text = data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = _split_lines(data[: exc.start].decode("utf-8"))
-        raise ParseError(f"{path}:{len(head)}:{len(head[-1]) + 1}: not UTF-8 text") from None
-    for lineno, raw in enumerate(_split_lines(text), start=1):
-        # only a line holding "#" is split, and a blank line is found without a
-        # stripped copy: isspace and strip share one Unicode whitespace set
-        body = raw.split("#", 1)[0] if "#" in raw else raw
-        if body and not body.isspace():
-            yield lineno, body
+        return ParseError(f"{path}:{len(head)}:{len(head[-1]) + 1}: not UTF-8 text")
+    return None
 
 
-def _rows(path: Path, read_line, read_token) -> list[tuple[int, list]]:
-    """(line number, values) for each content line of a file, read with one split.
+def _content_lines(path: Path):
+    """Yield (line_number, comment-stripped text) pairs, 1-based, one line at a time.
+
+    Universal newlines end a line at \\n, \\r\\n or a lone \\r, as _split_lines
+    does, and give it back ending in \\n. A byte that is not UTF-8 raises
+    _not_utf8's ParseError once the reader reaches it.
+    """
+    with path.open(encoding="utf-8", newline=None) as lines:
+        try:
+            for lineno, raw in enumerate(lines, start=1):
+                # only a line holding "#" is split, and a blank line is found without a
+                # stripped copy: isspace and strip share one Unicode whitespace set
+                body = raw.split("#", 1)[0] if "#" in raw else raw.removesuffix("\n")
+                if body and not body.isspace():
+                    yield lineno, body
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+
+
+def _rows(path: Path, read_line, read_token):
+    """Yield (line number, values) for each content line of a file, read with one split.
 
     ``read_line(body)`` reads a whole line, or returns None or raises
     KeyError or ValueError where it cannot vouch for it; that line is then
     read token by token, and ``read_token(token, where)`` raises the
     ParseError naming the first bad token, ``where`` being its "path:line:col".
+    That error gives way to a byte that is not UTF-8 later in the file.
     """
-    rows = []
     for lineno, body in _content_lines(path):
         try:
             row = read_line(body)
         except (KeyError, ValueError):
             row = None
         if row is None:
-            row = [read_token(m.group(), f"{path}:{lineno}:{m.start() + 1}") for m in _TOKEN.finditer(body)]
-        rows.append((lineno, row))
-    return rows
+            try:
+                row = [read_token(m.group(), f"{path}:{lineno}:{m.start() + 1}") for m in _TOKEN.finditer(body)]
+            except ParseError as exc:
+                raise _not_utf8(path) or exc from None
+        yield lineno, row
 
 
 def _memory_line(body: str) -> list[int]:
@@ -142,7 +161,7 @@ def _distance_token(token: str, where: str) -> float:
 def parse_memories(path) -> MemorySet:
     """Parse a memory file into a validated MemorySet."""
     p = Path(path)
-    rows = _rows(p, _memory_line, _memory_token)
+    rows = list(_rows(p, _memory_line, _memory_token))
     if not rows:
         raise ParseError(f"{p}:1: no memory vectors found")
     first_line, first = rows[0]
@@ -155,24 +174,37 @@ def parse_memories(path) -> MemorySet:
 
 
 def parse_proximity(path) -> np.ndarray:
-    """Parse a proximity file into a distance matrix that validate_proximity trusts."""
+    """Parse a proximity file into a distance matrix that validate_proximity trusts.
+
+    Each row joins one flat float64 buffer as it is read, and the matrix is
+    that buffer, so nothing is sized from a row count or width the file has
+    not yet shown. Faults come in a fixed order: a bad token, then the first
+    row whose width differs from the first row's, then the row count.
+    """
     p = Path(path)
-    rows = _rows(p, _distance_line, _distance_token)
-    if not rows:
+    lines: list[int] = []
+    values = array("d")
+    misfit = None
+    for lineno, row in _rows(p, _distance_line, _distance_token):
+        if not lines:
+            width = len(row)
+        elif len(row) != width and misfit is None:
+            misfit = ParseError(f"{p}:{lineno}: row has {len(row)} entries, expected {width}")
+        lines.append(lineno)
+        values.extend(row)
+    if not lines:
         raise ParseError(f"{p}:1: no proximity rows found")
-    width = len(rows[0][1])
-    for lineno, row in rows:
-        if len(row) != width:
-            raise ParseError(f"{p}:{lineno}: row has {len(row)} entries, expected {width}")
-    if len(rows) != width:
+    if misfit is not None:
+        raise misfit
+    if len(lines) != width:
         # the first row past a square matrix, or the last row of a short one
-        lineno = rows[min(width, len(rows) - 1)][0]
-        raise ParseError(f"{p}:{lineno}: proximity matrix must be square, got {len(rows)} rows of {width}")
-    matrix = np.array([row for _, row in rows], dtype=np.float64)
+        lineno = lines[min(width, len(lines) - 1)]
+        raise ParseError(f"{p}:{lineno}: proximity matrix must be square, got {len(lines)} rows of {width}")
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(width, width)
     fault = _proximity_fault(matrix)
     if fault is not None:
         row, message = fault
-        raise ParseError(f"{p}:{rows[row][0]}: {message}")
+        raise ParseError(f"{p}:{lines[row]}: {message}")
     return _trust(matrix, "proximity")
 
 

@@ -14,6 +14,7 @@ from assocmem import (
     enumerate_fixed_points,
     is_stored,
     train,
+    validate_weights,
 )
 from assocmem import analysis
 from assocmem.analysis import _capacity_trial
@@ -125,6 +126,42 @@ class TestEnumerate:
         w = train(random_memories(rng, 2, 6))
         points = [tuple(int(v) for v in p) for p in enumerate_fixed_points(w)]
         assert points == sorted(points)
+
+    @pytest.mark.parametrize("n", [63, 64])
+    def test_index_bound_refused_before_any_table(self, n, monkeypatch):
+        # a state index is an int64 while n <= 63; such a census never finishes, so
+        # reaching the tables is the sign that n = 63 was accepted
+        class TablesReached(Exception):
+            pass
+
+        def no_tables(rows):
+            raise TablesReached
+
+        monkeypatch.setattr(analysis, "_half_fields", no_tables)
+        if n == 63:
+            with pytest.raises(TablesReached):
+                enumerate_fixed_points(np.zeros((n, n), dtype=int), limit_n=n)
+        else:
+            with pytest.raises(ParameterError, match=r"needs n <= 63, got 64$"):
+                enumerate_fixed_points(np.zeros((n, n), dtype=int), limit_n=n)
+
+
+class TestWalk:
+    @pytest.mark.parametrize("n", [10, 16])
+    def test_blocks_cover_every_index_once_with_its_fields(self, n):
+        # n=10 is one block of 2^10 states, n=16 four blocks of 2^14
+        w = validate_weights(random_symmetric_weights(np.random.default_rng(60 + n), n))
+        size = 1 << min(n, 14)
+        shifts = np.arange(n - 1, -1, -1)
+        firsts = []
+        for first, fields in analysis._walk(w):
+            firsts.append(first)
+            index = first + np.arange(size)
+            # neuron 0 is the top bit of the index, and a 1 bit is +1
+            states = np.where((index[:, None] >> shifts) & 1, 1, -1)
+            assert fields.dtype == np.int64
+            np.testing.assert_array_equal(fields, states @ w)
+        assert firsts == list(range(0, 1 << n, size))
 
 
 class TestClassify:

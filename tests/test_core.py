@@ -506,6 +506,13 @@ class TestNormalizeStart:
         with pytest.raises(ValidationError):
             normalize_start({0: 2}, 4)
 
+    @pytest.mark.parametrize("value", [True, np.True_])
+    def test_bool_value_is_refused(self, value):
+        # True == 1, yet a bool is no spin value
+        message = f"^start value for neuron 1 must be \\+1 or -1, got {value!r}$"
+        with pytest.raises(ValidationError, match=message):
+            normalize_start({0: value}, 4)
+
     @pytest.mark.parametrize("bad", [0.5, "x"])
     def test_value_is_checked_before_a_repeat(self, bad):
         message = f"^start value for neuron 1 must be \\+1 or -1, got {bad!r}$"

@@ -2,6 +2,7 @@ import enum
 import json
 import math
 import re
+import tracemalloc
 from collections import OrderedDict
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from assocmem import ParseError, load_weights, parse_memories, parse_proximity, train
 from assocmem.core import _proximity_fault, validate_memory_set
-from assocmem.formats import _ascii_number, _content_lines, render_document, weights_document
+from assocmem.formats import _ascii_number, _content_lines, _split_lines, render_document, weights_document
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -83,6 +84,16 @@ class TestParseMemories:
         # a blank line is found with isspace; strip defined blank before
         assert all(chr(c).isspace() == (chr(c).strip() == "") for c in range(0x110000))
 
+    @given(text=st.text(alphabet="1 #\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\u00e9", max_size=40))
+    @example(text="1" * 8191 + "\r\n1")
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_lines_end_where_split_lines_ends_them(self, tmp_path, text):
+        # read one line at a time, a file keeps the line breaks of the whole-text split,
+        # a \r\n across two read chunks included; every other separator stays in its line
+        f = tmp_path / "lines.txt"
+        f.write_bytes(text.encode("utf-8"))
+        assert list(_content_lines(f)) == reference_content_lines(f)
+
 
 
 class TestParseProximity:
@@ -146,6 +157,47 @@ class TestParseProximity:
         f.write_text("0 -1\n-1 0\n")
         with pytest.raises(ParseError, match="nonnegative"):
             parse_proximity(f)
+
+    def test_peak_memory_is_near_the_matrix(self, tmp_path):
+        # each row becomes float64 as it is read; text, lines and Python floats are never all held
+        n = 400
+        a = np.add.outer(np.arange(n), np.arange(n)) % 7 + 1.25
+        np.fill_diagonal(a, 0)
+        f = tmp_path / "p.txt"
+        f.write_text("\n".join(" ".join(map(str, row)) for row in a.tolist()) + "\n")
+        tracemalloc.start()
+        try:
+            matrix = parse_proximity(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.tolist() == a.tolist()
+        assert peak < 1.6 * matrix.nbytes
+
+    def test_one_long_row_is_not_taken_for_the_matrix_width(self, tmp_path):
+        # 10^5 tokens on one line: a matrix sized from that row would take 80 GB
+        f = tmp_path / "p.txt"
+        f.write_text("1 " * 100_000 + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=r"p\.txt:1: proximity matrix must be square, got 1 rows of 100000$"):
+                parse_proximity(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("parse", [parse_memories, parse_proximity], ids=["memories", "proximity"])
+def test_a_late_non_utf8_byte_outranks_an_early_bad_token(tmp_path, parse):
+    # the file spans several read chunks: the bad token on line 2 is read long
+    # before the bad byte, which still decides the error
+    f = tmp_path / "f.txt"
+    lines = [b"1 -1 1", b"-1 x 1"] + [b"1 -1 1 -1 1 -1 1 -1 1 -1"] * 8000 + [b"1 -1 \xff 1", b"1"]
+    f.write_bytes(b"\n".join(lines))
+    assert f.stat().st_size > 64 * 1024
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(f))}:8003:6: not UTF-8 text$"):
+        parse(f)
 
 
 class TestWeightsDocuments:
@@ -289,13 +341,31 @@ _memory_files = st.one_of(_random_lines, _mangled(lambda i, j: "1" if (i + j) % 
 _proximity_files = st.one_of(_random_lines, _mangled(lambda i, j: str(abs(i - j))))
 
 
+def reference_content_lines(path):
+    """(line number, comment-stripped text) of each content line, from the whole decoded
+    text: every byte is decoded before any line is read, so a byte that is not UTF-8
+    outranks every other fault."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = _split_lines(data[: exc.start].decode("utf-8"))
+        raise ParseError(f"{path}:{len(head)}:{len(head[-1]) + 1}: not UTF-8 text") from None
+    lines = []
+    for lineno, raw in enumerate(_split_lines(text), start=1):
+        body = raw.split("#", 1)[0]
+        if body and not body.isspace():
+            lines.append((lineno, body))
+    return lines
+
+
 def reference_memories(path):
     """The token loop parse_memories used before it read each line with one split."""
     p = Path(path)
     tokens = {"1": 1, "+1": 1, "-1": -1}
     rows = []
     widths = []
-    for lineno, body in _content_lines(p):
+    for lineno, body in reference_content_lines(p):
         row = []
         for match in re.finditer(r"\S+", body):
             token = match.group()
@@ -321,7 +391,7 @@ def reference_proximity(path):
     """The token loop parse_proximity used before it read each line with one split."""
     p = Path(path)
     rows = []
-    for lineno, body in _content_lines(p):
+    for lineno, body in reference_content_lines(p):
         read = float if "_" not in body and body.isascii() else _ascii_number
         row = []
         for match in re.finditer(r"\S+", body):
@@ -421,6 +491,7 @@ class TestParsersMatchTokenLoop:
     @example(lines=["0 nan", "nan 0"], newline="\n")
     @example(lines=["0 1 -1", "1 0 x", "1 1 0"], newline="\n")
     @example(lines=["0 1_0", "10 0"], newline="\n")
+    @example(lines=["0 1", "1", "x 0"], newline="\n")
     @settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_proximity(self, tmp_path, lines, newline):
         path = tmp_path / "input.txt"
@@ -428,6 +499,8 @@ class TestParsersMatchTokenLoop:
         assert _outcome(parse_proximity, path) == _outcome(reference_proximity, path)
 
     @given(data=st.binary(max_size=40))
+    # a bad token before a truncated UTF-8 sequence, which a chunked reader meets only at the end
+    @example(data=b"\x00\n1\xe2")
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_raw_bytes(self, tmp_path, data):
         path = tmp_path / "input.txt"

@@ -4,15 +4,25 @@ Each case runs from inside tests/golden with relative paths, because a
 report embeds its configuration, input paths included. The expected bytes
 come from an earlier release; only a deliberate, documented format change
 may regenerate them.
+
+Every report is exact integer or float64 work with an order fixed by the
+library, so none can depend on how many threads BLAS splits a product
+over; test_reports_do_not_depend_on_blas_threads pins that.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from assocmem.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CASES = {
     "spread_worked_index.json": [
@@ -80,3 +90,53 @@ def test_report_bytes(expected, tmp_path, monkeypatch):
     out = tmp_path / "report.json"
     assert main(CASES[expected] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / expected).read_bytes()
+
+
+# runs (directory, argv) pairs, each from its directory, in a fresh interpreter
+_RUN_CASES = """
+import json, os, sys
+from assocmem.cli import main
+for cwd, argv in json.loads(sys.argv[1]):
+    os.chdir(cwd)
+    if main(argv) != 0:
+        sys.exit(f"{argv} failed")
+"""
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _run_cases(cases, one_thread):
+    """Run CLI cases in one subprocess, under one BLAS thread or under BLAS's own default."""
+    env = {key: value for key, value in os.environ.items() if key not in _THREAD_VARS}
+    env["PYTHONPATH"] = str(SRC)
+    if one_thread:
+        # set before numpy loads, which is the only time OpenBLAS reads them
+        env.update(dict.fromkeys(_THREAD_VARS, "1"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_CASES, json.dumps(cases)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+
+
+def test_reports_do_not_depend_on_blas_threads(tmp_path):
+    # train and capacity products large enough for OpenBLAS to split them over threads
+    rng = np.random.default_rng(400)
+    memories = np.where(rng.integers(0, 2, size=(40, 400)) == 1, "1", "-1")
+    (tmp_path / "memories.txt").write_text("".join(" ".join(row) + "\n" for row in memories))
+    large = {
+        "train_400.json": ["train", "--memories", "memories.txt"],
+        "capacity_300.json": ["capacity", "--n", "300", "--m-list", "45", "--trials", "50", "--seed", "1"],
+    }
+    outputs = {}
+    for one_thread in (True, False):
+        out = tmp_path / ("one" if one_thread else "default")
+        out.mkdir()
+        cases = [(str(tmp_path), argv + ["--out", str(out / name)]) for name, argv in large.items()]
+        if one_thread:
+            cases += [(str(GOLDEN), argv + ["--out", str(out / name)]) for name, argv in CASES.items()]
+        _run_cases(cases, one_thread)
+        outputs[one_thread] = out
+    for name in CASES:
+        assert (outputs[True] / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    for name in large:
+        assert (outputs[True] / name).read_bytes() == (outputs[False] / name).read_bytes(), name

@@ -1,7 +1,8 @@
 """The integer rule: every count, pass budget, seed and neuron index.
 
 Python and numpy integers are accepted and give the same results; a float,
-a string or None is refused with ParameterError, never truncated or parsed.
+a string, None or a bool is refused with ParameterError, never truncated,
+parsed or read as 0 or 1.
 A non-integer scalar is refused as one, by the parameter's name, while an
 integer out of range keeps its range message.
 """
@@ -68,13 +69,28 @@ ENTRIES = {
         pytest.param(entry, value, id=f"{entry}={value!r}")
         for entry, (_, none_ok) in sorted(ENTRIES.items())
         # cast to 3, a whole float would pass most of these checks
-        for value in (1.5, 3.0, "3", None)
+        for value in (1.5, 3.0, "3", None, True)
         if value is not None or not none_ok
     ],
 )
 def test_non_integers_are_refused(entry, value):
     with pytest.raises(ParameterError):
         ENTRIES[entry][0](value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: recall_async(WORKED_WEIGHTS, STATE, schedule=[True, 0, 2, 3]),
+        lambda: recall_async(WORKED_WEIGHTS, STATE, schedule=(np.True_, 0, 2, 3)),
+        lambda: SpreadOrder([True, 0, 2, 3], frozenset({1})),
+    ],
+    ids=["schedule", "numpy bool in a schedule tuple", "spread order"],
+)
+def test_a_bool_that_completes_a_permutation_is_refused(call):
+    # numpy would read True as 1 beside the integers and find a permutation
+    with pytest.raises(ParameterError):
+        call()
 
 
 @pytest.mark.parametrize("schedule", [[0.9, 1.2, 2.0, 3.7], [0.0, 1.0, 2.0, 3.0]])

@@ -321,6 +321,30 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "bad-token-outranks-a-later-bad-byte", FORMATS,
+        "raise _not_utf8(path) or exc from None", "raise exc from None",
+        (
+            "tests/test_formats.py::test_a_late_non_utf8_byte_outranks_an_early_bad_token[memories]",
+            "tests/test_formats.py::test_a_late_non_utf8_byte_outranks_an_early_bad_token[proximity]",
+            "tests/test_formats.py::TestParsersMatchTokenLoop::test_raw_bytes",
+        ),
+    ),
+    Mutant(
+        "proximity-width-outranks-a-later-bad-token", FORMATS,
+        "            misfit = ParseError(", "            raise ParseError(",
+        (
+            "tests/test_formats.py::TestParsersMatchTokenLoop::test_proximity",
+        ),
+    ),
+    Mutant(
+        "proximity-rows-held-as-python-floats", FORMATS,
+        'matrix = np.frombuffer(values, dtype=np.float64).reshape(width, width)',
+        'matrix = np.array([values[i:i + width].tolist() for i in range(0, len(values), width)])',
+        (
+            "tests/test_formats.py::TestParseProximity::test_peak_memory_is_near_the_matrix",
+        ),
+    ),
+    Mutant(
         "line-value-error-not-caught", FORMATS,
         "        except (KeyError, ValueError):\n", "        except KeyError:\n",
         (
@@ -334,19 +358,21 @@ MUTANTS = (
             "tests/test_formats.py::TestParseMemories::test_whitespace_and_comment_lines_are_skipped",
         ),
     ),
-    # the split-half enumerator
+    # the walker and the census of packed images
     Mutant(
-        "enumerate-first-high-state-for-all", ANALYSIS,
-        "        states[:, :n - k] = high[h]\n", "        states[:, :n - k] = high[0]\n",
+        "walk-first-high-fields-for-all", ANALYSIS,
+        "f_low + high", "f_low + f_high[0]",
         (
-            "tests/test_analysis.py::TestEnumerate::test_matches_chunked_product[15]",
+            "tests/test_analysis.py::TestEnumerate::test_matches_chunked_product[16]",
+            "tests/test_analysis.py::TestWalk::test_blocks_cover_every_index_once_with_its_fields[16]",
         ),
     ),
     Mutant(
-        "enumerate-first-high-fields-for-all", ANALYSIS,
-        "f_low + f_high[h]", "f_low + f_high[0]",
+        "walk-block-first-unshifted", ANALYSIS,
+        "yield h << _LOW_BITS,", "yield h,",
         (
-            "tests/test_analysis.py::TestEnumerate::test_matches_chunked_product[16]",
+            "tests/test_analysis.py::TestEnumerate::test_matches_chunked_product[15]",
+            "tests/test_analysis.py::TestWalk::test_blocks_cover_every_index_once_with_its_fields[16]",
         ),
     ),
     Mutant(
@@ -366,14 +392,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "low-states-negated", ANALYSIS,
-        "_half_fields(np.eye(k, dtype=np.int8))", "_half_fields(-np.eye(k, dtype=np.int8))",
-        (
-            "tests/test_analysis.py::TestEnumerate::test_worked_example_exact",
-            "tests/test_analysis.py::TestEnumerate::test_matches_chunked_product[10]",
-        ),
-    ),
-    Mutant(
         "half-table-int32", ANALYSIS,
         "    return table\n", "    return table.astype(np.int32)\n",
         (
@@ -381,10 +399,41 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "census-image-tie-strict", ANALYSIS,
+        "np.greater_equal(fields, 0, out=fields)", "np.greater(fields, 0, out=fields)",
+        (
+            "tests/test_analysis.py::TestEnumerate::test_zero_weights",
+            "tests/test_analysis.py::TestEnumerate::test_matches_chunked_product[10]",
+        ),
+    ),
+    Mutant(
+        "census-own-index-off-by-one", ANALYSIS,
+        "own = first + np.arange(len(fields))", "own = first + 1 + np.arange(len(fields))",
+        (
+            "tests/test_analysis.py::TestEnumerate::test_worked_example_exact",
+            "tests/test_analysis.py::TestEnumerate::test_matches_chunked_product[10]",
+        ),
+    ),
+    Mutant(
+        "census-bit-order-reversed", ANALYSIS,
+        "bits = 1 << np.arange(n - 1, -1, -1)", "bits = 1 << np.arange(n)",
+        (
+            "tests/test_analysis.py::TestEnumerate::test_worked_example_exact",
+            "tests/test_analysis.py::TestEnumerate::test_matches_chunked_product[10]",
+        ),
+    ),
+    Mutant(
+        "census-index-bound-raised", ANALYSIS,
+        "    if n > 63:\n", "    if n > 64:\n",
+        (
+            "tests/test_analysis.py::TestEnumerate::test_index_bound_refused_before_any_table[64]",
+        ),
+    ),
+    Mutant(
         "stability-test-strict", CORE,
         "return (fields >= 0) != (states > 0)", "return (fields > 0) != (states > 0)",
         (
-            "tests/test_analysis.py::TestEnumerate::test_zero_weights",
+            "tests/test_analysis.py::TestComplementAsymmetry::test_zero_field_breaks_complements",
             "tests/test_hebbian.py::TestRecallAsync::test_zero_field_tie_keeps_energy_flat",
         ),
     ),
@@ -560,10 +609,38 @@ MUTANTS = (
     ),
     Mutant(
         "start-neuron-through-int", CORE,
-        "        i = operator.index(index)\n", "        i = int(index)\n",
+        "        i = _integer(index)\n", "        i = int(index)\n",
         (
             "tests/test_integers.py::test_non_integers_are_refused[normalize_start index=1.5]",
             "tests/test_integers.py::test_non_integers_are_refused[spread_full start=1.5]",
+        ),
+    ),
+    # a bool is no integer, though numpy and operator.index take True as 1
+    Mutant(
+        "bool-taken-as-an-integer", CORE,
+        '    if isinstance(value, bool):\n        raise TypeError("a bool is not an integer")\n', "",
+        (
+            "tests/test_integers.py::test_non_integers_are_refused[recall_async max_passes=True]",
+            "tests/test_integers.py::test_non_integers_are_refused[spread_full start=True]",
+            "tests/test_integers.py::test_non_integers_are_refused[capacity_experiment m=True]",
+        ),
+    ),
+    Mutant(
+        "bool-in-an-index-list-taken", CORE,
+        "    if isinstance(values, (list, tuple)) and not _BOOLS.isdisjoint(map(type, values)):\n"
+        "        raise ParameterError(refusal)\n", "",
+        (
+            "tests/test_integers.py::test_a_bool_that_completes_a_permutation_is_refused[schedule]",
+            "tests/test_integers.py::test_a_bool_that_completes_a_permutation_is_refused[numpy bool in a schedule tuple]",
+            "tests/test_integers.py::test_a_bool_that_completes_a_permutation_is_refused[spread order]",
+        ),
+    ),
+    Mutant(
+        "bool-start-value-taken", CORE,
+        "if type(val) in _BOOLS or val not in (-1, 1):", "if val not in (-1, 1):",
+        (
+            "tests/test_core.py::TestNormalizeStart::test_bool_value_is_refused[True]",
+            "tests/test_core.py::TestNormalizeStart::test_bool_value_is_refused[value1]",
         ),
     ),
     Mutant(
