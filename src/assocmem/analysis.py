@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    ENUMERATION_LIMIT,
     FLOAT_EXACT_LIMIT,
     DimensionMismatch,
     ParameterError,
@@ -56,8 +57,6 @@ from .core import (
     validate_memory_set,
     validate_weights,
 )
-
-ENUMERATION_LIMIT = 20
 
 # neurons in the low part of a split-half enumeration: a 2^14 x n int64 table
 _LOW_BITS = 14

@@ -5,6 +5,9 @@ Each run emits one JSON document (to --out, or stdout) embedding the tool
 version and the full configuration; commands that use randomness refuse to
 run without an explicit --seed.
 
+Each runner imports the one library module it runs (hebbian, generator,
+analysis or quantum), so a command loads core, formats and that module only.
+
 Exit codes: 0 success, 2 usage or unreadable input file, 3 file parse
 error, 4 dimension mismatch, 5 invalid parameter value.
 """
@@ -18,8 +21,8 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from . import analysis, formats, generator, hebbian, quantum
-from .core import DimensionMismatch, ParameterError, ValidationError, as_bipolar
+from . import formats
+from .core import ENUMERATION_LIMIT, DimensionMismatch, ParameterError, ValidationError, as_bipolar
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -99,6 +102,8 @@ def _parse_list(text: str, what: str, convert) -> list:
 
 
 def _run_train(args) -> dict:
+    from . import hebbian
+
     config = {"memories": args.memories, "seed": None}
     mset = formats.parse_memories(args.memories)
     weights = hebbian.train(mset)
@@ -112,6 +117,8 @@ def _run_train(args) -> dict:
 
 
 def _run_recall(args) -> dict:
+    from . import hebbian
+
     if args.schedule is not None and not args.asynchronous:
         raise ParameterError("--schedule only applies to asynchronous recall")
     schedule = (args.schedule or "random") if args.asynchronous else None
@@ -148,6 +155,8 @@ def _run_recall(args) -> dict:
 
 
 def _run_spread(args) -> dict:
+    from . import generator
+
     config = {
         "weights": args.weights,
         "proximity": args.proximity,
@@ -179,6 +188,8 @@ def _run_spread(args) -> dict:
 
 
 def _run_fixed_points(args) -> dict:
+    from . import analysis
+
     config = {
         "weights": args.weights,
         "memories": args.memories,
@@ -220,6 +231,8 @@ def _run_fixed_points(args) -> dict:
 
 
 def _run_capacity(args) -> dict:
+    from . import analysis
+
     m_values = _parse_list(args.m_list, "m-list", int)
     config = {
         "n": args.n,
@@ -254,6 +267,8 @@ def _run_capacity(args) -> dict:
 
 
 def _run_collapse(args) -> dict:
+    from . import quantum
+
     if args.count_levels is not None:
         if args.samples is not None or args.seed is not None:
             raise ParameterError("--samples and --seed only apply to amplitude sampling")
@@ -347,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     fixed = sub.add_parser("fixed-points", help="enumerate all fixed points exhaustively")
     fixed.add_argument("--weights", required=True, help="weights document")
     fixed.add_argument("--memories", default=None, help="memory file for the census")
-    fixed.add_argument("--limit", type=_int, default=analysis.ENUMERATION_LIMIT,
+    fixed.add_argument("--limit", type=_int, default=ENUMERATION_LIMIT,
                        help="largest n to enumerate (default 20)")
     fixed.add_argument("--out", default=None, help="report path (default stdout)")
 

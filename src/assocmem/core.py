@@ -48,7 +48,8 @@ non-integer by the parameter's name, _seed checks a seed, _neuron one start
 neuron and _start_neurons a start set, in one numpy pass; _index_array
 requires an integer dtype of every collection of neuron indices (a start
 set, a spread order, a recall schedule) and refuses a Python list or tuple
-that holds a bool, which numpy would read as 0 or 1.
+that holds a bool, which numpy would read as 0 or 1. A start value is an
+integer by the same rule, so True and 1.0 are no spin values.
 """
 
 from __future__ import annotations
@@ -72,6 +73,9 @@ FLOAT_EXACT_LIMIT = 2**53
 
 # float32 holds every integer up to this magnitude
 FLOAT32_EXACT_LIMIT = 2**24
+
+# largest n the exhaustive fixed-point census walks by default (2^n states)
+ENUMERATION_LIMIT = 20
 
 # rows per block of the proximity symmetry check and of hebbian.train, and positions
 # per block of the spread's sign solve
@@ -514,19 +518,23 @@ def normalize_start(start, n: int) -> dict[int, int]:
     """Normalize a start assignment (mapping or (index, value) pairs) to a dict.
 
     Validates indices against ``n`` neurons and values against {+1, -1}
-    (a bool is refused), each value before any repeat of its neuron; a start
-    must name at least one neuron.
+    under the integer rule (a bool or a whole float such as 1.0 is refused),
+    each value before any repeat of its neuron; a start must name at least
+    one neuron.
     """
     n = _whole(n, "n", 0, f"neuron count must be a nonnegative integer, got {n!r}")
     out: dict[int, int] = {}
     for idx, val in start.items() if isinstance(start, Mapping) else start:
         i = _neuron(idx, n)
-        # True == 1, but a bool is no spin value
-        if type(val) in _BOOLS or val not in (-1, 1):
+        try:
+            spin = _integer(val)  # True == 1 and 1.0 == 1, yet neither is a spin value
+        except TypeError:
+            spin = None
+        if spin not in (-1, 1):
             raise ValidationError(f"start value for neuron {i + 1} must be +1 or -1, got {val!r}")
-        if out.get(i, val) != val:
+        if out.get(i, spin) != spin:
             raise ParameterError(f"start assigns neuron {i + 1} twice with different values")
-        out[i] = int(val)
+        out[i] = spin
     if not out:
         raise ParameterError("start assignment is empty")
     return out

@@ -407,8 +407,8 @@ class TestErrorChannels:
 
 class TestStartup:
     def test_import_leaves_the_thread_pool_out(self):
-        # every command imports the package; only capacity with workers > 1 uses a pool
+        # only capacity with workers > 1 uses a pool; analysis, which holds it, loads on first use
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-        code = "import sys, assocmem, assocmem.cli; print('concurrent.futures' in sys.modules)"
+        code = "import sys, assocmem, assocmem.cli, assocmem.analysis; print('concurrent.futures' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -506,10 +507,10 @@ class TestNormalizeStart:
         with pytest.raises(ValidationError):
             normalize_start({0: 2}, 4)
 
-    @pytest.mark.parametrize("value", [True, np.True_])
+    @pytest.mark.parametrize("value", [True, np.True_, 1.0, np.float64(-1.0)])
     def test_bool_value_is_refused(self, value):
-        # True == 1, yet a bool is no spin value
-        message = f"^start value for neuron 1 must be \\+1 or -1, got {value!r}$"
+        # True == 1 and 1.0 == 1, yet neither a bool nor a whole float is a spin value
+        message = f"^start value for neuron 1 must be \\+1 or -1, got {re.escape(repr(value))}$"
         with pytest.raises(ValidationError, match=message):
             normalize_start({0: value}, 4)
 

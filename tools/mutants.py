@@ -56,6 +56,7 @@ class Mutant(NamedTuple):
 
 CORE, HEBBIAN, GENERATOR = "src/assocmem/core.py", "src/assocmem/hebbian.py", "src/assocmem/generator.py"
 ANALYSIS, FORMATS, QUANTUM = "src/assocmem/analysis.py", "src/assocmem/formats.py", "src/assocmem/quantum.py"
+PACKAGE, CLI = "src/assocmem/__init__.py", "src/assocmem/cli.py"
 
 # the spread's seed write and its block loop, which the seeds must precede
 _SEED_WRITE = "    x[list(seed)] = list(seed.values())\n"
@@ -637,10 +638,17 @@ MUTANTS = (
     ),
     Mutant(
         "bool-start-value-taken", CORE,
-        "if type(val) in _BOOLS or val not in (-1, 1):", "if val not in (-1, 1):",
+        "spin = _integer(val)", "spin = operator.index(val)",
         (
             "tests/test_core.py::TestNormalizeStart::test_bool_value_is_refused[True]",
-            "tests/test_core.py::TestNormalizeStart::test_bool_value_is_refused[value1]",
+        ),
+    ),
+    Mutant(
+        "whole-float-start-value-taken", CORE,
+        "spin = _integer(val)", "spin = val if isinstance(val, float) else _integer(val)",
+        (
+            "tests/test_core.py::TestNormalizeStart::test_bool_value_is_refused[1.0]",
+            "tests/test_core.py::TestNormalizeStart::test_bool_value_is_refused[-1.0]",
         ),
     ),
     Mutant(
@@ -656,6 +664,71 @@ MUTANTS = (
         "import math\nimport os\n", "import math\nimport os\nfrom concurrent.futures import ThreadPoolExecutor\n",
         (
             "tests/test_cli.py::TestStartup::test_import_leaves_the_thread_pool_out",
+        ),
+    ),
+    # one table of public names, each module loaded on first use
+    Mutant(
+        "cli-imports-every-module-at-start-up", CLI,
+        "from . import formats\n", "from . import analysis, formats, generator, hebbian, quantum\n",
+        (
+            "tests/test_package.py::test_command_loads_only_its_module[train]",
+            "tests/test_package.py::test_command_loads_only_its_module[collapse]",
+            "tests/test_package.py::test_command_loads_only_its_module[--version]",
+        ),
+    ),
+    Mutant(
+        "public-name-under-the-wrong-module", PACKAGE,
+        # hebbian imports validate_weights too, so the name still resolves to the same object
+        '        "validate_weights",\n    ),\n    "hebbian": (\n', '    ),\n    "hebbian": (\n        "validate_weights",\n',
+        (
+            "tests/test_package.py::test_each_name_loads_only_its_module_and_is_its_object",
+        ),
+    ),
+    # recorded with the changes that made them: the order builder, the asynchronous
+    # recall's converged pass and the proximity fault's location
+    Mutant(
+        "order-without-the-start-key", GENERATOR,
+        "    key[start] = -np.inf\n", "",
+        (
+            "tests/test_generator.py::TestOrderOracle::test_builders_match_reference",
+            "tests/test_generator.py::TestSpreadOrder::test_index_order",
+            "tests/test_golden.py::test_report_bytes[spread_line_index.json]",
+        ),
+    ),
+    Mutant(
+        "order-sort-not-stable", GENERATOR,
+        'np.argsort(key, kind="stable")', "np.argsort(key)",
+        (
+            "tests/test_generator.py::TestOrderOracle::test_builders_match_reference",
+            "tests/test_golden.py::test_report_bytes[spread_line_proximity.json]",
+        ),
+    ),
+    Mutant(
+        "async-without-the-pre-pass-check", HEBBIAN,
+        "        if not _unstable(g, x).any():\n"
+        "            # no visit can flip a neuron: the pass only repeats the energy n times\n"
+        "            trace.extend([ef] * n)\n            converged = True\n            break\n",
+        "",
+        (
+            "tests/test_hebbian.py::TestRecallAsync::test_stored_memory_converges_immediately",
+            "tests/test_hebbian.py::TestRecallOracleCases::test_explicit_schedule_confirms_after_flipping_passes",
+            "tests/test_golden.py::test_report_bytes[recall_worked_async.json]",
+        ),
+    ),
+    Mutant(
+        "async-converged-pass-trace-short", HEBBIAN,
+        "trace.extend([ef] * n)", "trace.extend([ef] * (n - 1))",
+        (
+            "tests/test_hebbian.py::TestRecallOracleCases::test_trained_network_with_noisy_probes",
+            "tests/test_golden.py::test_report_bytes[recall_zero_field_async_cyclic.json]",
+        ),
+    ),
+    Mutant(
+        "proximity-fault-row-outside-its-block", CORE,
+        "r, c = (i + int(k) for k in np.argwhere(asym)[0])", "r, c = (int(k) for k in np.argwhere(asym)[0])",
+        (
+            "tests/test_core.py::TestProximityValidation::test_first_fault_matches_full_matrix_reference",
+            "tests/test_core.py::TestProximityValidation::test_asymmetry_in_the_last_row_block[130]",
         ),
     ),
 )
