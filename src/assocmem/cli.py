@@ -5,16 +5,20 @@ Each run emits one JSON document (to --out, or stdout) embedding the tool
 version and the full configuration; commands that use randomness refuse to
 run without an explicit --seed.
 
-Each runner imports the one library module it runs (hebbian, generator,
-analysis or quantum), so a command loads core, formats and that module only.
+Each subparser names its runner (set_defaults(run=...)), and main calls
+it, so the command table is the parser itself. Each runner imports the one
+library module it runs (hebbian, generator, analysis or quantum), so a
+command loads core, formats and that module only.
 
 Exit codes: 0 success, 2 usage or unreadable input file, 3 file parse
-error, 4 dimension mismatch, 5 invalid parameter value.
+error (every fault of a weights document included), 4 dimension mismatch,
+5 invalid parameter value.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 
@@ -70,7 +74,7 @@ def _parse_start(text: str) -> list[tuple[int, int]]:
             continue
         if ":" not in piece:
             raise ParameterError(f"bad start entry {piece!r}, expected index:value")
-        idx_text, val_text = piece.split(":", 1)
+        idx_text, val_text = (side.strip() for side in piece.split(":", 1))
         try:
             idx = formats._ascii_number(idx_text, int)
         except ValueError:
@@ -246,16 +250,7 @@ def _run_capacity(args) -> dict:
     payload = {
         "n": report.n,
         "trials": args.trials,
-        "rows": [
-            {
-                "m": row.m,
-                "trials": row.trials,
-                "per_bit_instability": row.per_bit_instability,
-                "all_stable_fraction": row.all_stable_fraction,
-                "stderr": row.stderr,
-            }
-            for row in report.rows
-        ],
+        "rows": [dataclasses.asdict(row) for row in report.rows],
         "threshold_capacity_ratio": report.threshold_capacity_ratio,
         "threshold_rule": "largest m/n with per-bit stability >= 0.99",
         "definitions": {
@@ -314,21 +309,6 @@ def _run_collapse(args) -> dict:
     return formats.document("report", "collapse", config, result=payload)
 
 
-_RUNNERS = {
-    "train": _run_train,
-    "recall": _run_recall,
-    "spread": _run_spread,
-    "fixed-points": _run_fixed_points,
-    "capacity": _run_capacity,
-    "collapse": _run_collapse,
-}
-
-
-def run(args) -> dict:
-    """Execute one parsed command and return its report document."""
-    return _RUNNERS[args.command](args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="assocmem",
@@ -340,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="build outer-product weights from a memory file")
     train.add_argument("--memories", required=True, help="memory file, one bipolar vector per line")
     train.add_argument("--out", required=True, help="path for the weights document")
+    train.set_defaults(run=_run_train)
 
     recall = sub.add_parser("recall", help="iterate recall dynamics from a start state")
     recall.add_argument("--weights", required=True, help="weights document")
@@ -351,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     recall.add_argument("--passes", type=_int, default=None, help="pass budget (default 10n)")
     recall.add_argument("--seed", type=_int, default=None, help="seed for the random schedule")
     recall.add_argument("--out", default=None, help="report path (default stdout)")
+    recall.set_defaults(run=_run_recall)
 
     spread = sub.add_parser("spread", help="spreading-activity retrieval from a fragment")
     spread.add_argument("--weights", required=True, help="weights document")
@@ -358,6 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     spread.add_argument("--start", required=True, help="1-based index:value pairs, e.g. 1:+1,4:-1")
     spread.add_argument("--memories", default=None, help="memory file for match reporting")
     spread.add_argument("--out", default=None, help="report path (default stdout)")
+    spread.set_defaults(run=_run_spread)
 
     fixed = sub.add_parser("fixed-points", help="enumerate all fixed points exhaustively")
     fixed.add_argument("--weights", required=True, help="weights document")
@@ -365,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     fixed.add_argument("--limit", type=_int, default=ENUMERATION_LIMIT,
                        help="largest n to enumerate (default 20)")
     fixed.add_argument("--out", default=None, help="report path (default stdout)")
+    fixed.set_defaults(run=_run_fixed_points)
 
     capacity = sub.add_parser("capacity", help="Monte Carlo capacity sweep")
     capacity.add_argument("--n", type=_int, required=True, help="neuron count (>= 10)")
@@ -373,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     capacity.add_argument("--seed", type=_int, required=True, help="experiment seed")
     capacity.add_argument("--workers", type=_int, default=1, help="thread workers (default 1)")
     capacity.add_argument("--out", default=None, help="report path (default stdout)")
+    capacity.set_defaults(run=_run_capacity)
 
     collapse = sub.add_parser("collapse", help="squared-amplitude sampling or case counting")
     which = collapse.add_mutually_exclusive_group(required=True)
@@ -384,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     collapse.add_argument("--list-cases", action="store_true",
                           help="embed the case table in the count report")
     collapse.add_argument("--out", default=None, help="report path (default stdout)")
+    collapse.set_defaults(run=_run_collapse)
 
     return parser
 
@@ -408,7 +394,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        doc = run(args)
+        doc = args.run(args)
         text = formats.render_document(doc)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

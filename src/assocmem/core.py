@@ -23,7 +23,9 @@ and freezing it again voids the guarantee, since the change cannot be seen.
 A raw proximity matrix passed to generator.order_from_proximity or
 generator.spread_full is used once: _checked_proximity checks it in full
 for that call and neither copies nor remembers it. validate_proximity is
-built on the same check and returns a frozen, trusted copy.
+built on the same check and returns a frozen, trusted copy. That check,
+_proximity_fault, is one walk over the row blocks that both decides and
+names the first fault, so each proximity invariant is stated once.
 
 Trust can also carry the training factor. For a matrix W = X^T X - m I that
 hebbian.train built from m < n memories with m n <= 2**53, the float64
@@ -437,47 +439,36 @@ def _mirror_gap(arr: np.ndarray, i: int) -> np.ndarray:
     return np.abs(arr[i:i + _ROW_BLOCK, i:] - arr[i:, i:i + _ROW_BLOCK].T)
 
 
-def _proximity_ok(arr: np.ndarray) -> bool:
-    """True when a square float matrix breaks no proximity invariant; one decision, no location.
-
-    A NaN or infinite entry leaves NaN or inf in its mirror gap, and NaN
-    propagates through the max, so the symmetry test refuses every
-    non-finite matrix with no pass of its own. The off-diagonal entries are
-    positive exactly when every non-positive entry lies on the diagonal.
-    """
-    diag = np.diagonal(arr)
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, a refusal, not a warning
-        symmetric = all(_mirror_gap(arr, i).max() <= PROXIMITY_TOL for i in range(0, arr.shape[0], _ROW_BLOCK))
-    return (
-        symmetric
-        and bool(np.all(np.abs(diag) <= PROXIMITY_TOL))
-        and np.count_nonzero(arr <= 0) == np.count_nonzero(diag <= 0)
-    )
-
-
 def _proximity_fault(arr: np.ndarray) -> tuple[int, str] | None:
     """The first broken invariant of a square float matrix, as (row, message), or None.
 
-    _proximity_ok accepts a legal matrix; only a refused one is scanned again,
-    check by check, to locate its first fault.
+    One walk over the row blocks decides and locates. A NaN or infinite
+    entry leaves NaN or inf in its mirror gap, and NaN propagates through
+    the max, so a non-finite matrix fails some block with no pass of its
+    own; only the first block that fails checks the whole matrix for one,
+    since a non-finite entry anywhere outranks an asymmetry. The diagonal
+    and the count of non-positive entries follow: the off-diagonal entries
+    are positive exactly when every non-positive entry lies on the diagonal.
     """
-    if _proximity_ok(arr):
-        return None
-    if not np.all(np.isfinite(arr)):
-        return int(np.argwhere(~np.isfinite(arr))[0][0]), "proximity entries must be finite"
-    # asymmetry is mirrored, so the row-major first offender lies above the diagonal
-    for i in range(0, arr.shape[0], _ROW_BLOCK):
-        asym = _mirror_gap(arr, i) > PROXIMITY_TOL
-        if asym.any():
-            r, c = (i + int(k) for k in np.argwhere(asym)[0])
-            return r, f"proximity matrix is asymmetric at ({r + 1}, {c + 1})"
-    bad = np.flatnonzero(np.abs(np.diag(arr)) > PROXIMITY_TOL)
+    # inf - inf is NaN and 1e308 - -1e308 overflows to inf: refusals, not warnings
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(0, arr.shape[0], _ROW_BLOCK):
+            if not _mirror_gap(arr, i).max() <= PROXIMITY_TOL:
+                if not np.all(np.isfinite(arr)):
+                    return int(np.argwhere(~np.isfinite(arr))[0][0]), "proximity entries must be finite"
+                # asymmetry is mirrored and earlier blocks hold none, so the row-major
+                # first offender lies in this block, above the diagonal
+                r, c = (i + int(k) for k in np.argwhere(_mirror_gap(arr, i) > PROXIMITY_TOL)[0])
+                return r, f"proximity matrix is asymmetric at ({r + 1}, {c + 1})"
+    diag = np.diagonal(arr)
+    bad = np.flatnonzero(np.abs(diag) > PROXIMITY_TOL)
     if bad.size:
         i = int(bad[0])
         return i, f"proximity diagonal must be zero, neuron {i + 1} has {arr[i, i]}"
-    # every other invariant holds, so a non-positive entry lies off the diagonal
-    i, j = (int(k) for k in np.argwhere((arr <= 0) & ~np.eye(arr.shape[0], dtype=bool))[0])
-    return i, f"off-diagonal proximity must be positive, ({i + 1}, {j + 1}) has {arr[i, j]}"
+    if np.count_nonzero(arr <= 0) != np.count_nonzero(diag <= 0):
+        i, j = (int(k) for k in np.argwhere((arr <= 0) & ~np.eye(arr.shape[0], dtype=bool))[0])
+        return i, f"off-diagonal proximity must be positive, ({i + 1}, {j + 1}) has {arr[i, j]}"
+    return None
 
 
 def _checked_proximity(proximity) -> np.ndarray:

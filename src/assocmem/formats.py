@@ -262,12 +262,25 @@ def weights_document(weights, config: dict, command: str = "train", **extra) -> 
 
 
 def load_weights(path) -> np.ndarray:
-    """Load a weight matrix from a weights document, validated once (see validate_weights)."""
+    """Load a weight matrix from a weights document, validated once (see validate_weights).
+
+    Every fault of the document is a ParseError: bytes that are not UTF-8
+    (named by _not_utf8), JSON that does not parse, nests too deeply or
+    holds an integer too long to read, a missing or foreign document, a
+    matrix validate_weights refuses, and an ``n`` that is not the matrix's
+    size as an int.
+    """
     p = Path(path)
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise _not_utf8(p) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{p}:{exc.lineno}:{exc.colno}: not valid JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError(f"{p}: JSON nested too deeply to read") from None
+    except ValueError:  # an integer beyond int()'s digit limit
+        raise ParseError(f"{p}: JSON number too long to read") from None
     if not isinstance(doc, dict) or "weights" not in doc:
         raise ParseError(f"{p}: expected a weights document with a 'weights' key")
     if doc.get("kind") not in (None, "weights"):
@@ -277,6 +290,6 @@ def load_weights(path) -> np.ndarray:
     except ValueError as exc:  # ValidationError and DimensionMismatch included
         raise ParseError(f"{p}: {exc}") from exc
     declared = doc.get("n")
-    if declared is not None and declared != weights.shape[0]:
+    if declared is not None and (type(declared) is not int or declared != weights.shape[0]):
         raise ParseError(f"{p}: document says n={declared} but the matrix is {weights.shape[0]}x{weights.shape[0]}")
     return weights

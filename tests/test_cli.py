@@ -199,6 +199,15 @@ class TestSpread:
         assert run_cli(["spread", "--weights", str(weights), "--start", f"{index}:+1"]) == 5
         assert capsys.readouterr().err == f"assocmem: invalid parameter: bad start index {index!r}\n"
 
+    @pytest.mark.parametrize("start", ["1 :+1", "1: +1", " 1 : +1 "])
+    def test_spaces_around_either_side_of_a_start_pair(self, workspace, capsys, start):
+        # the config keeps the text as typed, so only the results are compared
+        _, _, weights = workspace
+        assert run_cli(["spread", "--weights", str(weights), "--start", "1:+1"]) == 0
+        want = json.loads(capsys.readouterr().out)["result"]
+        assert run_cli(["spread", "--weights", str(weights), "--start", start]) == 0
+        assert json.loads(capsys.readouterr().out)["result"] == want
+
     def test_start_out_of_range(self, workspace):
         _, _, weights = workspace
         assert run_cli(["spread", "--weights", str(weights), "--start", "9:+1"]) == 5
@@ -399,6 +408,21 @@ class TestErrorChannels:
         bad.write_bytes(b"1 -1\n\x80 1\n")
         assert run_cli(["train", "--memories", str(bad), "--out", str(tmp_path / "w.json")]) == 3
         assert "bad.txt:2:1: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data, fault",
+        [
+            (b'\xff{"weights": [[0]]}\n', ":1:1: not UTF-8 text"),
+            (b'{"weights": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", ": JSON nested too deeply to read"),
+            (b'{"weights": [[' + b"9" * 5000 + b"]]}", ": JSON number too long to read"),
+        ],
+        ids=["not-utf8", "nesting", "number"],
+    )
+    def test_unreadable_weights_are_a_parse_error(self, tmp_path, capsys, data, fault):
+        bad = tmp_path / "w.json"
+        bad.write_bytes(data)
+        assert run_cli(["recall", "--weights", str(bad), "--state", "1"]) == 3
+        assert capsys.readouterr().err == f"assocmem: parse error: {bad}{fault}\n"
 
     def test_version(self, capsys):
         assert run_cli(["--version"]) == 0

@@ -28,7 +28,7 @@ from assocmem import (
 )
 from assocmem import core, formats
 from assocmem.cli import main
-from assocmem.core import PROXIMITY_TOL, _proximity_fault, _proximity_ok
+from assocmem.core import PROXIMITY_TOL, _proximity_fault
 
 
 class TestSgn:
@@ -418,7 +418,6 @@ class TestProximityValidation:
             plant_fault(p, plant, rng)
         want = reference_proximity_fault(p)
         assert _proximity_fault(p) == want
-        assert _proximity_ok(p) == (want is None)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
@@ -429,12 +428,17 @@ class TestProximityValidation:
         with pytest.raises(ValidationError, match="^proximity entries must be finite$"):
             validate_proximity(p)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_mirror_gap_refused_without_a_warning(self):
+        p = np.array([[0.0, 1e308], [-1e308, 0.0]])
+        with pytest.raises(ValidationError, match=r"^proximity matrix is asymmetric at \(1, 2\)$"):
+            validate_proximity(p)
+
     @pytest.mark.parametrize("n", [2, 65, 130, 200])
     def test_asymmetry_in_the_last_row_block(self, n):
         p = np.ones((n, n))
         np.fill_diagonal(p, 0.0)
         p[n - 1, n - 2] += 2 * PROXIMITY_TOL
-        assert not _proximity_ok(p)
         assert _proximity_fault(p) == (n - 2, f"proximity matrix is asymmetric at ({n - 1}, {n})")
 
     def test_faults_at_the_tolerance_are_accepted(self):
@@ -442,8 +446,17 @@ class TestProximityValidation:
         p = np.ones((3, 3))
         np.fill_diagonal(p, [PROXIMITY_TOL, -PROXIMITY_TOL, 0.0])
         p[0, 2], p[2, 0] = PROXIMITY_TOL, 2 * PROXIMITY_TOL
-        assert _proximity_ok(p)
         assert _proximity_fault(p) is None
+
+    def test_non_finite_entry_outranks_an_asymmetry_in_an_earlier_row_block(self):
+        # row block 0 fails first, on its asymmetry, yet the NaN in row block 2 is the fault
+        p = np.ones((150, 150))
+        np.fill_diagonal(p, 0.0)
+        p[3, 5] = 2.0
+        p[140, 145] = np.nan
+        want = (140, "proximity entries must be finite")
+        assert reference_proximity_fault(p) == want
+        assert _proximity_fault(p) == want
 
     def test_asymmetry_below_the_diagonal_of_a_later_row_block(self):
         p = np.ones((150, 150))

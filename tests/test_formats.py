@@ -240,12 +240,15 @@ class TestWeightsDocuments:
         with pytest.raises(ParseError, match="n=3"):
             load_weights(path)
 
-    @pytest.mark.parametrize("declared", [2.5, "2", "x", [2]])
+    @pytest.mark.parametrize("declared", [2.5, "2", "x", [2], 2.0, True])
     def test_declared_n_is_not_cast(self, tmp_path, declared):
-        # 2.5 and "2" do not declare a 2x2 matrix, and "x" is a parse error, not a crash
+        # 2.5, "2" and 2.0 do not declare a 2x2 matrix, nor true a 1x1 one, though 2.0 == 2
+        # and True == 1; "x" is a parse error, not a crash
+        weights = [[0]] if declared is True else [[0, 1], [1, 0]]
+        size = len(weights)
         path = tmp_path / "w.json"
-        path.write_text(json.dumps({"kind": "weights", "n": declared, "weights": [[0, 1], [1, 0]]}))
-        with pytest.raises(ParseError, match=re.escape(f"n={declared} but the matrix is 2x2")):
+        path.write_text(json.dumps({"kind": "weights", "n": declared, "weights": weights}))
+        with pytest.raises(ParseError, match=re.escape(f"n={declared} but the matrix is {size}x{size}")):
             load_weights(path)
 
     def test_render_is_stable(self):

@@ -446,10 +446,10 @@ MUTANTS = (
             "tests/test_cli.py::TestCollapse::test_overflowing_amps_leave_only_the_refusal_on_stderr",
         ),
     ),
-    # the one-pass proximity check
+    # the one walk that decides and locates a proximity fault
     Mutant(
         "proximity-count-term-dropped", CORE,
-        "\n        and np.count_nonzero(arr <= 0) == np.count_nonzero(diag <= 0)", "",
+        "    if np.count_nonzero(arr <= 0) != np.count_nonzero(diag <= 0):\n", "    if False:\n",
         (
             "tests/test_core.py::TestProximityValidation::test_zero_off_diagonal_rejected",
         ),
@@ -463,7 +463,7 @@ MUTANTS = (
     ),
     Mutant(
         "proximity-diagonal-strict", CORE,
-        "np.all(np.abs(diag) <= PROXIMITY_TOL)", "np.all(np.abs(diag) < PROXIMITY_TOL)",
+        "np.abs(diag) > PROXIMITY_TOL", "np.abs(diag) >= PROXIMITY_TOL",
         (
             "tests/test_core.py::TestProximityValidation::test_faults_at_the_tolerance_are_accepted",
             "tests/test_generator.py::TestOrderOracle::test_builders_match_reference",
@@ -471,7 +471,7 @@ MUTANTS = (
     ),
     Mutant(
         "proximity-last-row-block-skipped", CORE,
-        "for i in range(0, arr.shape[0], _ROW_BLOCK))", "for i in range(0, arr.shape[0] - _ROW_BLOCK, _ROW_BLOCK))",
+        "for i in range(0, arr.shape[0], _ROW_BLOCK):", "for i in range(0, arr.shape[0] - _ROW_BLOCK, _ROW_BLOCK):",
         (
             "tests/test_core.py::TestProximityValidation::test_asymmetry_in_the_last_row_block[2]",
             "tests/test_core.py::TestProximityValidation::test_asymmetry_in_the_last_row_block[130]",
@@ -480,9 +480,35 @@ MUTANTS = (
     ),
     Mutant(
         "proximity-without-errstate", CORE,
-        '    with np.errstate(invalid="ignore"):', "    if True:",
+        '    with np.errstate(invalid="ignore", over="ignore"):', "    if True:",
         (
             "tests/test_core.py::TestProximityValidation::test_non_finite_entries_refused_without_a_warning[inf]",
+            "tests/test_core.py::TestProximityValidation::test_overflowing_mirror_gap_refused_without_a_warning",
+        ),
+    ),
+    Mutant(
+        "proximity-overflow-warns", CORE,
+        'np.errstate(invalid="ignore", over="ignore")', 'np.errstate(invalid="ignore")',
+        (
+            "tests/test_core.py::TestProximityValidation::test_overflowing_mirror_gap_refused_without_a_warning",
+        ),
+    ),
+    Mutant(
+        "proximity-fault-row-outside-its-block", CORE,
+        "r, c = (i + int(k) for k in np.argwhere(", "r, c = (int(k) for k in np.argwhere(",
+        (
+            "tests/test_core.py::TestProximityValidation::test_first_fault_matches_full_matrix_reference",
+            "tests/test_core.py::TestProximityValidation::test_asymmetry_in_the_last_row_block[130]",
+        ),
+    ),
+    Mutant(
+        "proximity-finite-check-skipped-on-a-failing-block", CORE,
+        "                if not np.all(np.isfinite(arr)):\n"
+        '                    return int(np.argwhere(~np.isfinite(arr))[0][0]), "proximity entries must be finite"\n',
+        "",
+        (
+            "tests/test_core.py::TestProximityValidation::test_non_finite_entry_outranks_an_asymmetry_in_an_earlier_row_block",
+            "tests/test_core.py::TestProximityValidation::test_non_finite_entries_refused_without_a_warning[nan]",
         ),
     ),
     Mutant(
@@ -684,8 +710,55 @@ MUTANTS = (
             "tests/test_package.py::test_each_name_loads_only_its_module_and_is_its_object",
         ),
     ),
-    # recorded with the changes that made them: the order builder, the asynchronous
-    # recall's converged pass and the proximity fault's location
+    # one statement of each rule: the runner each subparser names, and the refusals
+    # of the weights document and the start pairs
+    Mutant(
+        "cli-command-wired-to-another-runner", CLI,
+        "    collapse.set_defaults(run=_run_collapse)\n", "    collapse.set_defaults(run=_run_capacity)\n",
+        (
+            "tests/test_cli.py::TestCollapse::test_sampling_report",
+            "tests/test_golden.py::test_report_bytes[collapse_count_levels.json]",
+        ),
+    ),
+    Mutant(
+        "weights-decode-error-escapes", FORMATS,
+        "    except UnicodeDecodeError:\n        raise _not_utf8(p) from None\n", "",
+        (
+            "tests/test_cli.py::TestErrorChannels::test_unreadable_weights_are_a_parse_error[not-utf8]",
+        ),
+    ),
+    Mutant(
+        "weights-deep-nesting-escapes", FORMATS,
+        "    except RecursionError:\n", "    except ArithmeticError:\n",
+        (
+            "tests/test_cli.py::TestErrorChannels::test_unreadable_weights_are_a_parse_error[nesting]",
+        ),
+    ),
+    Mutant(
+        "weights-long-number-escapes", FORMATS,
+        "    except ValueError:  # an integer beyond", "    except ArithmeticError:  # an integer beyond",
+        (
+            "tests/test_cli.py::TestErrorChannels::test_unreadable_weights_are_a_parse_error[number]",
+        ),
+    ),
+    Mutant(
+        "weights-declared-n-compared-by-value", FORMATS,
+        "(type(declared) is not int or declared != weights.shape[0])", "declared != weights.shape[0]",
+        (
+            "tests/test_formats.py::TestWeightsDocuments::test_declared_n_is_not_cast[2.0]",
+            "tests/test_formats.py::TestWeightsDocuments::test_declared_n_is_not_cast[True]",
+        ),
+    ),
+    Mutant(
+        "start-value-not-stripped", CLI,
+        "(side.strip() for side in piece.split(\":\", 1))", "piece.split(\":\", 1)",
+        (
+            "tests/test_cli.py::TestSpread::test_spaces_around_either_side_of_a_start_pair[1: +1]",
+            "tests/test_cli.py::TestSpread::test_spaces_around_either_side_of_a_start_pair[ 1 : +1 ]",
+        ),
+    ),
+    # recorded with the changes that made them: the order builder and the asynchronous
+    # recall's converged pass
     Mutant(
         "order-without-the-start-key", GENERATOR,
         "    key[start] = -np.inf\n", "",
@@ -721,14 +794,6 @@ MUTANTS = (
         (
             "tests/test_hebbian.py::TestRecallOracleCases::test_trained_network_with_noisy_probes",
             "tests/test_golden.py::test_report_bytes[recall_zero_field_async_cyclic.json]",
-        ),
-    ),
-    Mutant(
-        "proximity-fault-row-outside-its-block", CORE,
-        "r, c = (i + int(k) for k in np.argwhere(asym)[0])", "r, c = (int(k) for k in np.argwhere(asym)[0])",
-        (
-            "tests/test_core.py::TestProximityValidation::test_first_fault_matches_full_matrix_reference",
-            "tests/test_core.py::TestProximityValidation::test_asymmetry_in_the_last_row_block[130]",
         ),
     ),
 )
