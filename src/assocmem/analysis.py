@@ -51,6 +51,7 @@ from .core import (
     _factor_fields,
     _fields,
     _frozen,
+    _memory_set,
     _seed,
     _unstable,
     _whole,
@@ -141,9 +142,14 @@ class AttractorCensus:
 
 
 def classify(fixed_points, memories) -> AttractorCensus:
-    """Label each fixed point as stored, complement, or spurious."""
+    """Label each fixed point as stored, complement, or spurious.
+
+    ``memories`` is anything validate_memory_set takes, an iterator
+    included; an empty collection of any kind labels every point spurious.
+    """
     points = [np.asarray(p) for p in fixed_points]
-    mem = validate_memory_set(memories).vectors if len(memories) else None
+    mset = _memory_set(memories)
+    mem = None if mset is None else mset.vectors
     labels = []
     for p in points:
         if mem is not None and p.size != mem.shape[1]:

@@ -61,6 +61,11 @@ def _parse_state(text: str) -> np.ndarray:
     return as_bipolar(values)
 
 
+def _pieces(text: str) -> list[str]:
+    """The non-empty comma-separated pieces of ``text``, each stripped."""
+    return [piece for piece in (raw.strip() for raw in text.split(",")) if piece]
+
+
 def _parse_start(text: str) -> list[tuple[int, int]]:
     """Start syntax: comma-separated 1-based index:value pairs, e.g. 1:+1,4:-1.
 
@@ -68,10 +73,7 @@ def _parse_start(text: str) -> list[tuple[int, int]]:
     empty start and a neuron assigned twice with different values.
     """
     out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+    for piece in _pieces(text):
         if ":" not in piece:
             raise ParameterError(f"bad start entry {piece!r}, expected index:value")
         idx_text, val_text = (side.strip() for side in piece.split(":", 1))
@@ -92,10 +94,7 @@ def _parse_list(text: str, what: str, convert) -> list:
     the file parsers' number rule (formats._ascii_number)."""
     expected = "an integer" if convert is int else "a number"
     values = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+    for piece in _pieces(text):
         try:
             values.append(formats._ascii_number(piece, convert))
         except ValueError:
@@ -346,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     fixed.add_argument("--weights", required=True, help="weights document")
     fixed.add_argument("--memories", default=None, help="memory file for the census")
     fixed.add_argument("--limit", type=_int, default=ENUMERATION_LIMIT,
-                       help="largest n to enumerate (default 20)")
+                       help="largest n to enumerate (default %(default)s)")
     fixed.add_argument("--out", default=None, help="report path (default stdout)")
     fixed.set_defaults(run=_run_fixed_points)
 
@@ -355,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     capacity.add_argument("--m-list", required=True, help="comma-separated memory counts")
     capacity.add_argument("--trials", type=_int, required=True, help="trials per m (>= 50)")
     capacity.add_argument("--seed", type=_int, required=True, help="experiment seed")
-    capacity.add_argument("--workers", type=_int, default=1, help="thread workers (default 1)")
+    capacity.add_argument("--workers", type=_int, default=1, help="thread workers (default %(default)s)")
     capacity.add_argument("--out", default=None, help="report path (default stdout)")
     capacity.set_defaults(run=_run_capacity)
 

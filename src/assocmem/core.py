@@ -13,31 +13,31 @@ can be shared freely across threads or processes.
 
 A value is validated once. validate_weights and validate_proximity (and
 hebbian.train, formats.load_weights and formats.parse_proximity, which
-return the same kind of value) register the frozen array they return, and
-every later call of the same validator accepts that very object in O(1):
-trust is the object's identity plus its read-only flag, with no private
-copy, kept apart for weights and proximity. A copy,
-slice or arithmetic result is a new object and is checked in full, and so
-is a trusted array while it is writeable again. Changing a trusted array
-and freezing it again voids the guarantee, since the change cannot be seen.
+return the same kind of value) freeze the array they return and enter it
+in one table, _TRUSTED, and every later call of the same validator accepts
+that very object in O(1). Trust is the object's identity, its read-only
+flag and its dtype (int64 weights, float64 proximity), with no private
+copy: weakref.finalize drops an entry when its array dies, so an id found
+in the table names that very array. The entry of a matrix W = X^T X - m I
+that hebbian.train built from m < n memories with m n <= 2**53 keeps the
+float64 memory matrix X, for as long as W lives. _fields, the one owner of
+"the field of a state", then computes W s as (s X^T) X - m s in float64
+BLAS, in O(m n) per state instead of O(n^2); every product and partial sum
+is an integer of magnitude at most m n, so the fields are exact. Any other
+matrix (loaded, hand-written, copied, or trained with m >= n) gives its
+fields as the int64 product W s, exact by the bound of validate_weights,
+and _block_fields makes the same choice for the spread, one block of
+neurons at a time. A copy, slice or arithmetic result is a new object and
+is checked in full, and so is a trusted array while it is writeable again.
+Changing a trusted array and freezing it again voids the guarantee, since
+the change cannot be seen; such a matrix also keeps its old memories.
+
 A raw proximity matrix passed to generator.order_from_proximity or
 generator.spread_full is used once: _checked_proximity checks it in full
 for that call and neither copies nor remembers it. validate_proximity is
 built on the same check and returns a frozen, trusted copy. That check,
 _proximity_fault, is one walk over the row blocks that both decides and
 names the first fault, so each proximity invariant is stated once.
-
-Trust can also carry the training factor. For a matrix W = X^T X - m I that
-hebbian.train built from m < n memories with m n <= 2**53, the float64
-memory matrix X is kept, by the same identity, for as long as W lives.
-_fields, the one owner of "the field of a state", then computes W s as
-(s X^T) X - m s in float64 BLAS, in O(m n) per state instead of O(n^2);
-every product and partial sum is an integer of magnitude at most m n, so
-the fields are exact. Any other matrix (loaded, hand-written, copied, or
-trained with m >= n) gives its fields as the int64 product W s, exact by
-the bound of validate_weights. _block_fields makes the same choice for the
-spread, one block of neurons at a time. The re-freeze caveat covers the
-factor too: a trusted matrix changed and frozen again keeps its old factor.
 
 Indices are 0-based throughout the library; error messages and reports
 speak of "neuron 1" like a person would.
@@ -173,36 +173,30 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-# per kind, id -> array for each frozen array a validator returned; entries die with their arrays
-_CHECKED = {"weights": weakref.WeakValueDictionary(), "proximity": weakref.WeakValueDictionary()}
+# id -> the kept float64 memories of a trusted matrix, or None, for each frozen array a
+# validator returned; an entry dies with its array, so an id found here names that very array
+_TRUSTED: dict[int, np.ndarray | None] = {}
 
 
-def _trust(arr: np.ndarray, kind: str) -> np.ndarray:
-    """Freeze ``arr`` and let validate_<kind> accept it in O(1) from now on."""
-    _CHECKED[kind][id(arr)] = _frozen(arr)
-    return arr
+def _trust(arr: np.ndarray, memories: np.ndarray | None = None) -> np.ndarray:
+    """Freeze ``arr`` and let the validator of its dtype accept it in O(1) from now on.
 
-
-def _trusted(value, kind: str) -> bool:
-    return _CHECKED[kind].get(id(value)) is value and not value.flags.writeable
-
-
-# id -> float64 memories X of a trusted W = X^T X - m I; each entry dies with its W
-_FACTORS: dict[int, np.ndarray] = {}
-
-
-def _trust_factor(w: np.ndarray, memories: np.ndarray) -> None:
-    """Keep the memories of trusted ``w`` for _fields, where that is cheaper and exact.
-
-    Kept only for m < n, where O(m n) beats O(n^2), and m n <= FLOAT_EXACT_LIMIT,
-    where every float64 product and partial sum is an exact integer. The
-    memories cost 8 m n bytes while ``w`` lives; a float64 array is kept as
-    it is, not copied, and frozen.
+    ``memories``, the float64 memories X of a matrix W = X^T X - m I that
+    train built, are frozen and kept in the same entry, for _fields: only
+    for m < n, where O(m n) beats O(n^2), and m n <= FLOAT_EXACT_LIMIT, where
+    every float64 product and partial sum is an exact integer. They cost
+    8 m n bytes while ``arr`` lives, and the entry dies with ``arr``.
     """
-    m, n = memories.shape
-    if m < n and m * n <= FLOAT_EXACT_LIMIT:
-        _FACTORS[id(w)] = _frozen(memories.astype(np.float64, copy=False))
-        weakref.finalize(w, _FACTORS.pop, id(w), None)
+    m, n = (0, 0) if memories is None else memories.shape  # (0, 0) keeps nothing
+    _TRUSTED[id(arr)] = _frozen(memories) if m < n and m * n <= FLOAT_EXACT_LIMIT else None
+    weakref.finalize(arr, _TRUSTED.pop, id(arr), None)
+    return _frozen(arr)
+
+
+def _trusted(value, dtype: type) -> bool:
+    """True for an array _trust entered, still read-only, of ``dtype``: np.int64 asks
+    for weights, np.float64 for proximity."""
+    return id(value) in _TRUSTED and value.dtype == dtype and not value.flags.writeable
 
 
 def _exact_float(bound: int) -> type:
@@ -226,8 +220,9 @@ def _factor_fields(x: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _factor(w: np.ndarray) -> np.ndarray | None:
-    """The kept float64 memories X of a trusted W = X^T X - m I, or None."""
-    return _FACTORS.get(id(w)) if _trusted(w, "weights") else None
+    """The kept float64 memories X of a trusted W = X^T X - m I, or None: the trust
+    entry that _trusted just matched."""
+    return _TRUSTED[id(w)] if _trusted(w, np.int64) else None
 
 
 def _fields(w: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -352,6 +347,15 @@ def validate_memory_set(memories) -> MemorySet:
     all. Each row then goes through as_bipolar in turn, so a non-bipolar
     set is refused with the first bad row's exception.
     """
+    mset = _memory_set(memories)
+    if mset is None:
+        raise ParameterError("memory set is empty")
+    return mset
+
+
+def _memory_set(memories) -> MemorySet | None:
+    """validate_memory_set(memories), or None for an empty collection of any kind,
+    an iterator included, which has no length to ask first."""
     if isinstance(memories, MemorySet):
         return memories
     try:
@@ -361,8 +365,8 @@ def validate_memory_set(memories) -> MemorySet:
             f"a memory set must be a collection of vectors, got a non-iterable {type(memories).__name__}"
         ) from None
     rows = [np.asarray(r) for r in rows]
-    if len(rows) == 0:
-        raise ParameterError("memory set is empty")
+    if not rows:
+        return None
     widths = {int(r.size) for r in rows}
     if len(widths) != 1:
         raise DimensionMismatch(f"memories have mixed dimensions {sorted(widths)}")
@@ -396,7 +400,7 @@ def validate_weights(weights) -> np.ndarray:
     this function (or train or load_weights) returned is returned as it
     is, in O(1).
     """
-    if _trusted(weights, "weights"):
+    if _trusted(weights, np.int64):
         return weights
     arr = np.asarray(weights)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -427,7 +431,7 @@ def validate_weights(weights) -> np.ndarray:
     if np.any(diag != 0):
         i = int(np.flatnonzero(diag != 0)[0])
         raise ValidationError(f"weight diagonal must be zero, neuron {i + 1} has {diag[i]}")
-    return _trust(out, "weights")
+    return _trust(out)
 
 
 def _mirror_gap(arr: np.ndarray, i: int) -> np.ndarray:
@@ -480,7 +484,7 @@ def _checked_proximity(proximity) -> np.ndarray:
     and the next call checks it again. For a matrix used once, such as the
     one an order is sorted from.
     """
-    if _trusted(proximity, "proximity"):
+    if _trusted(proximity, np.float64):
         return proximity
     arr = np.asarray(proximity)
     _numeric(arr, "proximity entries")
@@ -502,7 +506,7 @@ def validate_proximity(proximity) -> np.ndarray:
     function (or parse_proximity) returned is returned as it is, in O(1).
     """
     arr = _checked_proximity(proximity)
-    return arr if _trusted(arr, "proximity") else _trust(arr.copy(), "proximity")
+    return arr if _trusted(arr, np.float64) else _trust(arr.copy())
 
 
 def normalize_start(start, n: int) -> dict[int, int]:

@@ -205,7 +205,7 @@ def parse_proximity(path) -> np.ndarray:
     if fault is not None:
         row, message = fault
         raise ParseError(f"{p}:{lines[row]}: {message}")
-    return _trust(matrix, "proximity")
+    return _trust(matrix)
 
 
 def document(kind: str, command: str, config: dict, **payload) -> dict:

@@ -66,10 +66,10 @@ from .core import (
     _fields,
     _frozen,
     _index_array,
+    _memory_set,
     _start_neurons,
     _unstable,
     normalize_start,
-    validate_memory_set,
     validate_weights,
 )
 
@@ -110,18 +110,19 @@ class SpreadOrder:
         return int(self.permutation.size)
 
 
-def _order(n: int, start_set, proximity=None) -> SpreadOrder:
+def _order(n: int, start, proximity=None) -> SpreadOrder:
     """Start neurons by index, then the rest by distance to the start set, ties by index.
 
-    One stable sort: each start neuron is keyed at -inf, every other neuron at
-    its minimum distance to the start set, or at 0 without a proximity matrix.
-    Start neurons are keyed explicitly, as a tolerated diagonal entry may lie
-    above an off-diagonal distance.
+    ``start`` holds the distinct start neurons, each one of the n, as its
+    caller has already checked them. One stable sort: each start neuron is
+    keyed at -inf, every other neuron at its minimum distance to the start
+    set, or at 0 without a proximity matrix. Start neurons are keyed
+    explicitly, as a tolerated diagonal entry may lie above an off-diagonal
+    distance. The SpreadOrder constructor still checks the order it is given.
     """
-    start = _start_neurons(start_set, n)
     key = np.zeros(n) if proximity is None else proximity[start].min(axis=0)
     key[start] = -np.inf
-    return SpreadOrder(np.argsort(key, kind="stable"), frozenset(start.tolist()))
+    return SpreadOrder(np.argsort(key, kind="stable"), frozenset(start))
 
 
 def order_from_proximity(proximity, start_set) -> SpreadOrder:
@@ -135,7 +136,7 @@ def order_from_proximity(proximity, start_set) -> SpreadOrder:
     call and is neither copied nor remembered (see core).
     """
     p = _checked_proximity(proximity)
-    return _order(p.shape[0], start_set, p)
+    return _order(p.shape[0], _start_neurons(start_set, p.shape[0]), p)
 
 
 class SpreadStep(NamedTuple):
@@ -191,8 +192,8 @@ def spread_full(weights, start, proximity=None, order=None) -> SpreadTrace:
     if size != n:
         raise DimensionMismatch(f"order covers {size} neurons, weights have {n}")
     if order is None:
-        order = _order(n, seed.keys(), proximity)
-    if order.start_set != frozenset(seed):
+        order = _order(n, list(seed), proximity)
+    elif order.start_set != frozenset(seed):
         raise ParameterError("explicit order was built for a different start set")
 
     # each neuron is written once, by the seed or by its block; until then it is
@@ -244,13 +245,16 @@ def retrieve_report(weights, start, memories=None, proximity=None, order=None) -
     Reports the index of the stored memory the final state equals (if any),
     the Hamming distance to the nearest memory (ties to the lower index),
     and whether the final state is a fixed point of one synchronous pass.
+    ``memories`` is anything validate_memory_set takes, an iterator
+    included; None or an empty collection of any kind leaves the memory
+    fields None.
     """
     trace = spread_full(weights, start, proximity, order)
     is_fp = len(trace.consistency_flags) == 0
 
     matched = nearest = distance = None
-    if memories is not None and len(memories) > 0:
-        mset = validate_memory_set(memories)
+    mset = None if memories is None else _memory_set(memories)
+    if mset is not None:
         if mset.n != trace.final.size:
             raise DimensionMismatch(f"memories have {mset.n} neurons, weights have {trace.final.size}")
         dists = np.count_nonzero(mset.vectors != trace.final, axis=1)

@@ -57,7 +57,6 @@ from .core import (
     _index_array,
     _seed,
     _trust,
-    _trust_factor,
     _unstable,
     _whole,
     as_bipolar,
@@ -89,8 +88,7 @@ def train(memories) -> np.ndarray:
     for i in range(0, n, _ROW_BLOCK):
         weights[i:i + _ROW_BLOCK] = x[:, i:i + _ROW_BLOCK].T @ x
     np.fill_diagonal(weights, 0)
-    _trust_factor(_trust(weights, "weights"), x)
-    return weights
+    return _trust(weights, x)
 
 
 def _weights_and_state(weights, state) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,7 @@ from assocmem import (
     enumerate_fixed_points,
     is_stored,
     train,
+    validate_memory_set,
     validate_weights,
 )
 from assocmem import analysis
@@ -181,6 +182,20 @@ class TestClassify:
         census = classify(points, [])
         assert census.spurious_count == 1
         assert census.stored_count == census.complement_count == 0
+
+    def test_memories_of_any_collection(self, worked_weights, two_memories):
+        # a generator has no length to ask before it is read; an empty one means
+        # no memories, as [] does, and a MemorySet is taken as it is
+        points = enumerate_fixed_points(worked_weights)
+
+        def labels(memories):
+            census = classify(points, memories)
+            return census.labels, census.stored_count, census.complement_count, census.spurious_count
+
+        want = labels(two_memories)
+        assert labels(m for m in two_memories) == labels(np.array(two_memories)) == want
+        assert labels(validate_memory_set(two_memories)) == want
+        assert labels(m for m in ()) == labels(np.empty((0, 4))) == labels([]) == (("spurious",) * 4, 0, 0, 4)
 
     def test_partition(self):
         rng = np.random.default_rng(29)

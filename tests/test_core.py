@@ -572,6 +572,19 @@ class TestTrust:
         with pytest.raises(ValueError):
             w[0, 1] = 7
 
+    def test_a_dead_arrays_id_grants_no_trust(self):
+        # CPython hands a freed array's id to the next array it builds; an entry that
+        # outlived its array would let such a stranger through unchecked
+        template = np.array([[0, 1], [2, 0]])
+        dead = id(validate_weights([[0, 1], [1, 0]]))
+        strangers = []
+        while len(strangers) < 1000 and (not strangers or id(strangers[-1]) != dead):
+            strangers.append(core._frozen(template.copy()))
+        assert id(strangers[-1]) == dead
+        for stranger in strangers:
+            with pytest.raises(ValidationError, match=r"asymmetric at \(1, 2\)"):
+                validate_weights(stranger)
+
     def test_writeable_again_is_checked_in_full(self, w):
         w.setflags(write=True)
         w[0, 1] += 1

@@ -21,7 +21,7 @@ from assocmem import (
     train,
 )
 from assocmem import core
-from conftest import random_memories
+from conftest import random_memories, reference_sync
 
 # n above this is left out of the 2^n fixed-point census
 CENSUS_N = 10
@@ -47,20 +47,11 @@ def _trace(result):
     )
 
 
-def _iterated(w, s):
-    """_trace of iterated synchronous recall from the definitions: sgn(W s) and s W s every pass."""
-    w = np.asarray(w, dtype=np.int64)
-    cur, prev = np.asarray(s, dtype=np.int64), None
-    trace = [-int(cur @ w @ cur) / 2]
-    for t in range(1, 10 * cur.size + 1):
-        nxt = np.where(w @ cur >= 0, 1, -1)
-        trace.append(-int(nxt @ w @ nxt) / 2)
-        if np.array_equal(nxt, cur):
-            return cur.tolist(), t, True, [e.hex() for e in trace], None
-        if prev is not None and np.array_equal(nxt, prev):
-            return nxt.tolist(), t, False, [e.hex() for e in trace], [nxt.tolist(), cur.tolist()]
-        prev, cur = cur, nxt
-    return cur.tolist(), t, False, [e.hex() for e in trace], None
+def _reference(w, s):
+    """_trace of the conftest oracle reference_sync, under its default budget."""
+    state, passes, converged, trace, cycle = reference_sync(w, s, None)
+    cycle = None if cycle is None else [c.tolist() for c in cycle]
+    return state.tolist(), passes, converged, [e.hex() for e in trace], cycle
 
 
 def _spread(trace):
@@ -118,12 +109,12 @@ class TestFieldOracle:
         memories, seed = case
         m, n = memories.shape
         w = train(memories)
-        assert (id(w) in core._FACTORS) == (m < n)
+        assert (core._TRUSTED[id(w)] is not None) == (m < n)
         assert _outcomes(w, memories, seed) == _outcomes(np.array(w), memories, seed)
 
     def test_zero_field_example_has_ties(self):
         w = train(ZERO_FIELD_TIES[0])
-        assert id(w) in core._FACTORS
+        assert core._TRUSTED[id(w)] is not None
         assert core._fields(w, np.ones(6, dtype=np.int8))[0] == 0
 
     def test_stack_of_states_gives_each_row_its_fields(self):
@@ -151,14 +142,14 @@ class TestFactorRegistry:
         return calls
 
     def test_entry_dies_with_its_weights(self, monkeypatch):
-        monkeypatch.setattr(core, "_FACTORS", {})
+        monkeypatch.setattr(core, "_TRUSTED", {})
         w = train(random_memories(np.random.default_rng(1), 3, 8))
-        factor = weakref.ref(core._FACTORS[id(w)])
+        factor = weakref.ref(core._TRUSTED[id(w)])
         assert factor().shape == (3, 8) and factor().dtype == np.float64
         assert not factor().flags.writeable
         del w
         gc.collect()
-        assert core._FACTORS == {}
+        assert core._TRUSTED == {}
         assert factor() is None
 
     def test_trained_weights_take_the_factor(self, spy):
@@ -197,24 +188,24 @@ class TestFactorRegistry:
         assert energy(w, s) == -int(s @ w @ s) / 2
         # every start, among them runs of 5 passes and 2-cycles, on the changed weights
         for start in (np.where((k >> np.arange(8)) & 1, 1, -1) for k in range(256)):
-            assert _trace(recall_sync_iterated(w, start)) == _iterated(w, start)
+            assert _trace(recall_sync_iterated(w, start)) == _reference(w, start)
         assert spy == []
 
     def test_no_factor_when_m_is_not_below_n(self):
         rng = np.random.default_rng(5)
         w = train(random_memories(rng, 6, 7))
-        assert id(w) in core._FACTORS
+        assert core._TRUSTED[id(w)] is not None
         for m in (7, 8, 14):
             w = train(random_memories(rng, m, 7))
-            assert id(w) not in core._FACTORS
+            assert core._TRUSTED[id(w)] is None
 
     def test_no_factor_beyond_the_exact_limit(self, monkeypatch):
         monkeypatch.setattr(core, "FLOAT_EXACT_LIMIT", 12)
         rng = np.random.default_rng(6)
         w = train(random_memories(rng, 2, 6))
-        assert id(w) in core._FACTORS  # m n = 12, at the limit
+        assert core._TRUSTED[id(w)] is not None  # m n = 12, at the limit
         w = train(random_memories(rng, 2, 7))
-        assert id(w) not in core._FACTORS
+        assert core._TRUSTED[id(w)] is None
 
 
 class TestExactFloat:

@@ -17,6 +17,7 @@ from assocmem import (
     sgn,
     spread_full,
     train,
+    validate_memory_set,
     validate_proximity,
 )
 from assocmem import core, generator
@@ -277,7 +278,7 @@ class TestSpreadFull:
         assert checks == [True, True]
         assert np.array_equal(trace.order.permutation, order.permutation)
         assert raw.flags.writeable and np.array_equal(raw, PROX)
-        assert not core._trusted(raw, "proximity")
+        assert not core._trusted(raw, np.float64)
         raw[0, 1] = 7.0
         with pytest.raises(ValidationError, match=r"^proximity matrix is asymmetric at \(1, 2\)$"):
             order_from_proximity(raw, {2})
@@ -494,3 +495,17 @@ class TestRetrieveReport:
     def test_dimension_mismatch(self, worked_weights):
         with pytest.raises(DimensionMismatch):
             retrieve_report(worked_weights, {0: 1}, [(1, -1)])
+
+    def test_memories_of_any_collection(self, worked_weights, two_memories):
+        # a generator has no length to ask before it is read; an empty one means
+        # no memories, as [] does, and a MemorySet is taken as it is
+        def outcome(memories):
+            report = retrieve_report(worked_weights, {0: -1}, memories)
+            return report.matched_index, report.nearest_index, report.nearest_distance, report.is_fixed_point
+
+        want = outcome(two_memories)
+        assert want == (None, 0, 2, True)
+        assert outcome(m for m in two_memories) == outcome(np.array(two_memories)) == want
+        assert outcome(validate_memory_set(two_memories)) == want
+        assert outcome(m for m in ()) == outcome(np.empty((0, 4))) == outcome([]) == outcome(None)
+        assert outcome(None) == (None, None, None, True)

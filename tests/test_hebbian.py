@@ -15,7 +15,7 @@ from assocmem import (
     train,
 )
 from assocmem import core
-from conftest import WORKED_WEIGHTS, random_memories, random_symmetric_weights
+from conftest import WORKED_WEIGHTS, random_memories, random_symmetric_weights, reference_energy, reference_sync
 
 memory_sets = st.integers(min_value=2, max_value=8).flatmap(
     lambda n: st.lists(
@@ -79,7 +79,7 @@ class TestTrain:
         np.fill_diagonal(expected, 0)
         assert w.dtype == np.int64
         assert np.array_equal(w, expected)
-        assert not w.flags.writeable and core._trusted(w, "weights")
+        assert not w.flags.writeable and core._trusted(w, np.int64)
         factor = core._factor(w)
         assert (factor is not None) == (m < n and m * n <= core.FLOAT_EXACT_LIMIT)
         if factor is not None:
@@ -331,29 +331,6 @@ def recall_cases(draw):
     return w, x, schedule, max_passes, draw(st.integers(0, 2**16))
 
 
-def _reference_energy(w, x) -> float:
-    # x W x is even and exact in int64 for accepted weights; int / int rounds once
-    return -int(x @ w @ x) / 2
-
-
-def reference_sync(w, x, max_passes):
-    """Iterated synchronous recall from the definitions: W x and x W x every pass."""
-    w = np.asarray(w, dtype=np.int64)
-    cur = np.asarray(x, dtype=np.int64)
-    max_passes = 10 * cur.size if max_passes is None else max_passes
-    trace = [_reference_energy(w, cur)]
-    prev = None
-    for t in range(1, max_passes + 1):
-        nxt = np.where(w @ cur >= 0, 1, -1)
-        trace.append(_reference_energy(w, nxt))
-        if np.array_equal(nxt, cur):
-            return cur, t, True, trace, None
-        if prev is not None and np.array_equal(nxt, prev):
-            return nxt, t, False, trace, (nxt, cur)
-        prev, cur = cur, nxt
-    return cur, max_passes, False, trace, None
-
-
 def reference_async(w, x, schedule, max_passes, seed):
     """Asynchronous recall from the definitions: W[i] x at every visit and
     x W x after every visit."""
@@ -362,7 +339,7 @@ def reference_async(w, x, schedule, max_passes, seed):
     n = x.size
     max_passes = 10 * n if max_passes is None else max_passes
     rng = np.random.default_rng(seed)
-    trace = [_reference_energy(w, x)]
+    trace = [reference_energy(w, x)]
     for passes in range(1, max_passes + 1):
         if schedule == "cyclic":
             order = range(n)
@@ -375,7 +352,7 @@ def reference_async(w, x, schedule, max_passes, seed):
             v = 1 if w[i] @ x >= 0 else -1
             flips += v != x[i]
             x[i] = v
-            trace.append(_reference_energy(w, x))
+            trace.append(reference_energy(w, x))
         if flips == 0:
             return x, passes, True, trace
     return x, max_passes, bool(np.array_equal(np.where(w @ x >= 0, 1, -1), x)), trace

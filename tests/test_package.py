@@ -144,3 +144,13 @@ print(json.dumps([code, {LOADED}]))
     base = ["assocmem", "assocmem._version", "assocmem.cli", "assocmem.core", "assocmem.formats"]
     want = sorted(base + ([f"assocmem.{module}"] if module else []))
     assert fresh(code, *argv, cwd=GOLDEN) == [0, want]
+
+
+def test_version_is_stated_once():
+    # pyproject.toml reads the version every report embeds from the package itself
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in project["project"] and project["project"]["dynamic"] == ["version"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "assocmem._version.__version__"}
+    version = fresh("print(json.dumps(sys.modules['assocmem._version'].__version__))")
+    assert version == fresh("print(json.dumps(assocmem.__version__))") and version.count(".") == 2

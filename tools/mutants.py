@@ -89,7 +89,7 @@ MUTANTS = (
     ),
     Mutant(
         "factor-kept-for-m-above-n", CORE,
-        "    if m < n and m * n <= FLOAT_EXACT_LIMIT:\n", "    if m > n and m * n <= FLOAT_EXACT_LIMIT:\n",
+        "if m < n and m * n <= FLOAT_EXACT_LIMIT else None", "if m > n and m * n <= FLOAT_EXACT_LIMIT else None",
         (
             "tests/test_fields.py::TestFactorRegistry::test_no_factor_when_m_is_not_below_n",
             "tests/test_fields.py::TestFactorRegistry::test_trained_weights_take_the_factor",
@@ -97,25 +97,76 @@ MUTANTS = (
     ),
     Mutant(
         "factor-kept-beyond-the-exact-limit", CORE,
-        "    if m < n and m * n <= FLOAT_EXACT_LIMIT:\n", "    if m < n:\n",
+        "if m < n and m * n <= FLOAT_EXACT_LIMIT else None", "if m < n else None",
         (
             "tests/test_fields.py::TestFactorRegistry::test_no_factor_beyond_the_exact_limit",
         ),
     ),
     Mutant(
         "factor-outlives-its-weights", CORE,
-        "        weakref.finalize(w, _FACTORS.pop, id(w), None)\n", "",
+        "    weakref.finalize(arr, _TRUSTED.pop, id(arr), None)\n",
+        "    if _TRUSTED[id(arr)] is None:\n        weakref.finalize(arr, _TRUSTED.pop, id(arr), None)\n",
         (
             "tests/test_fields.py::TestFactorRegistry::test_entry_dies_with_its_weights",
         ),
     ),
     Mutant(
         "factor-kept-writeable", CORE,
-        "_FACTORS[id(w)] = _frozen(memories.astype(np.float64, copy=False))",
-        "_FACTORS[id(w)] = memories.astype(np.float64, copy=False)",
+        "_TRUSTED[id(arr)] = _frozen(memories) if", "_TRUSTED[id(arr)] = memories if",
         (
             "tests/test_fields.py::TestFactorRegistry::test_entry_dies_with_its_weights",
             "tests/test_hebbian.py::TestTrain::test_matches_the_int64_product",
+        ),
+    ),
+    # one trust table: an entry dies with its array and answers only for its dtype
+    Mutant(
+        "trust-outlives-its-array", CORE,
+        "    weakref.finalize(arr, _TRUSTED.pop, id(arr), None)\n", "",
+        (
+            "tests/test_core.py::TestTrust::test_a_dead_arrays_id_grants_no_trust",
+            "tests/test_fields.py::TestFactorRegistry::test_entry_dies_with_its_weights",
+        ),
+    ),
+    Mutant(
+        "trust-ignores-the-dtype", CORE,
+        "id(value) in _TRUSTED and value.dtype == dtype and", "id(value) in _TRUSTED and",
+        (
+            "tests/test_core.py::TestTrust::test_trust_is_kept_apart_per_kind",
+        ),
+    ),
+    # a spread's start set is checked once, by whoever builds its order
+    Mutant(
+        "order-start-set-unchecked", GENERATOR,
+        "_order(p.shape[0], _start_neurons(start_set, p.shape[0]), p)", "_order(p.shape[0], list(start_set), p)",
+        (
+            "tests/test_generator.py::TestSpreadOrder::test_empty_start",
+            "tests/test_generator.py::TestSpreadOrder::test_out_of_range",
+            "tests/test_generator.py::TestSpreadOrder::test_out_of_range_start_names_the_neuron_1_based",
+        ),
+    ),
+    Mutant(
+        "explicit-order-not-compared-with-the-seed", GENERATOR,
+        "    elif order.start_set != frozenset(seed):\n"
+        '        raise ParameterError("explicit order was built for a different start set")\n',
+        "",
+        (
+            "tests/test_generator.py::TestSpreadFull::test_explicit_order_must_match_start",
+        ),
+    ),
+    # memories of any collection, an iterator included, are validated before anything asks their size
+    Mutant(
+        "memories-measured-before-validation", GENERATOR,
+        "    mset = None if memories is None else _memory_set(memories)\n",
+        "    mset = None if memories is None or not len(memories) else _memory_set(memories)\n",
+        (
+            "tests/test_generator.py::TestRetrieveReport::test_memories_of_any_collection",
+        ),
+    ),
+    Mutant(
+        "census-memories-measured-before-validation", ANALYSIS,
+        "    mset = _memory_set(memories)\n", "    mset = _memory_set(memories) if len(memories) else None\n",
+        (
+            "tests/test_analysis.py::TestClassify::test_memories_of_any_collection",
         ),
     ),
     # capacity trials: memories from the generator's bytes, float32 up to 2**24
@@ -173,7 +224,7 @@ MUTANTS = (
     ),
     Mutant(
         "factor-without-trust-check", CORE,
-        'return _FACTORS.get(id(w)) if _trusted(w, "weights") else None', "return _FACTORS.get(id(w))",
+        "return _TRUSTED[id(w)] if _trusted(w, np.int64) else None", "return _TRUSTED.get(id(w))",
         (
             "tests/test_fields.py::TestFactorRegistry::test_writeable_again_takes_the_int64_path",
         ),
@@ -513,14 +564,14 @@ MUTANTS = (
     ),
     Mutant(
         "validate-proximity-without-its-copy", CORE,
-        '_trust(arr.copy(), "proximity")', '_trust(arr, "proximity")',
+        "_trust(arr.copy())", "_trust(arr)",
         (
             "tests/test_generator.py::TestSpreadFull::test_raw_proximity_is_checked_once_and_neither_copied_nor_trusted",
         ),
     ),
     Mutant(
         "checked-proximity-copies-and-trusts", CORE,
-        "    return arr\n\n\ndef validate_proximity", '    return _trust(arr.copy(), "proximity")\n\n\ndef validate_proximity',
+        "    return arr\n\n\ndef validate_proximity", "    return _trust(arr.copy())\n\n\ndef validate_proximity",
         (
             "tests/test_generator.py::TestSpreadFull::test_raw_proximity_is_not_copied",
         ),
