@@ -28,10 +28,9 @@ where float64 stops being exact, are refused. Its memories are bit 7 of
 each byte of Generator.bytes, the very bits Generator.integers(0, 2,
 dtype=int8) draws from the same stream.
 
-Reproducibility contract: the per-trial generators are derived from
-(seed, m, trial) through SeedSequence spawn keys, and aggregation sums
-integer counters in a fixed order, so the report is bit-identical no
-matter how trials are scheduled or parallelized.
+The trials run through _sweep, the one loop over seeded trials, whose
+docstring states the reproducibility rule: a report is bit-identical no
+matter how its trials are scheduled or parallelized.
 """
 
 from __future__ import annotations
@@ -55,6 +54,7 @@ from .core import (
     _seed,
     _unstable,
     _whole,
+    as_bipolar,
     validate_memory_set,
     validate_weights,
 )
@@ -144,10 +144,11 @@ class AttractorCensus:
 def classify(fixed_points, memories) -> AttractorCensus:
     """Label each fixed point as stored, complement, or spurious.
 
-    ``memories`` is anything validate_memory_set takes, an iterator
-    included; an empty collection of any kind labels every point spurious.
+    Each point is read through as_bipolar, as every state is. ``memories``
+    is anything validate_memory_set takes, an iterator included; an empty
+    collection of any kind labels every point spurious.
     """
-    points = [np.asarray(p) for p in fixed_points]
+    points = [as_bipolar(p) for p in fixed_points]
     mset = _memory_set(memories)
     mem = None if mset is None else mset.vectors
     labels = []
@@ -190,12 +191,51 @@ class CapacityReport:
     threshold_capacity_ratio: float
 
 
-def _capacity_trial(n: int, m: int, seed: int, trial: int) -> int:
-    """One trial: draw m random memories, count the bits one pass flips.
+def _sweep(trial, loads, trials: int, seed: int, workers: int) -> np.ndarray:
+    """The int64 counter trial(load, rng) of every (load, t) task, as a len(loads) x trials array.
+
+    Reproducibility rule: task (load, t) draws only from its own generator,
+    default_rng(SeedSequence(entropy=seed, spawn_key=(load, t))), and its
+    counter is stored at its own index, so the array, and every sum taken
+    from it in a fixed order, is bit-identical however the tasks are
+    scheduled. A repeated load would repeat its streams. The capacity study
+    owns the bare (load, t) key: the next experiment to run here must add
+    its own tag at the front of the key, so that no two experiments share a
+    stream.
+
+    ``workers`` > 1 deals the tasks, in row-major order, round-robin to
+    min(workers, CPUs, tasks) threads of a pool; one runs inline, with no
+    thread. The pool pays only where BLAS runs single-threaded: a capacity
+    trial is one to a few BLAS calls, and a multi-threaded BLAS already
+    spreads each over the cores, so the threads add only their overhead.
+    """
+    counts = np.zeros((len(loads), trials), dtype=np.int64)
+    tasks = counts.size
+    threads = min(workers, os.cpu_count() or 1, tasks)
+
+    def run_share(first: int) -> None:
+        # every threads-th task of the (load, t) grid in row-major order, from task first
+        for i, t in (divmod(task, trials) for task in range(first, tasks, threads)):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(loads[i], t)))
+            counts[i, t] = trial(loads[i], rng)
+
+    if threads == 1:
+        run_share(0)
+    else:
+        # imported here: concurrent.futures (and logging with it) would cost every
+        # command its start-up time, and only this branch uses a pool
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run_share, range(threads)))
+    return counts
+
+
+def _capacity_trial(n: int, m: int, rng: np.random.Generator) -> int:
+    """One trial: draw m random memories from ``rng``, count the bits one pass flips.
 
     Returns the unstable bit count; 0 means every memory was an exact fixed
-    point. The generator stream depends only on (seed, m, trial), never on
-    scheduling.
+    point.
 
     The memories are bit 7 of each of m n bytes of Generator.bytes, mapped
     0 -> -1 and 1 -> +1: Generator.integers(0, 2, dtype=int8) keeps exactly
@@ -209,7 +249,6 @@ def _capacity_trial(n: int, m: int, seed: int, trial: int) -> int:
     while m n <= 2**24 and in float64 while m n <= 2**53, which
     capacity_experiment enforces.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m, trial)))
     x = (np.frombuffer(rng.bytes(m * n), np.uint8).reshape(m, n) >> 7).astype(_exact_float(m * n))
     x += x
     x -= 1
@@ -233,12 +272,9 @@ def capacity_experiment(n: int, m_values, trials: int, seed: int, workers: int =
     is refused: its trials would draw the very same streams, so a second
     row would be a copy, not a second estimate.
 
-    ``workers`` > 1 deals the trials round-robin to that many threads of a
-    pool, at most one per CPU; results are stored by index, so they are
-    bit-identical to the serial run by construction. The pool pays only
-    where BLAS runs single-threaded: a trial is one to a few BLAS calls,
-    and a multi-threaded BLAS already spreads each over the cores, so the
-    threads add only their overhead. Loads with m * n above
+    The trials of load m are the tasks (m, trial) of _sweep, which states
+    the reproducibility rule and how ``workers`` deals them to threads; the
+    report is bit-identical for every ``workers``. Loads with m * n above
     2**53 are refused before any trial runs, because their fields would not
     be exact in float64.
     """
@@ -255,42 +291,18 @@ def capacity_experiment(n: int, m_values, trials: int, seed: int, workers: int =
     if max(ms) * n > FLOAT_EXACT_LIMIT:
         raise ParameterError(f"m * n = {max(ms) * n} exceeds 2**53; the float64 fields would not be exact")
 
-    unstable = np.zeros((len(ms), trials), dtype=np.int64)
-
-    tasks = len(ms) * trials
-    threads = min(workers, os.cpu_count() or 1, tasks)
-
-    def run_share(first: int) -> None:
-        # every threads-th task of the (m, trial) grid in row-major order, from task first
-        for mi, t in (divmod(task, trials) for task in range(first, tasks, threads)):
-            unstable[mi, t] = _capacity_trial(n, ms[mi], seed, t)
-
-    if threads == 1:
-        run_share(0)
-    else:
-        # imported here: concurrent.futures (and logging with it) would cost every
-        # command its start-up time, and only this branch uses a pool
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_share, range(threads)))
-
-    rows = []
-    for mi, m in enumerate(ms):
-        fraction = int(unstable[mi].sum()) / (trials * m * n)
-        per_trial = unstable[mi] / (m * n)
-        se = float(np.std(per_trial, ddof=1) / math.sqrt(trials))
-        rows.append(
-            CapacityRow(
-                m=m,
-                trials=trials,
-                per_bit_instability=float(fraction),
-                all_stable_fraction=int(np.count_nonzero(unstable[mi] == 0)) / trials,
-                stderr=se,
-            )
+    counts = _sweep(lambda m, rng: _capacity_trial(n, m, rng), ms, trials, seed, workers)
+    rows = [
+        CapacityRow(
+            m=m,
+            trials=trials,
+            per_bit_instability=int(unstable.sum()) / (trials * m * n),
+            all_stable_fraction=int(np.count_nonzero(unstable == 0)) / trials,
+            stderr=float(np.std(unstable / (m * n), ddof=1) / math.sqrt(trials)),
         )
-    qualifying = [row.m for row in rows if row.per_bit_instability <= 0.01]
-    threshold = max(qualifying) / n if qualifying else 0.0
+        for m, unstable in zip(ms, counts)
+    ]
+    threshold = max((row.m for row in rows if row.per_bit_instability <= 0.01), default=0) / n
     return CapacityReport(n=n, rows=tuple(rows), seed=seed, threshold_capacity_ratio=float(threshold))
 
 

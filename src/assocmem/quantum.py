@@ -119,14 +119,18 @@ def collapse_sample(amplitudes, seed: int, count: int) -> np.ndarray:
     Sampling is inverse-CDF over the cumulative squared amplitudes with a
     seeded generator, so a fixed seed gives a bit-identical sequence. A
     draw landing exactly on a bin boundary resolves to the lower index.
+    Only the nonzero amplitudes get a bin, so an outcome of amplitude 0 is
+    never drawn: not by a uniform of exactly 0.0, nor by the slack of up to
+    the normalization tolerance that the last bin takes up to 1.0.
     """
     amps = as_amplitudes(amplitudes)
     seed = _seed(seed)
     count = _whole(count, "count", 1, f"sample count must be at least 1, got {count}")
-    cumulative = np.cumsum(amps * amps)
+    support = np.flatnonzero(amps)
+    cumulative = np.cumsum(np.square(amps[support]))
     cumulative[-1] = 1.0
     uniforms = np.random.default_rng(seed).random(count)
-    return _frozen(np.searchsorted(cumulative, uniforms, side="left").astype(np.int64))
+    return _frozen(support[np.searchsorted(cumulative, uniforms, side="left")])
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from assocmem import (
+    DimensionMismatch,
     ParameterError,
+    ValidationError,
     capacity_experiment,
     classify,
     complement_asymmetry_probe,
@@ -18,7 +20,7 @@ from assocmem import (
     validate_weights,
 )
 from assocmem import analysis
-from assocmem.analysis import _capacity_trial
+from assocmem.analysis import _capacity_trial, _sweep
 from assocmem.core import WEIGHT_TOTAL_LIMIT, _unstable
 from conftest import random_memories, random_symmetric_weights
 
@@ -197,6 +199,19 @@ class TestClassify:
         assert labels(validate_memory_set(two_memories)) == want
         assert labels(m for m in ()) == labels(np.empty((0, 4))) == labels([]) == (("spurious",) * 4, 0, 0, 4)
 
+    @pytest.mark.parametrize(
+        "point",
+        [[[1, -1], [1, -1]], [2, 0, 2, 0], [True, False, True, False]],
+        ids=["2x2", "not-bipolar", "bool"],
+    )
+    def test_points_are_read_as_states(self, two_memories, point):
+        with pytest.raises(ValidationError):
+            classify([point], two_memories)
+
+    def test_point_of_another_width(self, two_memories):
+        with pytest.raises(DimensionMismatch):
+            classify([[1, -1, 1]], two_memories)
+
     def test_partition(self):
         rng = np.random.default_rng(29)
         for _ in range(20):
@@ -321,14 +336,34 @@ class TestCapacity:
     @example(n=37, m=37, seed=5, trial=3)
     @example(n=10, m=80, seed=7, trial=49)
     def test_trial_matches_int64_oracle(self, n, m, seed, trial):
-        # independent count on the same stream: form W in int64, zero its
-        # diagonal, and take the fields of every memory directly
+        # independent count on the (m, trial) stream: form W in int64, zero its
+        # diagonal, and take the fields of every memory directly; the task read
+        # is the last of the sweep's
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m, trial)))
         x = (rng.integers(0, 2, size=(m, n), dtype=np.int8) * 2 - 1).astype(np.int64)
         w = x.T @ x
         np.fill_diagonal(w, 0)
         unstable = int(np.count_nonzero((x @ w >= 0) != (x > 0)))
-        assert _capacity_trial(n, m, seed, trial) == unstable
+        counts = _sweep(lambda load, g: _capacity_trial(n, load, g), [m], trial + 1, seed, 1)
+        assert counts[0, trial] == unstable
+
+
+class TestSweep:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        loads=st.lists(st.integers(1, 2**40), min_size=1, max_size=4, unique=True),
+        trials=st.integers(1, 9),
+        seed=st.integers(0, 2**64),
+    )
+    def test_counters_do_not_depend_on_workers(self, loads, trials, seed):
+        # a kernel that draws from its stream: the array may depend on the task only
+        def draw(load, rng):
+            return int(rng.integers(0, 2**62)) ^ load
+
+        serial = _sweep(draw, loads, trials, seed, 1)
+        assert serial.shape == (len(loads), trials) and serial.dtype == np.int64
+        for workers in (2, 3):
+            np.testing.assert_array_equal(_sweep(draw, loads, trials, seed, workers), serial)
 
 
 class TestComplementAsymmetry:

@@ -135,6 +135,20 @@ class TestCollapseSample:
         samples = collapse_sample([0.0, 1.0], seed=3, count=500)
         assert np.all(samples == 1)
 
+    def test_zero_amplitude_is_never_drawn(self, monkeypatch):
+        # a uniform of exactly 0.0 would land on a leading zero amplitude, and one
+        # just below 1.0 on the slack 1 - sum a^2 a trailing zero amplitude would take
+        class Uniforms:
+            def __init__(self, seed):
+                pass
+
+            def random(self, count):
+                return np.array([0.0, 1 - 1e-12])[:count]
+
+        monkeypatch.setattr(np.random, "default_rng", Uniforms)
+        amps = [0.0, 0.6, math.sqrt(0.64 - 5e-10), 0.0]
+        np.testing.assert_array_equal(collapse_sample(amps, seed=0, count=2), [1, 2])
+
     def test_symmetric_qubit_frequency(self):
         r = math.sqrt(0.5)
         samples = collapse_sample([r, r], seed=20, count=100_000)

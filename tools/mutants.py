@@ -847,6 +847,56 @@ MUTANTS = (
             "tests/test_golden.py::test_report_bytes[recall_zero_field_async_cyclic.json]",
         ),
     ),
+    # the one loop over seeded trials: its spawn key, its dealing and the rows read from it
+    Mutant(
+        "sweep-spawn-key-reversed", ANALYSIS,
+        "spawn_key=(loads[i], t)", "spawn_key=(t, loads[i])",
+        (
+            "tests/test_analysis.py::TestCapacity::test_trial_matches_int64_oracle",
+            "tests/test_golden.py::test_report_bytes[capacity_small.json]",
+        ),
+    ),
+    Mutant(
+        "sweep-load-dropped-from-the-key", ANALYSIS,
+        "spawn_key=(loads[i], t)", "spawn_key=(t,)",
+        (
+            "tests/test_analysis.py::TestCapacity::test_trial_matches_int64_oracle",
+            "tests/test_golden.py::test_report_bytes[capacity_workers.json]",
+        ),
+    ),
+    Mutant(
+        "sweep-share-skips-the-last-task", ANALYSIS,
+        "range(first, tasks, threads)", "range(first, tasks - 1, threads)",
+        (
+            "tests/test_analysis.py::TestCapacity::test_trial_matches_int64_oracle",
+            "tests/test_golden.py::test_report_bytes[capacity_m_over_n.json]",
+        ),
+    ),
+    Mutant(
+        "capacity-rows-paired-with-the-wrong-load", ANALYSIS,
+        "zip(ms, counts)", "zip(ms, counts[::-1])",
+        (
+            "tests/test_analysis.py::TestCapacity::test_threshold_ratio",
+            "tests/test_golden.py::test_report_bytes[capacity_small.json]",
+        ),
+    ),
+    # an outcome of amplitude 0 gets no bin, and a census point is read as a state
+    Mutant(
+        "collapse-bins-every-outcome", QUANTUM,
+        "    support = np.flatnonzero(amps)\n", "    support = np.arange(amps.size)\n",
+        (
+            "tests/test_quantum.py::TestCollapseSample::test_zero_amplitude_is_never_drawn",
+        ),
+    ),
+    Mutant(
+        "census-points-not-read-as-states", ANALYSIS,
+        "points = [as_bipolar(p) for p in fixed_points]", "points = [np.asarray(p) for p in fixed_points]",
+        (
+            "tests/test_analysis.py::TestClassify::test_points_are_read_as_states[2x2]",
+            "tests/test_analysis.py::TestClassify::test_points_are_read_as_states[not-bipolar]",
+            "tests/test_analysis.py::TestClassify::test_points_are_read_as_states[bool]",
+        ),
+    ),
 )
 
 
