@@ -12,7 +12,7 @@ command loads core, formats and that module only.
 
 Exit codes: 0 success, 2 usage or unreadable input file, 3 file parse
 error (every fault of a weights document included), 4 dimension mismatch,
-5 invalid parameter value.
+5 invalid parameter value (a size too large to allocate included).
 """
 
 from __future__ import annotations
@@ -407,7 +407,7 @@ def main(argv=None) -> int:
     except DimensionMismatch as exc:
         print(f"assocmem: dimension mismatch: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
-    except (ParameterError, ValidationError) as exc:
+    except (ParameterError, ValidationError, MemoryError) as exc:  # a size numpy cannot allocate
         print(f"assocmem: invalid parameter: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
     except OSError as exc:

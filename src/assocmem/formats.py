@@ -8,11 +8,14 @@ are UTF-8; a line ends at \\n, \\r\\n or a lone \\r, and any other Unicode
 separator is whitespace within a line. Every parse failure is a ParseError
 whose message starts with ``path:line:``, so it can be found in an editor.
 
-A file is read one line at a time, and each line with one split; only a
-line that split cannot vouch for is read again token by token, and that
-scan exists to name the first bad token. A byte that is not UTF-8 outranks
-every other fault, wherever it lies in the file. A proximity row becomes
-float64 as it is read, so a parse holds little more than its matrix.
+One reader serves both formats. It reads a file one line at a time, and
+each line with one split; only a line that split cannot vouch for is read
+again token by token, and that scan exists to name the first bad token.
+Each row joins one flat container the parser passes in: Python ints for
+memories, a float64 array for distances, so a proximity parse holds little
+more than its matrix. Faults come in one order: a byte that is not UTF-8,
+wherever it lies in the file, then a bad token, an empty file, the first
+row of another width, and last each parser's own checks.
 
 Weights and reports share one structured-text format: a JSON document with
 two-space indentation, a fixed key order, and a trailing newline, so runs
@@ -103,28 +106,6 @@ def _content_lines(path: Path):
             raise _not_utf8(path) from None
 
 
-def _rows(path: Path, read_line, read_token):
-    """Yield (line number, values) for each content line of a file, read with one split.
-
-    ``read_line(body)`` reads a whole line, or returns None or raises
-    KeyError or ValueError where it cannot vouch for it; that line is then
-    read token by token, and ``read_token(token, where)`` raises the
-    ParseError naming the first bad token, ``where`` being its "path:line:col".
-    That error gives way to a byte that is not UTF-8 later in the file.
-    """
-    for lineno, body in _content_lines(path):
-        try:
-            row = read_line(body)
-        except (KeyError, ValueError):
-            row = None
-        if row is None:
-            try:
-                row = [read_token(m.group(), f"{path}:{lineno}:{m.start() + 1}") for m in _TOKEN.finditer(body)]
-            except ParseError as exc:
-                raise _not_utf8(path) or exc from None
-        yield lineno, row
-
-
 def _memory_line(body: str) -> list[int]:
     return [_MEMORY_TOKENS[token] for token in body.split()]
 
@@ -158,19 +139,49 @@ def _distance_token(token: str, where: str) -> float:
     return value
 
 
+def _table(path: Path, read_line, read_token, values, what: str):
+    """Read the rows of a file onto the flat container ``values``; return (lines, width, misfit).
+
+    Each content line is read with one split: ``read_line(body)`` gives its
+    values, or returns None or raises KeyError or ValueError where it cannot
+    vouch for the line. That line is then read token by token, and
+    ``read_token(token, where)`` raises the ParseError naming the first bad
+    token, ``where`` being its "path:line:col"; that error gives way to a
+    byte that is not UTF-8 later in the file. ``lines`` holds each row's
+    line number, ``width`` is the first row's, and ``misfit`` is the (line
+    number, width) of the first row of another width, or None. A file
+    without rows is refused as holding no ``what``.
+    """
+    lines, misfit = [], None
+    for lineno, body in _content_lines(path):
+        try:
+            row = read_line(body)
+        except (KeyError, ValueError):
+            row = None
+        if row is None:
+            try:
+                row = [read_token(m.group(), f"{path}:{lineno}:{m.start() + 1}") for m in _TOKEN.finditer(body)]
+            except ParseError as exc:
+                raise _not_utf8(path) or exc from None
+        if not lines:
+            width = len(row)
+        elif len(row) != width and misfit is None:
+            misfit = lineno, len(row)
+        lines.append(lineno)
+        values.extend(row)
+    if not lines:
+        raise ParseError(f"{path}:1: no {what} found")
+    return lines, width, misfit
+
+
 def parse_memories(path) -> MemorySet:
     """Parse a memory file into a validated MemorySet."""
     p = Path(path)
-    rows = list(_rows(p, _memory_line, _memory_token))
-    if not rows:
-        raise ParseError(f"{p}:1: no memory vectors found")
-    first_line, first = rows[0]
-    for lineno, row in rows[1:]:
-        if len(row) != len(first):
-            raise ParseError(
-                f"{p}:{lineno}: memory has {len(row)} entries, line {first_line} has {len(first)}"
-            )
-    return validate_memory_set([row for _, row in rows])
+    values: list[int] = []
+    lines, width, misfit = _table(p, _memory_line, _memory_token, values, "memory vectors")
+    if misfit is not None:
+        raise ParseError(f"{p}:{misfit[0]}: memory has {misfit[1]} entries, line {lines[0]} has {width}")
+    return validate_memory_set(np.array(values, dtype=np.int8).reshape(-1, width))
 
 
 def parse_proximity(path) -> np.ndarray:
@@ -182,20 +193,10 @@ def parse_proximity(path) -> np.ndarray:
     row whose width differs from the first row's, then the row count.
     """
     p = Path(path)
-    lines: list[int] = []
     values = array("d")
-    misfit = None
-    for lineno, row in _rows(p, _distance_line, _distance_token):
-        if not lines:
-            width = len(row)
-        elif len(row) != width and misfit is None:
-            misfit = ParseError(f"{p}:{lineno}: row has {len(row)} entries, expected {width}")
-        lines.append(lineno)
-        values.extend(row)
-    if not lines:
-        raise ParseError(f"{p}:1: no proximity rows found")
+    lines, width, misfit = _table(p, _distance_line, _distance_token, values, "proximity rows")
     if misfit is not None:
-        raise misfit
+        raise ParseError(f"{p}:{misfit[0]}: row has {misfit[1]} entries, expected {width}")
     if len(lines) != width:
         # the first row past a square matrix, or the last row of a short one
         lineno = lines[min(width, len(lines) - 1)]

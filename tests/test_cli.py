@@ -344,6 +344,19 @@ class TestCollapse:
     def test_unnormalized_amps(self):
         assert run_cli(["collapse", "--amps", "1,1", "--samples", "10", "--seed", "0"]) == 5
 
+    def test_a_size_too_large_to_allocate_is_an_invalid_parameter(self, capsys, monkeypatch):
+        # stubbed: whether a huge request fails up front depends on the host's overcommit policy
+        from assocmem import quantum
+
+        def refuse(amps, seed, samples):
+            raise MemoryError(f"Unable to allocate {samples} samples")
+
+        monkeypatch.setattr(quantum, "collapse_sample", refuse)
+        assert run_cli(["collapse", "--amps", "0.6,0.8", "--samples", "1000000000000", "--seed", "1"]) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "assocmem: invalid parameter: Unable to allocate 1000000000000 samples\n"
+
     def test_overflowing_amps_leave_only_the_refusal_on_stderr(self):
         # a subprocess, so that a numpy warning would reach stderr as a user sees it
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}

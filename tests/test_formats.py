@@ -482,6 +482,10 @@ class TestParsersMatchTokenLoop:
     @example(lines=["1 -1", "1 2 1"], newline="\n")
     @example(lines=["1\x1c-1\x85+1", "-1\u00a01\u30001"], newline="\r\n")
     @example(lines=["1 \u200b-1"], newline="\n")
+    # the reader's fault order: the first of two misfits, a later bad token over a misfit, no rows
+    @example(lines=["1 -1", "1", "1 1 1"], newline="\n")
+    @example(lines=["1 -1", "1 1 1", "1 x"], newline="\n")
+    @example(lines=["# only comments", "", " # and blanks"], newline="\n")
     @settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_memories(self, tmp_path, lines, newline):
         path = tmp_path / "input.txt"
@@ -495,6 +499,10 @@ class TestParsersMatchTokenLoop:
     @example(lines=["0 1 -1", "1 0 x", "1 1 0"], newline="\n")
     @example(lines=["0 1_0", "10 0"], newline="\n")
     @example(lines=["0 1", "1", "x 0"], newline="\n")
+    # the reader's fault order, as for memories
+    @example(lines=["0 1", "1", "1 0 1"], newline="\n")
+    @example(lines=["0 1", "1 0 1", "1 y"], newline="\n")
+    @example(lines=["# only comments", "", " # and blanks"], newline="\n")
     @settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_proximity(self, tmp_path, lines, newline):
         path = tmp_path / "input.txt"

@@ -381,10 +381,45 @@ MUTANTS = (
             "tests/test_formats.py::TestParsersMatchTokenLoop::test_raw_bytes",
         ),
     ),
+    # the one table reader's widths and fault order
     Mutant(
-        "proximity-width-outranks-a-later-bad-token", FORMATS,
-        "            misfit = ParseError(", "            raise ParseError(",
+        "misfit-outranks-a-later-bad-token", FORMATS,
+        "            misfit = lineno, len(row)\n",
+        '            raise ParseError(f"{path}:{lineno}: row has {len(row)} entries, expected {width}")\n',
         (
+            "tests/test_formats.py::TestParsersMatchTokenLoop::test_memories",
+            "tests/test_formats.py::TestParsersMatchTokenLoop::test_proximity",
+        ),
+    ),
+    Mutant(
+        "misfit-keeps-the-last-row", FORMATS,
+        "elif len(row) != width and misfit is None:", "elif len(row) != width:",
+        (
+            "tests/test_formats.py::TestParsersMatchTokenLoop::test_memories",
+            "tests/test_formats.py::TestParsersMatchTokenLoop::test_proximity",
+        ),
+    ),
+    Mutant(
+        "width-from-every-row", FORMATS,
+        "        if not lines:\n"
+        "            width = len(row)\n"
+        "        elif len(row) != width and misfit is None:\n"
+        "            misfit = lineno, len(row)\n",
+        "        if lines and len(row) != width and misfit is None:\n"
+        "            misfit = lineno, len(row)\n"
+        "        width = len(row)\n",
+        (
+            "tests/test_formats.py::TestParsersMatchTokenLoop::test_memories",
+            "tests/test_formats.py::TestParsersMatchTokenLoop::test_proximity",
+        ),
+    ),
+    # an empty file has no misfit row, so no test could tell the empty check moved after
+    # the misfit's; this mutant drops it, leaving an empty file to the checks that follow
+    Mutant(
+        "empty-file-left-to-later-checks", FORMATS,
+        '    if not lines:\n        raise ParseError(f"{path}:1: no {what} found")\n', "",
+        (
+            "tests/test_formats.py::TestParsersMatchTokenLoop::test_memories",
             "tests/test_formats.py::TestParsersMatchTokenLoop::test_proximity",
         ),
     ),
@@ -895,6 +930,15 @@ MUTANTS = (
             "tests/test_analysis.py::TestClassify::test_points_are_read_as_states[2x2]",
             "tests/test_analysis.py::TestClassify::test_points_are_read_as_states[not-bipolar]",
             "tests/test_analysis.py::TestClassify::test_points_are_read_as_states[bool]",
+        ),
+    ),
+    # a size numpy cannot allocate exits 5 with one line, not a traceback
+    Mutant(
+        "memory-error-escapes-the-cli", CLI,
+        "    except (ParameterError, ValidationError, MemoryError) as exc:",
+        "    except (ParameterError, ValidationError) as exc:",
+        (
+            "tests/test_cli.py::TestCollapse::test_a_size_too_large_to_allocate_is_an_invalid_parameter",
         ),
     ),
 )
