@@ -21,12 +21,14 @@ operationalization, so the report carries two readings side by side:
 * the all-exact rate, the fraction of trials in which every memory is an
   exact fixed point, which collapses to zero at much lighter loading.
 
-A trial never forms the n x n weights: it reads the fields of its m
-memories off the overlap matrix in BLAS, at O(min(m, n) m n), in float32
-while m n <= 2**24 and in float64 above, and loads with m n above 2**53,
+A trial never forms the n x n weights: it folds m I into the diagonal of
+the smaller Gram matrix of its m memories, X X^T or X^T X, and takes their
+fields with one more product, in BLAS at O(min(m, n) m n), in float32
+while m n <= 2**24 and in float64 above; loads with m n above 2**53,
 where float64 stops being exact, are refused. Its memories are bit 7 of
-each byte of Generator.bytes, the very bits Generator.integers(0, 2,
-dtype=int8) draws from the same stream.
+each byte of the generator's raw 64-bit words read little-endian: the
+bytes of Generator.bytes, whose bit 7 Generator.integers(0, 2, dtype=int8)
+draws from the same stream.
 
 The trials run through _sweep, the one loop over seeded trials, whose
 docstring states the reproducibility rule: a report is bit-identical no
@@ -47,7 +49,6 @@ from .core import (
     DimensionMismatch,
     ParameterError,
     _exact_float,
-    _factor_fields,
     _fields,
     _frozen,
     _memory_set,
@@ -237,22 +238,26 @@ def _capacity_trial(n: int, m: int, rng: np.random.Generator) -> int:
     Returns the unstable bit count; 0 means every memory was an exact fixed
     point.
 
-    The memories are bit 7 of each of m n bytes of Generator.bytes, mapped
-    0 -> -1 and 1 -> +1: Generator.integers(0, 2, dtype=int8) keeps exactly
-    that bit of the same little-endian uint32 stream, so the draw is the
-    same, for less work.
+    The memories are bit 7 of each of the first m n bytes of the generator's
+    raw 64-bit words, read little-endian, mapped 0 -> -1 and 1 -> +1. Those
+    bytes are the ones Generator.bytes returns from a fresh generator, and
+    Generator.integers(0, 2, dtype=int8) keeps exactly that bit of them, so
+    the draw is the same, for less work.
 
-    The fields of the memories are X W with W = X^T X - m I, so W is never
-    formed: core._factor_fields gives them as (X X^T) X - m X, or
-    X (X^T X) - m X when m > n, at O(min(m, n) m n) in BLAS. Every product
-    and partial sum is an integer of magnitude at most m n, exact in float32
-    while m n <= 2**24 and in float64 while m n <= 2**53, which
-    capacity_experiment enforces.
+    The fields of the memories are X W with W = X^T X - m I, and W is never
+    formed: m I is folded into the diagonal of the smaller Gram matrix, so
+    the fields are (X X^T - m I) X, or X (X^T X - m I) when m > n, at
+    O(min(m, n) m n) in BLAS. Every product and partial sum is an integer of
+    magnitude at most m n, exact in float32 while m n <= 2**24 and in
+    float64 while m n <= 2**53, which capacity_experiment enforces.
     """
-    x = (np.frombuffer(rng.bytes(m * n), np.uint8).reshape(m, n) >> 7).astype(_exact_float(m * n))
+    words = rng.bit_generator.random_raw(-(-m * n // 8)).astype("<u8", copy=False)
+    x = (words.view(np.uint8)[:m * n].reshape(m, n) >> 7).astype(_exact_float(m * n))
     x += x
     x -= 1
-    fields = _factor_fields(x, x)
+    gram = x @ x.T if m <= n else x.T @ x
+    gram.flat[::len(gram) + 1] -= m
+    fields = gram @ x if m <= n else x @ gram
     unstable = int(np.count_nonzero(_unstable(fields, x)))
     if m == 1 and unstable != 0:
         raise AssertionError("a single memory must always be an exact fixed point")

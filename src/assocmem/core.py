@@ -207,15 +207,14 @@ def _exact_float(bound: int) -> type:
 def _factor_fields(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Fields under W = X^T X - m I of one state s, or of each row of s, in X's dtype.
 
-    W is never formed: the fields are (s X^T) X - m s, or s (X^T X) - m s when
-    X has more rows than columns, whichever association is cheaper. They are
-    exact integers while m n is at most FLOAT32_EXACT_LIMIT for a float32 X,
-    or FLOAT_EXACT_LIMIT for a float64 one, which every caller ensures.
+    W is never formed: the fields are (s X^T) X - m s, the cheaper association
+    for the m < n memories that _trust keeps. They are exact integers while
+    m n is at most FLOAT32_EXACT_LIMIT for a float32 X, or FLOAT_EXACT_LIMIT
+    for a float64 one, which every caller ensures.
     """
-    m, n = x.shape
     s = s.astype(x.dtype, copy=False)
-    fields = (s @ x.T) @ x if m <= n else s @ (x.T @ x)
-    fields -= m * s
+    fields = (s @ x.T) @ x
+    fields -= len(x) * s
     return fields
 
 

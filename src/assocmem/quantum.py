@@ -26,9 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError, _frozen, _numeric, _seed, _whole
+from .core import ParameterError, ValidationError, _frozen, _numeric, _seed, _whole
 
 NORMALIZATION_TOL = 1e-9
+
+# most grid levels enumerate_reorganizations lists: 2^18 cases, about 120 MB of tuples
+_LIST_LIMIT = 512
 
 
 def as_amplitudes(amplitudes) -> np.ndarray:
@@ -102,8 +105,13 @@ def enumerate_reorganizations(n_levels: int) -> ReorganizationTable:
     count is exact; the lexicographically smaller member represents its
     orbit. The pairing is a modeling choice: it reproduces the halving
     exactly, but no particular pairing is canonical.
+
+    A table holds about 0.45 KB per case, so more than 512 levels are
+    refused before any case is built; reorg_count has no such limit.
     """
     n = _check_levels(n_levels)
+    if n > _LIST_LIMIT:
+        raise ParameterError(f"listing the {n * n} cases of {n} levels exceeds the limit n_levels <= {_LIST_LIMIT}")
     raw = [(i, j, o) for i in range(n) for j in range(n) for o in (0, 1)]
     reps = {min(case, _partner(case)) for case in raw}
     cases = tuple(sorted(reps))

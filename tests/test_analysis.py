@@ -318,13 +318,27 @@ class TestCapacity:
             capacity_experiment(**kwargs)
 
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**40])
-    @pytest.mark.parametrize("m, n", [(1, 1), (1, 7), (2, 3), (3, 5), (5, 13), (7, 3), (45, 10), (400, 63)])
-    def test_draw_is_bit_7_of_the_generator_bytes(self, seed, m, n):
-        # _capacity_trial draws through bytes; integers(0, 2, int8) keeps the same bit
+    # m n mod 8 takes every value from 0 to 7: the trial reads a part of its last word
+    @pytest.mark.parametrize(
+        "m, n", [(1, 1), (1, 7), (2, 3), (3, 5), (5, 13), (7, 3), (45, 10), (400, 63), (3, 9), (4, 5)]
+    )
+    def test_draw_is_bit_7_of_the_generator_bytes(self, monkeypatch, seed, m, n):
+        # integers(0, 2, int8) keeps bit 7 of each byte of Generator.bytes
         stream = np.random.SeedSequence(entropy=seed, spawn_key=(m, 0))
         bits = np.frombuffer(np.random.default_rng(stream).bytes(m * n), np.uint8).reshape(m, n) >> 7
         want = np.random.default_rng(stream).integers(0, 2, size=(m, n), dtype=np.int8)
         np.testing.assert_array_equal(bits, want)
+        # and the trial's memories, drawn from the raw words, are those bits
+        drawn = []
+
+        def spy(fields, states):
+            drawn.append(np.array(states))
+            return np.zeros(states.shape, bool)  # so that no trial, n = 1 included, fails
+
+        monkeypatch.setattr(analysis, "_unstable", spy)
+        assert _capacity_trial(n, m, np.random.default_rng(stream)) == 0
+        np.testing.assert_array_equal(drawn[0], np.where(bits, 1, -1))
+        np.testing.assert_array_equal(drawn[0], np.where(want, 1, -1))
 
     @given(
         n=st.integers(10, 60),

@@ -322,6 +322,16 @@ class TestCollapse:
         assert doc["result"]["raw_case_count"] == 200
         assert doc["result"]["cases"] is None
 
+    def test_listed_levels_are_bounded(self, capsys):
+        # a listing costs about 0.45 KB a case, so one level past the bound is refused;
+        # the count alone stays unbounded
+        assert run_cli(["collapse", "--count-levels", "513", "--list-cases"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the limit n_levels <= 512" in captured.err
+        assert run_cli(["collapse", "--count-levels", "10000"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["distinct_count"] == 10**8
+
     def test_amps_may_start_with_minus(self, tmp_path):
         spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
         base = ["collapse", "--samples", "20", "--seed", "3"]

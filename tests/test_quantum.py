@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import assocmem.quantum as quantum
 from assocmem import (
     ParameterError,
     ValidationError,
@@ -98,6 +99,16 @@ class TestEnumerateReorganizations:
         table = enumerate_reorganizations(10)
         assert table.distinct_count == 100
         assert table.raw_count == 200
+
+    def test_listing_is_bounded_at_512_levels(self, monkeypatch):
+        assert quantum._LIST_LIMIT == 512
+        # the bound is inclusive; a small one shows it without listing 2**18 cases
+        monkeypatch.setattr(quantum, "_LIST_LIMIT", 4)
+        table = enumerate_reorganizations(4)
+        assert table.distinct_count == len(table.cases) == 16
+        with pytest.raises(ParameterError, match="n_levels <= 4"):
+            enumerate_reorganizations(5)
+        assert reorg_count(10**6) == 10**12
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_reorg_count(self, n):

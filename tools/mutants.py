@@ -81,10 +81,9 @@ MUTANTS = (
     # fields through the kept memories
     Mutant(
         "factor-fields-without-the-diagonal-term", CORE,
-        "    fields -= m * s\n", "",
+        "    fields -= len(x) * s\n", "",
         (
             "tests/test_fields.py::TestFieldOracle::test_stack_of_states_gives_each_row_its_fields",
-            "tests/test_analysis.py::TestCapacity::test_trial_matches_int64_oracle",
         ),
     ),
     Mutant(
@@ -169,13 +168,38 @@ MUTANTS = (
             "tests/test_analysis.py::TestClassify::test_memories_of_any_collection",
         ),
     ),
-    # capacity trials: memories from the generator's bytes, float32 up to 2**24
+    # capacity trials: memories from the generator's raw words, float32 up to 2**24,
+    # and m I folded into the diagonal of the smaller Gram matrix
     Mutant(
         "capacity-draw-low-bit", ANALYSIS,
-        "np.uint8).reshape(m, n) >> 7)", "np.uint8).reshape(m, n) & 1)",
+        "].reshape(m, n) >> 7)", "].reshape(m, n) & 1)",
         (
             "tests/test_analysis.py::TestCapacity::test_trial_matches_int64_oracle",
             "tests/test_golden.py::test_report_bytes[capacity_small.json]",
+        ),
+    ),
+    Mutant(
+        "capacity-draw-big-endian-words", ANALYSIS,
+        '.astype("<u8", copy=False)', '.astype(">u8", copy=False)',
+        (
+            "tests/test_analysis.py::TestCapacity::test_draw_is_bit_7_of_the_generator_bytes[3-5-0]",
+            "tests/test_analysis.py::TestCapacity::test_trial_matches_int64_oracle",
+        ),
+    ),
+    Mutant(
+        "capacity-fold-of-m-minus-1", ANALYSIS,
+        "gram.flat[::len(gram) + 1] -= m\n", "gram.flat[::len(gram) + 1] -= m - 1\n",
+        (
+            "tests/test_analysis.py::TestCapacity::test_trial_matches_int64_oracle",
+            "tests/test_golden.py::test_report_bytes[capacity_small.json]",
+        ),
+    ),
+    Mutant(
+        "capacity-fold-misses-the-diagonal", ANALYSIS,
+        "gram.flat[::len(gram) + 1] -= m\n", "gram.flat[::len(gram)] -= m\n",
+        (
+            "tests/test_analysis.py::TestCapacity::test_trial_matches_int64_oracle",
+            "tests/test_golden.py::test_report_bytes[capacity_m_over_n.json]",
         ),
     ),
     Mutant(
@@ -921,6 +945,21 @@ MUTANTS = (
         "    support = np.flatnonzero(amps)\n", "    support = np.arange(amps.size)\n",
         (
             "tests/test_quantum.py::TestCollapseSample::test_zero_amplitude_is_never_drawn",
+        ),
+    ),
+    # a listed reorganization table is bounded, its count is not
+    Mutant(
+        "reorganization-listing-refused-at-its-bound", QUANTUM,
+        "    if n > _LIST_LIMIT:\n", "    if n >= _LIST_LIMIT:\n",
+        (
+            "tests/test_quantum.py::TestEnumerateReorganizations::test_listing_is_bounded_at_512_levels",
+        ),
+    ),
+    Mutant(
+        "reorganization-listing-unbounded", QUANTUM,
+        "    if n > _LIST_LIMIT:\n", "    if False:\n",
+        (
+            "tests/test_cli.py::TestCollapse::test_listed_levels_are_bounded",
         ),
     ),
     Mutant(
