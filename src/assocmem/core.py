@@ -51,7 +51,10 @@ neuron and _start_neurons a start set, in one numpy pass; _index_array
 requires an integer dtype of every collection of neuron indices (a start
 set, a spread order, a recall schedule) and refuses a Python list or tuple
 that holds a bool, which numpy would read as 0 or 1. A start value is an
-integer by the same rule, so True and 1.0 are no spin values.
+integer by the same rule, so True and 1.0 are no spin values. The same
+holds for the entries of a state, a memory, a weight or proximity matrix
+and an amplitude vector: each is read through _array, which gives a list
+or tuple that holds a bool back as a bool array, refused like one.
 """
 
 from __future__ import annotations
@@ -137,16 +140,28 @@ def _neuron(index, n: int) -> int:
     return i
 
 
+def _array(values) -> np.ndarray:
+    """np.asarray(values), as a bool array when a list or tuple holds a bool.
+
+    numpy reads a bool beside numbers as 0 or 1. So a list or tuple that
+    numpy read as numbers is searched once, in C, through an object array
+    of its entries, and comes back as a bool array when one of them is a
+    bool at any depth; every caller refuses that as it refuses a bool array.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iuf" and isinstance(values, (list, tuple)):
+        if not _BOOLS.isdisjoint(map(type, np.asarray(values, dtype=object).ravel())):
+            return arr.astype(bool)
+    return arr
+
+
 def _index_array(values, refusal: str) -> np.ndarray:
     """``values`` as an int64 array; ParameterError(refusal) unless its dtype is integer.
 
     An empty collection holds no non-integer, whatever dtype numpy gives it.
-    A list or tuple is also refused when it holds a bool, which numpy would
-    cast to 0 or 1 beside integers; an array's dtype already tells.
+    A list or tuple that holds a bool is refused too (see _array).
     """
-    if isinstance(values, (list, tuple)) and not _BOOLS.isdisjoint(map(type, values)):
-        raise ParameterError(refusal)
-    arr = np.asarray(values)
+    arr = _array(values)
     if arr.size and arr.dtype.kind not in "iu":
         raise ParameterError(refusal)
     return arr.astype(np.int64, copy=False)
@@ -204,20 +219,6 @@ def _exact_float(bound: int) -> type:
     return np.float32 if bound <= FLOAT32_EXACT_LIMIT else np.float64
 
 
-def _factor_fields(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Fields under W = X^T X - m I of one state s, or of each row of s, in X's dtype.
-
-    W is never formed: the fields are (s X^T) X - m s, the cheaper association
-    for the m < n memories that _trust keeps. They are exact integers while
-    m n is at most FLOAT32_EXACT_LIMIT for a float32 X, or FLOAT_EXACT_LIMIT
-    for a float64 one, which every caller ensures.
-    """
-    s = s.astype(x.dtype, copy=False)
-    fields = (s @ x.T) @ x
-    fields -= len(x) * s
-    return fields
-
-
 def _factor(w: np.ndarray) -> np.ndarray | None:
     """The kept float64 memories X of a trusted W = X^T X - m I, or None: the trust
     entry that _trusted just matched."""
@@ -232,7 +233,11 @@ def _fields(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """
     x = _factor(w)
     if x is not None:
-        return _factor_fields(x, s).astype(np.int64)
+        # (s X^T) X - m s, the cheaper association for the m < n memories _trust keeps
+        s = s.astype(x.dtype, copy=False)
+        fields = (s @ x.T) @ x
+        fields -= len(x) * s
+        return fields.astype(np.int64)
     # W is symmetric, so a row of s @ w is W times that row
     return w @ s if s.ndim == 1 else s @ w
 
@@ -274,7 +279,7 @@ def sgn(v):
     a field cancels exactly; see analysis.complement_asymmetry_probe for
     where that bias becomes visible.
     """
-    arr = np.asarray(v)
+    arr = _array(v)
     if arr.dtype.kind not in "iuf":
         raise ValidationError(f"sgn expects real input, got dtype {arr.dtype}")
     if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
@@ -299,7 +304,7 @@ def _unstable(fields, states):
 
 def as_bipolar(values) -> np.ndarray:
     """Validate a state vector with entries in {+1, -1}; returns a frozen int8 copy."""
-    arr = np.asarray(values)
+    arr = _array(values)
     if arr.ndim != 1:
         raise ValidationError(f"expected a 1-d state vector, got shape {arr.shape}")
     if arr.size < 1:
@@ -363,7 +368,7 @@ def _memory_set(memories) -> MemorySet | None:
         raise ValidationError(
             f"a memory set must be a collection of vectors, got a non-iterable {type(memories).__name__}"
         ) from None
-    rows = [np.asarray(r) for r in rows]
+    rows = [_array(r) for r in rows]
     if not rows:
         return None
     widths = {int(r.size) for r in rows}
@@ -401,7 +406,7 @@ def validate_weights(weights) -> np.ndarray:
     """
     if _trusted(weights, np.int64):
         return weights
-    arr = np.asarray(weights)
+    arr = _array(weights)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"weight matrix must be square, got shape {arr.shape}")
     if arr.shape[0] < 1:
@@ -485,7 +490,7 @@ def _checked_proximity(proximity) -> np.ndarray:
     """
     if _trusted(proximity, np.float64):
         return proximity
-    arr = np.asarray(proximity)
+    arr = _array(proximity)
     _numeric(arr, "proximity entries")
     arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:

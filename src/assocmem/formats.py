@@ -268,12 +268,13 @@ def load_weights(path) -> np.ndarray:
     Every fault of the document is a ParseError: bytes that are not UTF-8
     (named by _not_utf8), JSON that does not parse, nests too deeply or
     holds an integer too long to read, a missing or foreign document, a
-    matrix validate_weights refuses, and an ``n`` that is not the matrix's
-    size as an int.
+    matrix validate_weights refuses (a true or false among the weights
+    included), and an ``n`` that is not the matrix's size as an int.
     """
     p = Path(path)
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
+        text = p.read_text(encoding="utf-8")
+        doc = json.loads(text)
     except UnicodeDecodeError:
         raise _not_utf8(p) from None
     except json.JSONDecodeError as exc:
@@ -287,7 +288,9 @@ def load_weights(path) -> np.ndarray:
     if doc.get("kind") not in (None, "weights"):
         raise ParseError(f"{p}: document kind is {doc.get('kind')!r}, expected 'weights'")
     try:
-        weights = validate_weights(np.array(doc["weights"]))
+        # numpy reads a JSON true or false as 1 or 0, so validate_weights searches the
+        # rows for a bool only in a document that holds one
+        weights = validate_weights(doc["weights"] if "true" in text or "false" in text else np.array(doc["weights"]))
     except ValueError as exc:  # ValidationError and DimensionMismatch included
         raise ParseError(f"{p}: {exc}") from exc
     declared = doc.get("n")

@@ -69,6 +69,7 @@ from .core import (
     _memory_set,
     _start_neurons,
     _unstable,
+    _whole,
     normalize_start,
     validate_weights,
 )
@@ -88,26 +89,25 @@ class SpreadOrder:
     """The order in which activity reaches the neurons.
 
     ``permutation[k]`` is the original index of the neuron in position k of
-    the spread; every start neuron comes before every non-start neuron.
+    the spread, and the first ``start_count`` positions hold the start
+    neurons, so seeds come first by construction. The constructor checks
+    only that the permutation holds each of 0..n-1 once and that
+    1 <= start_count <= n; which neurons are the seeds is spread_full's
+    question, asked once, of an order the caller passes.
     """
 
     permutation: np.ndarray
-    start_set: frozenset[int]
+    start_count: int
 
     def __post_init__(self):
         perm = _index_array(self.permutation, "spread order must hold integer neuron indices")
-        n = perm.size
-        if not np.array_equal(np.sort(perm), np.arange(n)):
+        if not np.array_equal(np.sort(perm), np.arange(perm.size)):
             raise ValidationError("spread order must be a permutation of the neuron indices")
-        start = _start_neurons(self.start_set, n)
-        if not np.array_equal(np.sort(perm[: start.size]), start):
-            raise ValidationError("spread order must place the start set first")
+        count = _whole(self.start_count, "start_count", 1, "start_count must be at least 1")
+        if count > perm.size:
+            raise ParameterError(f"start_count {count} exceeds the {perm.size} neurons of the order")
         object.__setattr__(self, "permutation", _frozen(perm.copy()))
-        object.__setattr__(self, "start_set", frozenset(start.tolist()))
-
-    @property
-    def n(self) -> int:
-        return int(self.permutation.size)
+        object.__setattr__(self, "start_count", count)
 
 
 def _order(n: int, start, proximity=None) -> SpreadOrder:
@@ -118,11 +118,11 @@ def _order(n: int, start, proximity=None) -> SpreadOrder:
     keyed at -inf, every other neuron at its minimum distance to the start
     set, or at 0 without a proximity matrix. Start neurons are keyed
     explicitly, as a tolerated diagonal entry may lie above an off-diagonal
-    distance. The SpreadOrder constructor still checks the order it is given.
+    distance, so the first len(start) positions are the start neurons.
     """
     key = np.zeros(n) if proximity is None else proximity[start].min(axis=0)
     key[start] = -np.inf
-    return SpreadOrder(np.argsort(key, kind="stable"), frozenset(start))
+    return SpreadOrder(np.argsort(key, kind="stable"), len(start))
 
 
 def order_from_proximity(proximity, start_set) -> SpreadOrder:
@@ -171,7 +171,11 @@ def spread_full(weights, start, proximity=None, order=None) -> SpreadTrace:
     otherwise); a proximity matrix is checked once, in full, and sized
     before its order is built, so a start neuron beyond it is reported as
     that mismatch. Like order_from_proximity, the spread neither copies nor
-    remembers the matrix.
+    remembers the matrix. This is the one place a seed meets an order: an
+    order the spread sorts from the seed normalize_start checked needs no
+    check, and an explicit order is accepted exactly when its start_count
+    is the seed's size and its first start_count neurons are the seed's
+    (ParameterError otherwise).
     The fragment grows one neuron per step, each new neuron taking sgn of
     its generator-row field over the neurons assigned before it; exactly
     n - len(start) steps are performed. The field is the dot of the
@@ -188,12 +192,12 @@ def spread_full(weights, start, proximity=None, order=None) -> SpreadTrace:
         proximity = _checked_proximity(proximity)
     # sized before any order is built: a start neuron beyond a small proximity
     # matrix is a size mismatch, not a start out of range
-    size = order.n if order is not None else n if proximity is None else proximity.shape[0]
+    size = order.permutation.size if order is not None else n if proximity is None else proximity.shape[0]
     if size != n:
         raise DimensionMismatch(f"order covers {size} neurons, weights have {n}")
     if order is None:
         order = _order(n, list(seed), proximity)
-    elif order.start_set != frozenset(seed):
+    elif order.start_count != len(seed) or set(order.permutation[:len(seed)].tolist()) != seed.keys():
         raise ParameterError("explicit order was built for a different start set")
 
     # each neuron is written once, by the seed or by its block; until then it is

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, ValidationError, _frozen, _numeric, _seed, _whole
+from .core import ParameterError, ValidationError, _array, _frozen, _numeric, _seed, _whole
 
 NORMALIZATION_TOL = 1e-9
 
@@ -41,7 +41,7 @@ def as_amplitudes(amplitudes) -> np.ndarray:
     object entries are refused. Normalization tolerance is 1e-9. Returns a
     frozen float64 copy.
     """
-    arr = np.asarray(amplitudes)
+    arr = _array(amplitudes)
     _numeric(arr, "amplitudes")
     arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 1:

@@ -447,6 +447,18 @@ class TestErrorChannels:
         assert run_cli(["recall", "--weights", str(bad), "--state", "1"]) == 3
         assert capsys.readouterr().err == f"assocmem: parse error: {bad}{fault}\n"
 
+    @pytest.mark.parametrize("word", ["true", "false"])
+    def test_a_bool_among_the_weights_is_a_parse_error(self, tmp_path, capsys, word):
+        # numpy would read it as 1 or 0, and recall would run on that matrix
+        bad = tmp_path / "w.json"
+        bad.write_text(f'{{"kind": "weights", "n": 2, "weights": [[0, {word}], [{word}, 0]]}}\n')
+        assert run_cli(["recall", "--weights", str(bad), "--state", "1,-1"]) == 3
+        fault = f"assocmem: parse error: {bad}: weight entries must be numeric, got dtype bool\n"
+        assert capsys.readouterr() == ("", fault)
+        # a "true" outside the weights only asks for the search
+        bad.write_text('{"kind": "weights", "note": "true", "weights": [[0, 1], [1, 0]]}\n')
+        assert run_cli(["recall", "--weights", str(bad), "--state", "1,-1"]) == 0
+
     def test_version(self, capsys):
         assert run_cli(["--version"]) == 0
         assert "assocmem" in capsys.readouterr().out

@@ -10,6 +10,7 @@ from assocmem import (
     MemorySet,
     ParameterError,
     ValidationError,
+    as_amplitudes,
     as_bipolar,
     energy,
     enumerate_fixed_points,
@@ -18,6 +19,7 @@ from assocmem import (
     normalize_start,
     order_from_proximity,
     parse_proximity,
+    recall_sync,
     recall_sync_iterated,
     sgn,
     spread_full,
@@ -29,6 +31,7 @@ from assocmem import (
 from assocmem import core, formats
 from assocmem.cli import main
 from assocmem.core import PROXIMITY_TOL, _proximity_fault
+from conftest import WORKED_WEIGHTS
 
 
 class TestSgn:
@@ -247,6 +250,28 @@ class TestBipolar:
     def test_rejects_matrix(self):
         with pytest.raises(ValidationError):
             as_bipolar([[1, -1]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: as_bipolar([True, -1]),
+        lambda: train([[True, -1, 1], [1, 1, -1]]),
+        lambda: recall_sync(WORKED_WEIGHTS, (1, -1, np.True_, 1)),
+        lambda: validate_weights([[0, True], [True, 0]]),
+        lambda: validate_weights([np.array([False, True]), [True, 0]]),
+        lambda: validate_proximity([[0, True], [True, 0]]),
+        lambda: order_from_proximity(((0.0, True), (True, 0.0)), {0}),
+        lambda: as_amplitudes([True, 0.0]),
+        lambda: sgn([[True], [-1]]),
+    ],
+    ids=["as_bipolar", "train", "recall_sync", "validate_weights", "a bool array in a list of weights",
+         "validate_proximity", "order_from_proximity", "as_amplitudes", "sgn"],
+)
+def test_a_bool_inside_a_list_is_refused(call):
+    # numpy would read the bool as 0 or 1 beside the numbers; a bool array is refused the same way
+    with pytest.raises(ValidationError, match=r"(must be numeric|expects real input), got dtype bool$"):
+        call()
 
 
 class TestWeightsValidation:

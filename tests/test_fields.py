@@ -131,14 +131,17 @@ class TestFieldOracle:
 class TestFactorRegistry:
     @pytest.fixture
     def spy(self, monkeypatch):
+        # the shape of each kept memory matrix core._fields is given to compute through
         calls = []
-        factor_fields = core._factor_fields
+        factor = core._factor
 
-        def spy(x, s):
-            calls.append(s.shape)
-            return factor_fields(x, s)
+        def spy(w):
+            x = factor(w)
+            if x is not None:
+                calls.append(x.shape)
+            return x
 
-        monkeypatch.setattr(core, "_factor_fields", spy)
+        monkeypatch.setattr(core, "_factor", spy)
         return calls
 
     def test_entry_dies_with_its_weights(self, monkeypatch):
@@ -156,7 +159,7 @@ class TestFactorRegistry:
         memories = random_memories(np.random.default_rng(2), 3, 8)
         w = train(memories)
         recall_sync(w, memories[0])
-        assert spy == [(8,)]
+        assert spy == [(3, 8)]
 
     def test_synchronous_passes_take_the_factor(self, spy):
         # the first field and the field after every pass that changed the state
@@ -165,7 +168,7 @@ class TestFactorRegistry:
         w = train(memories)
         result = recall_sync_iterated(w, random_memories(rng, 1, 24)[0])
         assert result.iterations > 2
-        assert spy == [(24,)] * result.iterations
+        assert spy == [(4, 24)] * result.iterations
 
     def test_copy_takes_the_int64_path(self, spy):
         memories = random_memories(np.random.default_rng(3), 3, 8)
@@ -209,22 +212,12 @@ class TestFactorRegistry:
 
 
 class TestExactFloat:
-    # an all-ones X, so every field of the all-ones state is m n - m, and the
-    # last partial sum of (s X^T) X is m n itself
+    # the capacity trial computes in float32 up to m n = 2**24, in float64 past it
     def test_float32_up_to_its_exact_limit(self):
-        m, n = 256, 65536  # m n = 2**24
-        assert core._exact_float(m * n) is np.float32
-        fields = core._factor_fields(np.ones((m, n), core._exact_float(m * n)), np.ones(n, np.int8))
-        assert fields.dtype == np.float32
-        assert set(fields.tolist()) == {m * n - m}
+        assert core._exact_float(2**24) is np.float32
+        assert int(np.float32(2**24 - 1) + np.float32(1)) == 2**24
 
     def test_float64_past_it(self):
-        m, n = 257, 65281  # m n = 2**24 + 1
-        ones = np.ones(n, np.int8)
-        assert core._exact_float(m * n) is np.float64
-        x = np.ones((m, n), core._exact_float(m * n))
-        assert set(core._factor_fields(x, ones).tolist()) == {m * n - m} == {16776960}
-        del x
+        assert core._exact_float(2**24 + 1) is np.float64
         # the bound is needed: float32 rounds the sum 2**24 + 1 to 2**24
-        x = np.ones((m, n), np.float32)
-        assert set(core._factor_fields(x, ones).tolist()) == {16776959}
+        assert int(np.float32(2**24) + np.float32(1)) == 2**24

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -122,22 +123,28 @@ class TestSpreadOrder:
             spread_full(np.zeros((5, 5), dtype=int), {0: 1, 5: 1})
         with pytest.raises(ParameterError, match=message):
             order_from_proximity(np.ones((5, 5)) - np.eye(5), {5})
+        # with an explicit order the seed is checked by the spread, before it meets the order
         with pytest.raises(ParameterError, match=message):
-            SpreadOrder(np.arange(5), frozenset({5, 0, 7}))
+            spread_full(np.zeros((5, 5), dtype=int), {0: 1, 5: 1}, order=SpreadOrder(np.arange(5), 2))
         with pytest.raises(ParameterError, match=r"^start neuron 0 out of range for 5 neurons$"):
-            SpreadOrder(np.arange(5), frozenset({-1, 9}))
+            spread_full(np.zeros((5, 5), dtype=int), {-1: 1}, order=SpreadOrder(np.arange(5), 1))
 
     def test_explicit_order_is_validated(self):
-        order = SpreadOrder([2, 0, 1], [2, 2])
-        assert order.start_set == frozenset({2})
+        order = SpreadOrder([2, 0, 1], np.int64(1))
+        assert order.start_count == 1 and type(order.start_count) is int
         assert list(order.permutation) == [2, 0, 1]
         assert not order.permutation.flags.writeable
+        assert SpreadOrder(np.arange(3), 3).start_count == 3
         with pytest.raises(ValidationError, match="must be a permutation"):
-            SpreadOrder(np.array([0, 0, 1]), frozenset({0}))
-        with pytest.raises(ValidationError, match="must place the start set first"):
-            SpreadOrder(np.arange(3), frozenset({1}))
-        with pytest.raises(ParameterError, match="^start set is empty$"):
-            SpreadOrder(np.arange(3), frozenset())
+            SpreadOrder(np.array([0, 0, 1]), 1)
+        with pytest.raises(ParameterError, match="^start_count must be at least 1$"):
+            SpreadOrder(np.arange(3), 0)
+        with pytest.raises(ParameterError, match="^start_count 4 exceeds the 3 neurons of the order$"):
+            SpreadOrder(np.arange(3), 4)
+
+    def test_fields_are_the_permutation_and_the_start_count(self):
+        assert [f.name for f in dataclasses.fields(SpreadOrder)] == ["permutation", "start_count"]
+        assert order_from_proximity(PROX, {2, 3}).start_count == 2
 
 
 class TestSpreadFull:
@@ -253,14 +260,31 @@ class TestSpreadFull:
             assert np.array_equal(trace2.final, trace.final[perm])
 
     def test_both_proximity_and_order_rejected(self, worked_weights):
-        order = SpreadOrder(np.arange(4), frozenset({0}))
+        order = SpreadOrder(np.arange(4), 1)
         with pytest.raises(ParameterError):
             spread_full(worked_weights, {0: 1}, proximity=PROX, order=order)
 
     def test_explicit_order_must_match_start(self, worked_weights):
-        order = SpreadOrder(np.array([1, 0, 2, 3]), frozenset({1}))
-        with pytest.raises(ParameterError):
+        # the same count of seeds, but not the same neurons
+        message = "^explicit order was built for a different start set$"
+        order = SpreadOrder(np.array([1, 0, 2, 3]), 1)
+        with pytest.raises(ParameterError, match=message):
             spread_full(worked_weights, {0: 1}, order=order)
+        with pytest.raises(ParameterError, match=message):
+            spread_full(worked_weights, {0: 1, 2: 1}, order=SpreadOrder(np.array([0, 1, 2, 3]), 2))
+
+    def test_an_order_built_for_two_seeds_needs_both(self, worked_weights):
+        order = order_from_proximity(PROX, {0, 1})
+        for seed in ({0: 1}, {1: -1}):
+            with pytest.raises(ParameterError, match="^explicit order was built for a different start set$"):
+                spread_full(worked_weights, seed, order=order)
+            with pytest.raises(ParameterError, match="^explicit order was built for a different start set$"):
+                retrieve_report(worked_weights, seed, order=order)
+        trace = spread_full(worked_weights, {1: -1, 0: 1}, order=order)
+        assert trace.order is order
+        built = spread_full(worked_weights, {0: 1, 1: -1}, proximity=PROX)
+        assert trace.steps == built.steps and np.array_equal(trace.final, built.final)
+        assert retrieve_report(worked_weights, {0: 1, 1: -1}, order=order).trace.steps == trace.steps
 
     def test_raw_proximity_is_checked_once_and_neither_copied_nor_trusted(self, worked_weights, monkeypatch):
         raw = PROX.copy()
@@ -314,7 +338,7 @@ class TestSpreadFull:
             with pytest.raises(DimensionMismatch, match=f"^order covers {k} neurons, weights have 4$"):
                 spread_full(worked_weights, start, proximity=p)
         with pytest.raises(DimensionMismatch, match=f"^order covers {k} neurons, weights have 4$"):
-            spread_full(worked_weights, {0: 1}, order=SpreadOrder(np.arange(k), frozenset({0})))
+            spread_full(worked_weights, {0: 1}, order=SpreadOrder(np.arange(k), 1))
 
 
 @st.composite
@@ -459,7 +483,7 @@ class TestOrderOracle:
             (spread_full(np.zeros((n, n), dtype=int), dict.fromkeys(start, 1)).order, reference_order(n, start)),
         ):
             assert order.permutation.tolist() == want
-            assert order.start_set == frozenset(start)
+            assert order.start_count == len(start)
 
 
 class TestRetrieveReport:

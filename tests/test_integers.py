@@ -47,8 +47,11 @@ ENTRIES = {
     "spread_full start": (lambda v: spread_full(WORKED_WEIGHTS, {v: 1}), False),
     "retrieve_report start": (lambda v: retrieve_report(WORKED_WEIGHTS, [(v, 1)]), False),
     "order_from_proximity start": (lambda v: order_from_proximity(PROX, [v]), False),
-    "SpreadOrder permutation": (lambda v: SpreadOrder([0, 1, 2, v], frozenset({0})), False),
-    "SpreadOrder start_set": (lambda v: SpreadOrder(np.arange(4), [v]), False),
+    "SpreadOrder permutation": (lambda v: SpreadOrder([0, 1, 2, v], 1), False),
+    "SpreadOrder start_count": (lambda v: SpreadOrder(np.arange(4), v), False),
+    "spread_full start with an order": (
+        lambda v: spread_full(WORKED_WEIGHTS, {v: 1}, order=SpreadOrder(np.arange(4), 1)), False
+    ),
     "enumerate_fixed_points limit_n": (lambda v: enumerate_fixed_points(WORKED_WEIGHTS, limit_n=v), False),
     "capacity_experiment n": (lambda v: capacity_experiment(v, [2], 50, 1), False),
     "capacity_experiment m": (lambda v: capacity_experiment(20, [2, v], 50, 1), False),
@@ -83,7 +86,7 @@ def test_non_integers_are_refused(entry, value):
     [
         lambda: recall_async(WORKED_WEIGHTS, STATE, schedule=[True, 0, 2, 3]),
         lambda: recall_async(WORKED_WEIGHTS, STATE, schedule=(np.True_, 0, 2, 3)),
-        lambda: SpreadOrder([True, 0, 2, 3], frozenset({1})),
+        lambda: SpreadOrder([True, 0, 2, 3], 1),
     ],
     ids=["schedule", "numpy bool in a schedule tuple", "spread order"],
 )
@@ -101,7 +104,7 @@ def test_float_schedule_is_refused_even_when_whole(schedule):
 
 def test_float_spread_order_is_refused_even_when_whole():
     with pytest.raises(ParameterError, match="^spread order must hold integer neuron indices$"):
-        SpreadOrder(np.array([0.0, 1.0, 2.0, 3.0]), frozenset({0}))
+        SpreadOrder(np.array([0.0, 1.0, 2.0, 3.0]), 1)
 
 
 @pytest.mark.parametrize("k", [np.int64, np.uint32])
@@ -123,8 +126,10 @@ def test_numpy_integers_match_python_integers(k):
          lambda: spread_full(w, {2: -1, 9: 1})),
         (lambda: order_from_proximity(PROX, np.array([3], dtype=k)),
          lambda: order_from_proximity(PROX, {3})),
-        (lambda: SpreadOrder(np.array([2, 0, 1, 3], dtype=k), frozenset({k(2)})),
-         lambda: SpreadOrder(np.array([2, 0, 1, 3]), frozenset({2}))),
+        (lambda: SpreadOrder(np.array([2, 0, 1, 3], dtype=k), k(1)),
+         lambda: SpreadOrder(np.array([2, 0, 1, 3]), 1)),
+        (lambda: spread_full(w, {k(2): -1}, order=SpreadOrder(np.roll(np.arange(16, dtype=k), -2), k(1))),
+         lambda: spread_full(w, {2: -1}, order=SpreadOrder(list(range(2, 16)) + [0, 1], 1))),
         (lambda: enumerate_fixed_points(WORKED_WEIGHTS, limit_n=k(4)),
          lambda: enumerate_fixed_points(WORKED_WEIGHTS, limit_n=4)),
         (lambda: capacity_experiment(k(20), [k(2), k(5)], k(50), k(11), workers=k(2)),

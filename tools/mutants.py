@@ -81,7 +81,7 @@ MUTANTS = (
     # fields through the kept memories
     Mutant(
         "factor-fields-without-the-diagonal-term", CORE,
-        "    fields -= len(x) * s\n", "",
+        "        fields -= len(x) * s\n", "",
         (
             "tests/test_fields.py::TestFieldOracle::test_stack_of_states_gives_each_row_its_fields",
         ),
@@ -133,7 +133,8 @@ MUTANTS = (
             "tests/test_core.py::TestTrust::test_trust_is_kept_apart_per_kind",
         ),
     ),
-    # a spread's start set is checked once, by whoever builds its order
+    # a start set is checked once, by order_from_proximity or normalize_start, and a seed
+    # meets an order only in spread_full
     Mutant(
         "order-start-set-unchecked", GENERATOR,
         "_order(p.shape[0], _start_neurons(start_set, p.shape[0]), p)", "_order(p.shape[0], list(start_set), p)",
@@ -145,11 +146,41 @@ MUTANTS = (
     ),
     Mutant(
         "explicit-order-not-compared-with-the-seed", GENERATOR,
-        "    elif order.start_set != frozenset(seed):\n"
+        "    elif order.start_count != len(seed) or set(order.permutation[:len(seed)].tolist()) != seed.keys():\n"
         '        raise ParameterError("explicit order was built for a different start set")\n',
         "",
         (
             "tests/test_generator.py::TestSpreadFull::test_explicit_order_must_match_start",
+            "tests/test_generator.py::TestSpreadFull::test_an_order_built_for_two_seeds_needs_both",
+        ),
+    ),
+    Mutant(
+        "seed-check-compares-only-the-count", GENERATOR,
+        " or set(order.permutation[:len(seed)].tolist()) != seed.keys():", ":",
+        (
+            "tests/test_generator.py::TestSpreadFull::test_explicit_order_must_match_start",
+        ),
+    ),
+    Mutant(
+        "seed-check-reads-one-position-too-few", GENERATOR,
+        "set(order.permutation[:len(seed)].tolist())", "set(order.permutation[:len(seed) - 1].tolist())",
+        (
+            "tests/test_generator.py::TestSpreadFull::test_an_order_built_for_two_seeds_needs_both",
+        ),
+    ),
+    Mutant(
+        "start-count-unbounded-above", GENERATOR,
+        "        if count > perm.size:\n", "        if False:\n",
+        (
+            "tests/test_generator.py::TestSpreadOrder::test_explicit_order_is_validated",
+        ),
+    ),
+    Mutant(
+        "start-count-truncated", GENERATOR,
+        'count = _whole(self.start_count, "start_count", 1,', 'count = _whole(int(self.start_count), "start_count", 1,',
+        (
+            "tests/test_integers.py::test_non_integers_are_refused[SpreadOrder start_count=1.5]",
+            "tests/test_integers.py::test_non_integers_are_refused[SpreadOrder start_count=True]",
         ),
     ),
     # memories of any collection, an iterator included, are validated before anything asks their size
@@ -764,12 +795,29 @@ MUTANTS = (
     ),
     Mutant(
         "bool-in-an-index-list-taken", CORE,
-        "    if isinstance(values, (list, tuple)) and not _BOOLS.isdisjoint(map(type, values)):\n"
-        "        raise ParameterError(refusal)\n", "",
+        "    arr = _array(values)\n    if arr.size", "    arr = np.asarray(values)\n    if arr.size",
         (
             "tests/test_integers.py::test_a_bool_that_completes_a_permutation_is_refused[schedule]",
             "tests/test_integers.py::test_a_bool_that_completes_a_permutation_is_refused[numpy bool in a schedule tuple]",
             "tests/test_integers.py::test_a_bool_that_completes_a_permutation_is_refused[spread order]",
+        ),
+    ),
+    Mutant(
+        "bool-refusal-skipped-for-nested-lists", CORE,
+        "np.asarray(values, dtype=object).ravel()", "np.asarray(values, dtype=object)",
+        (
+            "tests/test_core.py::test_a_bool_inside_a_list_is_refused[validate_weights]",
+            "tests/test_core.py::test_a_bool_inside_a_list_is_refused[validate_proximity]",
+            "tests/test_core.py::test_a_bool_inside_a_list_is_refused[a bool array in a list of weights]",
+            "tests/test_cli.py::TestErrorChannels::test_a_bool_among_the_weights_is_a_parse_error[true]",
+        ),
+    ),
+    Mutant(
+        "weights-document-never-searched-for-a-bool", FORMATS,
+        'doc["weights"] if "true" in text or "false" in text else', 'doc["weights"] if False else',
+        (
+            "tests/test_cli.py::TestErrorChannels::test_a_bool_among_the_weights_is_a_parse_error[true]",
+            "tests/test_cli.py::TestErrorChannels::test_a_bool_among_the_weights_is_a_parse_error[false]",
         ),
     ),
     Mutant(
@@ -789,7 +837,7 @@ MUTANTS = (
     ),
     Mutant(
         "index-array-cast-to-int64", CORE,
-        "    arr = np.asarray(values)\n    if arr.size", "    arr = np.asarray(values, dtype=np.int64)\n    if arr.size",
+        "    arr = _array(values)\n    if arr.size", "    arr = np.asarray(values, dtype=np.int64)\n    if arr.size",
         (
             "tests/test_integers.py::test_float_schedule_is_refused_even_when_whole[schedule1]",
             "tests/test_integers.py::test_float_spread_order_is_refused_even_when_whole",
