@@ -32,7 +32,11 @@ draws from the same stream.
 
 The trials run through _sweep, the one loop over seeded trials, whose
 docstring states the reproducibility rule: a report is bit-identical no
-matter how its trials are scheduled or parallelized.
+matter how its trials are scheduled or parallelized. Trial t of load m
+draws the stream of SeedSequence(entropy=seed, spawn_key=(m, t)), seeded
+in bulk: _stream_words hashes the (seed, m) part of that key once and every
+t of the load in one numpy pass, giving PCG64 the very words SeedSequence
+would, so a trial pays for no SeedSequence of its own.
 """
 
 from __future__ import annotations
@@ -192,17 +196,105 @@ class CapacityReport:
     threshold_capacity_ratio: float
 
 
+# the hash constants of numpy's SeedSequence (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# a trial index is one 32-bit entropy word of its stream's key
+_TRIAL_LIMIT = 2**32
+
+
+def _words32(value: int) -> list[int]:
+    """The 32-bit words of an integer >= 0, least significant first; 0 is one word."""
+    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _xorshift(value):
+    return value ^ value >> 16
+
+
+def _stream_words(seed: int, key: tuple[int, ...], trials: int) -> np.ndarray:
+    """Row t is SeedSequence(entropy=seed, spawn_key=(*key, t)).generate_state(4, np.uint64).
+
+    A trials x 4 uint64 array, for 0 <= t < trials <= 2**32, where t is one
+    entropy word. SeedSequence hashes its entropy words into a pool of four,
+    in order: the seed's words, padded with zeros to four because a spawn
+    key follows, then the key's words, then t. So the pool before t is
+    mixed once, in Python ints masked to 32 bits, and t is mixed into it and
+    the pool hashed out, as generate_state does, in one numpy pass over all
+    t. The same functions serve both: on a uint32 array every product wraps
+    as the mask would.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        return _xorshift(value * const & _MASK32)
+
+    def mix(x, y):
+        return _xorshift((_MIX_L * x & _MASK32) - _MIX_R * y & _MASK32)
+
+    entropy = _words32(seed)
+    entropy += [0] * (4 - len(entropy))
+    entropy += [word for k in key for word in _words32(k)]
+    entropy.append(np.arange(trials, dtype=np.uint32))
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        pool = [mix(p, hashmix(word)) for p in pool]
+    # generate_state(4, np.uint64): eight 32-bit outputs, two per word, low first
+    out = np.empty((trials, 8), dtype="<u4")
+    const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        out[:, i] = _xorshift(value * const & _MASK32)
+    return out.view("<u8").astype(np.uint64, copy=False)
+
+
+class _StreamWords:
+    """The seed of one stream for numpy's PCG64: a minimal ISeedSequence over its four words.
+
+    PCG64 asks its seed sequence for generate_state(4, np.uint64) and for
+    nothing else, so this answers that request alone and cannot spawn.
+    _sweep registers the class with numpy.random.bit_generator.ISeedSequence
+    when it runs, so that importing this module does not load numpy.random.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds the 4 uint64 words of one PCG64 seed, asked for {n_words} {np.dtype(dtype)}")
+        return self.words
+
+
 def _sweep(trial, loads, trials: int, seed: int, workers: int) -> np.ndarray:
     """The int64 counter trial(load, rng) of every (load, t) task, as a len(loads) x trials array.
 
     Reproducibility rule: task (load, t) draws only from its own generator,
-    default_rng(SeedSequence(entropy=seed, spawn_key=(load, t))), and its
-    counter is stored at its own index, so the array, and every sum taken
-    from it in a fixed order, is bit-identical however the tasks are
-    scheduled. A repeated load would repeat its streams. The capacity study
-    owns the bare (load, t) key: the next experiment to run here must add
-    its own tag at the front of the key, so that no two experiments share a
-    stream.
+    the very stream of default_rng(SeedSequence(entropy=seed,
+    spawn_key=(load, t))), and its counter is stored at its own index, so
+    the array, and every sum taken from it in a fixed order, is
+    bit-identical however the tasks are scheduled. A repeated load would
+    repeat its streams. The capacity study owns the bare (load, t) key: the
+    next experiment to run here must add its own tag at the front of the
+    key, so that no two experiments share a stream.
+
+    The streams are seeded in bulk: _stream_words gives the PCG64 seeds of
+    all trials of a load at once, and each task's PCG64 reads its own through
+    _StreamWords. So t is one entropy word, at most 2**32 trials per load,
+    and a trial must not call spawn on its generator: numpy raises
+    TypeError, as _StreamWords cannot spawn.
 
     ``workers`` > 1 deals the tasks, in row-major order, round-robin to
     min(workers, CPUs, tasks) threads of a pool; one runs inline, with no
@@ -210,6 +302,13 @@ def _sweep(trial, loads, trials: int, seed: int, workers: int) -> np.ndarray:
     trial is one to a few BLAS calls, and a multi-threaded BLAS already
     spreads each over the cores, so the threads add only their overhead.
     """
+    # imported here: numpy.random would cost every command that loads this module
+    # its start-up time, and only a sweep draws
+    from numpy.random import PCG64, default_rng
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_StreamWords)
+    words = [_stream_words(seed, (load,), trials) for load in loads]
     counts = np.zeros((len(loads), trials), dtype=np.int64)
     tasks = counts.size
     threads = min(workers, os.cpu_count() or 1, tasks)
@@ -217,8 +316,7 @@ def _sweep(trial, loads, trials: int, seed: int, workers: int) -> np.ndarray:
     def run_share(first: int) -> None:
         # every threads-th task of the (load, t) grid in row-major order, from task first
         for i, t in (divmod(task, trials) for task in range(first, tasks, threads)):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(loads[i], t)))
-            counts[i, t] = trial(loads[i], rng)
+            counts[i, t] = trial(loads[i], default_rng(PCG64(_StreamWords(words[i][t]))))
 
     if threads == 1:
         run_share(0)
@@ -255,7 +353,10 @@ def _capacity_trial(n: int, m: int, rng: np.random.Generator) -> int:
     x = (words.view(np.uint8)[:m * n].reshape(m, n) >> 7).astype(_exact_float(m * n))
     x += x
     x -= 1
-    gram = x @ x.T if m <= n else x.T @ x
+    # a product of x with a copy of itself runs as gemm, not as numpy's syrk
+    # for x @ x.T, which took up to twice as long at n = 300, m <= 30
+    y = x.copy()
+    gram = x @ y.T if m <= n else x.T @ y
     gram.flat[::len(gram) + 1] -= m
     fields = gram @ x if m <= n else x @ gram
     unstable = int(np.count_nonzero(_unstable(fields, x)))
@@ -281,10 +382,13 @@ def capacity_experiment(n: int, m_values, trials: int, seed: int, workers: int =
     the reproducibility rule and how ``workers`` deals them to threads; the
     report is bit-identical for every ``workers``. Loads with m * n above
     2**53 are refused before any trial runs, because their fields would not
-    be exact in float64.
+    be exact in float64, and so are more than 2**32 trials, the most _sweep
+    seeds per load.
     """
     n = _whole(n, "n", 10, f"capacity experiment needs n >= 10, got {n}")
     trials = _whole(trials, "trials", 50, f"capacity experiment needs trials >= 50, got {trials}")
+    if trials > _TRIAL_LIMIT:
+        raise ParameterError(f"capacity experiment runs at most 2**32 trials per load, got {trials}")
     ms = [_whole(m, "m", 1, "every m must be at least 1") for m in m_values]
     if not ms:
         raise ParameterError("m_values is empty")

@@ -495,6 +495,8 @@ def _checked_proximity(proximity) -> np.ndarray:
     arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"proximity matrix must be square, got shape {arr.shape}")
+    if arr.shape[0] < 1:
+        raise ValidationError("proximity matrix needs at least one neuron")
     fault = _proximity_fault(arr)
     if fault is not None:
         raise ValidationError(fault[1])
@@ -504,7 +506,8 @@ def _checked_proximity(proximity) -> np.ndarray:
 def validate_proximity(proximity) -> np.ndarray:
     """Validate a pairwise-distance matrix; returns a frozen float64 copy.
 
-    Symmetric within 1e-9, zero diagonal, strictly positive off-diagonal.
+    At least one neuron; symmetric within 1e-9, zero diagonal, strictly
+    positive off-diagonal.
     Distances are not required to obey the triangle inequality; coiled or
     twisted pathways make neuron separations non-Cartesian. A matrix this
     function (or parse_proximity) returned is returned as it is, in O(1).

@@ -146,7 +146,14 @@ class RecallResult:
 
 
 def _resolve_orders(schedule, n: int, seed):
-    """Validate the schedule and return an iterator of per-pass update orders."""
+    """Validate the schedule and return an iterator of per-pass update orders.
+
+    Only the random schedule draws, so a seed with any other is refused: it
+    would determine nothing.
+    """
+    # the str test first: an array schedule would compare elementwise
+    if seed is not None and not (isinstance(schedule, str) and schedule == "random"):
+        raise ParameterError("seed only applies to the random schedule")
     if isinstance(schedule, str):
         if schedule == "cyclic":
             return repeat(np.arange(n))
@@ -176,10 +183,11 @@ def recall_async(weights, state, schedule="cyclic", max_passes: int | None = Non
 
     ``schedule`` is "cyclic" (index order every pass), "random" (a fresh
     seeded permutation per pass, seed required), or an explicit permutation
-    reused every pass. A pass with no flips certifies a fixed point. The
-    energy trace is extended after every single-neuron update; with a zero
-    diagonal each update can only keep energy equal or lower it, including
-    the tie case where a zero field pulls a -1 neuron up to +1.
+    reused every pass; a seed with any schedule but "random" is refused. A
+    pass with no flips certifies a fixed point. The energy trace is extended
+    after every single-neuron update; with a zero diagonal each update can
+    only keep energy equal or lower it, including the tie case where a zero
+    field pulls a -1 neuron up to +1.
     """
     w, x = _weights_and_state(weights, state)
     n = x.size

@@ -111,8 +111,8 @@ def test_criterion_4_energy_descent():
         n = int(rng.integers(2, 65))
         weights = train(random_memories(rng, int(rng.integers(1, max(2, n // 2) + 1)), n))
         state = random_memories(rng, 1, n)[0]
-        schedule = "cyclic" if trial % 2 == 0 else "random"
-        result = recall_async(weights, state, schedule=schedule, seed=trial)
+        schedule, seed = ("cyclic", None) if trial % 2 == 0 else ("random", trial)
+        result = recall_async(weights, state, schedule=schedule, seed=seed)
         assert np.all(np.diff(result.energy_trace) <= 0)
         assert result.converged
         assert result.iterations <= 10 * n

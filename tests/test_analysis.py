@@ -380,6 +380,68 @@ class TestSweep:
             np.testing.assert_array_equal(_sweep(draw, loads, trials, seed, workers), serial)
 
 
+class TestStreamWords:
+    """The seeds _sweep gives PCG64 are those SeedSequence(entropy=seed, spawn_key=(load, t)) gives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**200), load=st.integers(1, 2**60), trials=st.integers(1, 6))
+    @example(seed=0, load=1, trials=3)
+    @example(seed=2**32 - 1, load=15, trials=3)
+    @example(seed=2**32, load=30, trials=3)
+    @example(seed=2**128 - 1, load=45, trials=3)
+    @example(seed=2**128 + 1, load=45, trials=3)  # five entropy words: none is padding
+    @example(seed=7, load=2**32, trials=3)  # two words of load
+    def test_words_are_the_seed_sequence_state(self, seed, load, trials):
+        words = analysis._stream_words(seed, (load,), trials)
+        assert words.shape == (trials, 4) and words.dtype == np.uint64
+        for t in range(trials):
+            want = np.random.SeedSequence(entropy=seed, spawn_key=(load, t)).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(words[t], want)
+
+    def test_indices_past_16_bits(self):
+        # the xorshift folds the high half of each word into the low half
+        words = analysis._stream_words(3, (9,), 70_000)
+        for t in (65_535, 65_536, 69_999):
+            want = np.random.SeedSequence(entropy=3, spawn_key=(9, t)).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(words[t], want)
+
+    @pytest.mark.parametrize("seed, load, t", [(0, 1, 0), (2**128 + 1, 45, 3), (12345, 2**32, 7)])
+    def test_first_draws_are_the_seed_sequence_stream(self, seed, load, t):
+        def draws(rng):
+            return rng.bit_generator.random_raw(3).tolist(), rng.bytes(11), rng.integers(0, 2**40, 5).tolist()
+
+        seen = []
+
+        def trial(_, rng):
+            seen.append(draws(rng))
+            return 0
+
+        _sweep(trial, [load], t + 1, seed, 1)
+        want = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(load, t)))
+        assert seen[t] == draws(want)
+
+    def test_wrapper_answers_only_the_pcg64_request(self):
+        words = analysis._StreamWords(analysis._stream_words(1, (2,), 1)[0])
+        for n_words, dtype in [(8, np.uint32), (4, np.uint32), (8, np.uint64)]:
+            with pytest.raises(ValueError):
+                words.generate_state(n_words, dtype)
+
+    def test_a_trial_cannot_spawn(self):
+        with pytest.raises(TypeError):
+            _sweep(lambda _, rng: rng.spawn(1), [1], 1, 0, 1)
+
+    def test_trials_beyond_one_entropy_word_refused_before_the_sweep(self, monkeypatch):
+        # the sweep allocates 40 bytes a trial, its counter and its seed words, before any draw
+        def sweep(*args):
+            raise AssertionError("swept")
+
+        monkeypatch.setattr(analysis, "_sweep", sweep)
+        with pytest.raises(ParameterError, match=r"^capacity experiment runs at most 2\*\*32 trials per load"):
+            capacity_experiment(20, [2], trials=2**32 + 1, seed=1)
+        with pytest.raises(AssertionError, match="swept"):
+            capacity_experiment(20, [2], trials=2**32, seed=1)
+
+
 class TestComplementAsymmetry:
     def test_worked_example_has_no_failures(self, worked_weights, two_memories):
         report = complement_asymmetry_probe(worked_weights, two_memories)

@@ -496,8 +496,8 @@ class TestProximityValidation:
         p = np.array([[0, 1, 100], [1, 0, 1], [100, 1, 0]], dtype=float)
         validate_proximity(p)
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
+    # every public reader of a caller's proximity matrix
+    each_reader = pytest.mark.parametrize(
         "check",
         [
             validate_proximity,
@@ -506,6 +506,9 @@ class TestProximityValidation:
         ],
         ids=["validate_proximity", "order_from_proximity", "spread_full"],
     )
+
+    @pytest.mark.filterwarnings("error")
+    @each_reader
     @pytest.mark.parametrize(
         "raw,dtype",
         [
@@ -519,6 +522,12 @@ class TestProximityValidation:
     def test_non_real_entries_refused(self, check, raw, dtype):
         with pytest.raises(ValidationError, match=f"^proximity entries must be numeric, got dtype {dtype}$"):
             check(raw)
+
+    @each_reader
+    def test_empty_matrix_refused(self, check):
+        # as an empty weight matrix is; a proximity file with no rows is a ParseError
+        with pytest.raises(ValidationError, match="^proximity matrix needs at least one neuron$"):
+            check(np.zeros((0, 0)))
 
     def test_integer_entries_read_as_float(self):
         p = validate_proximity([[0, 2], [2, 0]])

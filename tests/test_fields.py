@@ -80,7 +80,8 @@ def _outcomes(w, memories, seed):
             _trace(recall_sync_iterated(w, s)),
             _trace(recall_sync_iterated(w, s, max_passes=1)),
         ]
-        out += [_trace(recall_async(w, s, schedule=k, seed=seed)) for k in ("cyclic", "random", explicit)]
+        out += [_trace(recall_async(w, s, schedule=k, seed=seed if k == "random" else None))
+                for k in ("cyclic", "random", explicit)]
     start = {int(i): int(memories[0][i]) for i in rng.choice(n, max(1, n // 4), replace=False)}
     out.append(_spread(spread_full(w, start)))
     out.append(_probe(complement_asymmetry_probe(w, memories)))

@@ -201,6 +201,24 @@ class TestRecallAsync:
         with pytest.raises(ParameterError, match="^seed must be a nonnegative integer$"):
             recall_async(worked_weights, (1, 1, 1, 1), schedule="random", seed=-1)
 
+    @pytest.mark.parametrize(
+        "schedule, seed",
+        [
+            ("cyclic", 0),
+            ("cyclic", "abc"),
+            ("cyclic", -3),
+            ([3, 2, 1, 0], 1.5),
+            ([3, 2, 1, 0], 7),
+            (np.array([3, 2, 1, 0]), 7),
+            ("sweep", 7),
+        ],
+        ids=["cyclic", "cyclic-string", "cyclic-negative", "explicit-float", "explicit", "explicit-array", "unknown"],
+    )
+    def test_seed_that_determines_nothing_is_refused(self, worked_weights, schedule, seed):
+        # only the random schedule draws; the seed is refused before it is read
+        with pytest.raises(ParameterError, match="^seed only applies to the random schedule$"):
+            recall_async(worked_weights, (1, 1, 1, 1), schedule=schedule, seed=seed)
+
     def test_zero_max_passes_rejected(self, worked_weights):
         with pytest.raises(ParameterError):
             recall_async(worked_weights, (1, 1, 1, 1), max_passes=0)
@@ -219,8 +237,8 @@ class TestRecallAsync:
             n = int(rng.integers(2, 33))
             w = train(random_memories(rng, int(rng.integers(1, n + 2)), n))
             x = random_memories(rng, 1, n)[0]
-            schedule = "cyclic" if trial % 2 == 0 else "random"
-            result = recall_async(w, x, schedule=schedule, seed=trial)
+            schedule, seed = ("cyclic", None) if trial % 2 == 0 else ("random", trial)
+            result = recall_async(w, x, schedule=schedule, seed=seed)
             diffs = np.diff(result.energy_trace)
             assert np.all(diffs <= 0)
             assert result.converged
@@ -328,7 +346,7 @@ def recall_cases(draw):
     if schedule == "explicit":
         schedule = draw(st.permutations(range(n)))
     max_passes = draw(st.sampled_from((None, 1, 2, 3)))
-    return w, x, schedule, max_passes, draw(st.integers(0, 2**16))
+    return w, x, schedule, max_passes, draw(st.integers(0, 2**16)) if schedule == "random" else None
 
 
 def reference_async(w, x, schedule, max_passes, seed):
@@ -359,10 +377,10 @@ def reference_async(w, x, schedule, max_passes, seed):
 
 
 # zero weights: every field is 0, so sgn(0) = +1 decides every neuron
-ZERO_FIELD_TIES = (np.zeros((3, 3), dtype=np.int64), np.array([-1, 1, -1]), "cyclic", None, 0)
+ZERO_FIELD_TIES = (np.zeros((3, 3), dtype=np.int64), np.array([-1, 1, -1]), "cyclic", None, None)
 # neuron 0 always sees a zero field; its partners two-cycle synchronously
 ZERO_FIELD_CYCLE = (np.array([[0, 0, 0], [0, 0, -2], [0, -2, 0]]), np.array([-1, 1, 1]), "random", 2, 5)
-ANTIFERROMAGNET = (np.array([[0, -1], [-1, 0]]), np.array([1, 1]), [1, 0], None, 0)
+ANTIFERROMAGNET = (np.array([[0, -1], [-1, 0]]), np.array([1, 1]), [1, 0], None, None)
 
 
 class TestRecallOracle:
@@ -405,7 +423,7 @@ class TestRecallOracleCases:
     field of a neuron visited later in the same pass."""
 
     @staticmethod
-    def assert_both_match(w, x, schedule="cyclic", seed=0):
+    def assert_both_match(w, x, schedule="cyclic", seed=None):
         result = recall_sync_iterated(w, x)
         state, iterations, converged, trace, cycle = reference_sync(w, x, None)
         assert (result.state.tolist(), result.iterations, result.converged, list(result.energy_trace)) == (
@@ -434,7 +452,10 @@ class TestRecallOracleCases:
         for k in range(4):
             x = memories[k].copy()
             x[rng.choice(n, 45, replace=False)] *= -1  # 15 % noise
-            self.assert_both_match(w, x, schedule=("cyclic", "random")[k % 2], seed=k)
+            if k % 2:
+                self.assert_both_match(w, x, schedule="random", seed=k)
+            else:
+                self.assert_both_match(w, x)
 
     def test_star_at_the_weight_limit(self):
         # neuron 0 is joined to all others with weights summing to 2**61, so the total

@@ -81,6 +81,11 @@ def test_import_loads_only_version_and_core():
     assert fresh(f"print(json.dumps({LOADED}))") == ["assocmem", "assocmem._version", "assocmem.core"]
 
 
+def test_analysis_leaves_numpy_random_unloaded():
+    # the fixed-points command loads analysis; only a capacity sweep draws
+    assert fresh("import assocmem.analysis\nprint(json.dumps('numpy.random' in sys.modules))") is False
+
+
 def test_all_lists_the_public_surface():
     want = sorted(name for names in PUBLIC.values() for name in names)
     assert fresh("print(json.dumps(sorted(assocmem.__all__)))") == want

@@ -653,6 +653,15 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "empty-proximity-trusted", CORE,
+        '    if arr.shape[0] < 1:\n        raise ValidationError("proximity matrix needs at least one neuron")\n', "",
+        (
+            "tests/test_core.py::TestProximityValidation::test_empty_matrix_refused[validate_proximity]",
+            "tests/test_core.py::TestProximityValidation::test_empty_matrix_refused[order_from_proximity]",
+            "tests/test_core.py::TestProximityValidation::test_empty_matrix_refused[spread_full]",
+        ),
+    ),
+    Mutant(
         "validate-proximity-without-its-copy", CORE,
         "_trust(arr.copy())", "_trust(arr)",
         (
@@ -947,6 +956,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "async-seed-with-any-schedule", HEBBIAN,
+        '    if seed is not None and not (isinstance(schedule, str) and schedule == "random"):\n',
+        "    if False:\n",
+        (
+            "tests/test_hebbian.py::TestRecallAsync::test_seed_that_determines_nothing_is_refused[cyclic]",
+            "tests/test_hebbian.py::TestRecallAsync::test_seed_that_determines_nothing_is_refused[explicit]",
+        ),
+    ),
+    Mutant(
+        "async-schedule-compared-elementwise", HEBBIAN,
+        '    if seed is not None and not (isinstance(schedule, str) and schedule == "random"):\n',
+        '    if seed is not None and schedule != "random":\n',
+        (
+            "tests/test_hebbian.py::TestRecallAsync::test_seed_that_determines_nothing_is_refused[explicit-array]",
+        ),
+    ),
+    Mutant(
         "async-converged-pass-trace-short", HEBBIAN,
         "trace.extend([ef] * n)", "trace.extend([ef] * (n - 1))",
         (
@@ -957,7 +983,10 @@ MUTANTS = (
     # the one loop over seeded trials: its spawn key, its dealing and the rows read from it
     Mutant(
         "sweep-spawn-key-reversed", ANALYSIS,
-        "spawn_key=(loads[i], t)", "spawn_key=(t, loads[i])",
+        "    entropy += [word for k in key for word in _words32(k)]\n"
+        "    entropy.append(np.arange(trials, dtype=np.uint32))\n",
+        "    entropy.append(np.arange(trials, dtype=np.uint32))\n"
+        "    entropy += [word for k in key for word in _words32(k)]\n",
         (
             "tests/test_analysis.py::TestCapacity::test_trial_matches_int64_oracle",
             "tests/test_golden.py::test_report_bytes[capacity_small.json]",
@@ -965,10 +994,56 @@ MUTANTS = (
     ),
     Mutant(
         "sweep-load-dropped-from-the-key", ANALYSIS,
-        "spawn_key=(loads[i], t)", "spawn_key=(t,)",
+        "_stream_words(seed, (load,), trials)", "_stream_words(seed, (), trials)",
         (
             "tests/test_analysis.py::TestCapacity::test_trial_matches_int64_oracle",
             "tests/test_golden.py::test_report_bytes[capacity_workers.json]",
+        ),
+    ),
+    # the streams seeded in bulk: SeedSequence's pool, its output hash, and the one
+    # request the seed wrapper answers
+    Mutant(
+        "stream-t-mixed-before-the-load", ANALYSIS,
+        "    for word in entropy[4:]:\n", "    for word in entropy[:3:-1]:\n",
+        (
+            "tests/test_analysis.py::TestStreamWords::test_words_are_the_seed_sequence_state",
+        ),
+    ),
+    Mutant(
+        "stream-seed-words-not-padded", ANALYSIS,
+        "    entropy += [0] * (4 - len(entropy))\n", "",
+        (
+            "tests/test_analysis.py::TestStreamWords::test_words_are_the_seed_sequence_state",
+            "tests/test_analysis.py::TestStreamWords::test_first_draws_are_the_seed_sequence_stream[0-1-0]",
+        ),
+    ),
+    Mutant(
+        "stream-generate-state-constant-changed", ANALYSIS,
+        "_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED", "_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DEF",
+        (
+            "tests/test_analysis.py::TestStreamWords::test_words_are_the_seed_sequence_state",
+            "tests/test_golden.py::test_report_bytes[capacity_m_over_n.json]",
+        ),
+    ),
+    Mutant(
+        "stream-wrapper-answers-any-request", ANALYSIS,
+        "        if n_words != 4 or np.dtype(dtype) != np.uint64:\n", "        if False:\n",
+        (
+            "tests/test_analysis.py::TestStreamWords::test_wrapper_answers_only_the_pcg64_request",
+        ),
+    ),
+    Mutant(
+        "capacity-trials-beyond-one-entropy-word", ANALYSIS,
+        "    if trials > _TRIAL_LIMIT:\n", "    if trials > 2 * _TRIAL_LIMIT:\n",
+        (
+            "tests/test_analysis.py::TestStreamWords::test_trials_beyond_one_entropy_word_refused_before_the_sweep",
+        ),
+    ),
+    Mutant(
+        "capacity-trial-limit-refused-at-its-bound", ANALYSIS,
+        "    if trials > _TRIAL_LIMIT:\n", "    if trials >= _TRIAL_LIMIT:\n",
+        (
+            "tests/test_analysis.py::TestStreamWords::test_trials_beyond_one_entropy_word_refused_before_the_sweep",
         ),
     ),
     Mutant(
