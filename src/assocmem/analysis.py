@@ -151,21 +151,24 @@ def classify(fixed_points, memories) -> AttractorCensus:
 
     Each point is read through as_bipolar, as every state is. ``memories``
     is anything validate_memory_set takes, an iterator included; an empty
-    collection of any kind labels every point spurious.
+    collection of any kind labels every point spurious. The labels come
+    from one table keyed by a state's bytes, so a point costs one O(n)
+    lookup.
     """
     points = [as_bipolar(p) for p in fixed_points]
     mset = _memory_set(memories)
-    mem = None if mset is None else mset.vectors
+    table: dict[bytes, str] = {}
+    if mset is not None:
+        # keyed as int8 states are, whatever dtype a hand-built MemorySet holds
+        mem = mset.vectors.astype(np.int8, copy=False)
+        # negations first, so a memory that is also another's negation stays stored
+        table = dict.fromkeys(map(bytes, -mem), "complement")
+        table.update(dict.fromkeys(map(bytes, mem), "stored"))
     labels = []
     for p in points:
-        if mem is not None and p.size != mem.shape[1]:
-            raise DimensionMismatch(f"fixed point has {p.size} neurons, memories have {mem.shape[1]}")
-        if mem is not None and bool(np.any(np.all(mem == p, axis=1))):
-            labels.append("stored")
-        elif mem is not None and bool(np.any(np.all(mem == -p, axis=1))):
-            labels.append("complement")
-        else:
-            labels.append("spurious")
+        if mset is not None and p.size != mset.n:
+            raise DimensionMismatch(f"fixed point has {p.size} neurons, memories have {mset.n}")
+        labels.append(table.get(p.tobytes(), "spurious"))
     return AttractorCensus(
         fixed_points=tuple(points),
         labels=tuple(labels),

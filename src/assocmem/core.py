@@ -54,7 +54,8 @@ that holds a bool, which numpy would read as 0 or 1. A start value is an
 integer by the same rule, so True and 1.0 are no spin values. The same
 holds for the entries of a state, a memory, a weight or proximity matrix
 and an amplitude vector: each is read through _array, which gives a list
-or tuple that holds a bool back as a bool array, refused like one.
+or tuple that holds a bool back as a bool array, refused like one, and a
+ragged list back as an object array, refused like one too.
 """
 
 from __future__ import annotations
@@ -147,8 +148,13 @@ def _array(values) -> np.ndarray:
     numpy read as numbers is searched once, in C, through an object array
     of its entries, and comes back as a bool array when one of them is a
     bool at any depth; every caller refuses that as it refuses a bool array.
+    A ragged list, which numpy cannot make rectangular, comes back as a 1-d
+    object array of its entries, refused like any object array.
     """
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        return np.fromiter(values, dtype=object)
     if arr.dtype.kind in "iuf" and isinstance(values, (list, tuple)):
         if not _BOOLS.isdisjoint(map(type, np.asarray(values, dtype=object).ravel())):
             return arr.astype(bool)
@@ -156,15 +162,17 @@ def _array(values) -> np.ndarray:
 
 
 def _index_array(values, refusal: str) -> np.ndarray:
-    """``values`` as an int64 array; ParameterError(refusal) unless its dtype is integer.
+    """``values`` as an array; ParameterError(refusal) unless its dtype is integer.
 
     An empty collection holds no non-integer, whatever dtype numpy gives it.
-    A list or tuple that holds a bool is refused too (see _array).
+    A list or tuple that holds a bool is refused too (see _array). The
+    integers keep the width numpy read them at, so a uint64 beyond int64 is
+    never wrapped before its caller checks its range.
     """
     arr = _array(values)
     if arr.size and arr.dtype.kind not in "iu":
         raise ParameterError(refusal)
-    return arr.astype(np.int64, copy=False)
+    return arr
 
 
 def _numeric(arr: np.ndarray, what: str) -> None:
@@ -174,8 +182,11 @@ def _numeric(arr: np.ndarray, what: str) -> None:
 
 
 def _start_neurons(start_set, n: int) -> np.ndarray:
-    """The distinct neurons of a start set, sorted, refused unless each is one of n."""
-    start = np.unique(_index_array(list(start_set), "start neuron indices must be integers"))
+    """The distinct neurons of a flat start set, sorted, refused unless each is one of n."""
+    start = _index_array(list(start_set), "start neuron indices must be integers")
+    if start.ndim != 1:
+        raise ParameterError("start set must be a flat collection of neuron indices")
+    start = np.unique(start)
     if not start.size:
         raise ParameterError("start set is empty")
     if start[0] < 0 or start[-1] >= n:
@@ -438,15 +449,6 @@ def validate_weights(weights) -> np.ndarray:
     return _trust(out)
 
 
-def _mirror_gap(arr: np.ndarray, i: int) -> np.ndarray:
-    """|P - P^T| on rows i to i + _ROW_BLOCK of a square matrix, from column i on.
-
-    The row blocks of the upper triangle, diagonal included, and their
-    mirrors cover every entry, with no n x n temporary.
-    """
-    return np.abs(arr[i:i + _ROW_BLOCK, i:] - arr[i:, i:i + _ROW_BLOCK].T)
-
-
 def _proximity_fault(arr: np.ndarray) -> tuple[int, str] | None:
     """The first broken invariant of a square float matrix, as (row, message), or None.
 
@@ -461,12 +463,16 @@ def _proximity_fault(arr: np.ndarray) -> tuple[int, str] | None:
     # inf - inf is NaN and 1e308 - -1e308 overflows to inf: refusals, not warnings
     with np.errstate(invalid="ignore", over="ignore"):
         for i in range(0, arr.shape[0], _ROW_BLOCK):
-            if not _mirror_gap(arr, i).max() <= PROXIMITY_TOL:
+            # |P - P^T| on this row block from column i on: the row blocks of the upper
+            # triangle, diagonal included, and their mirrors cover every entry, with no
+            # n x n temporary
+            gap = np.abs(arr[i:i + _ROW_BLOCK, i:] - arr[i:, i:i + _ROW_BLOCK].T)
+            if not gap.max() <= PROXIMITY_TOL:
                 if not np.all(np.isfinite(arr)):
                     return int(np.argwhere(~np.isfinite(arr))[0][0]), "proximity entries must be finite"
                 # asymmetry is mirrored and earlier blocks hold none, so the row-major
                 # first offender lies in this block, above the diagonal
-                r, c = (i + int(k) for k in np.argwhere(_mirror_gap(arr, i) > PROXIMITY_TOL)[0])
+                r, c = (i + int(k) for k in np.argwhere(gap > PROXIMITY_TOL)[0])
                 return r, f"proximity matrix is asymmetric at ({r + 1}, {c + 1})"
     diag = np.diagonal(arr)
     bad = np.flatnonzero(np.abs(diag) > PROXIMITY_TOL)

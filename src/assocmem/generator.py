@@ -106,7 +106,7 @@ class SpreadOrder:
         count = _whole(self.start_count, "start_count", 1, "start_count must be at least 1")
         if count > perm.size:
             raise ParameterError(f"start_count {count} exceeds the {perm.size} neurons of the order")
-        object.__setattr__(self, "permutation", _frozen(perm.copy()))
+        object.__setattr__(self, "permutation", _frozen(perm.astype(np.int64)))
         object.__setattr__(self, "start_count", count)
 
 

@@ -4,12 +4,14 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from assocmem import (
     DimensionMismatch,
+    MemorySet,
     ParameterError,
     ValidationError,
+    as_bipolar,
     capacity_experiment,
     classify,
     complement_asymmetry_probe,
@@ -20,8 +22,8 @@ from assocmem import (
     validate_weights,
 )
 from assocmem import analysis
-from assocmem.analysis import _capacity_trial, _sweep
-from assocmem.core import WEIGHT_TOTAL_LIMIT, _unstable
+from assocmem.analysis import AttractorCensus, _capacity_trial, _sweep
+from assocmem.core import WEIGHT_TOTAL_LIMIT, _memory_set, _unstable
 from conftest import random_memories, random_symmetric_weights
 
 
@@ -167,6 +169,59 @@ class TestWalk:
         assert firsts == list(range(0, 1 << n, size))
 
 
+def scan_census(fixed_points, memories):
+    """The census by two scans of the memories per point, stored before complement."""
+    points = [as_bipolar(p) for p in fixed_points]
+    mset = _memory_set(memories)
+    mem = None if mset is None else mset.vectors
+    labels = []
+    for p in points:
+        if mem is not None and p.size != mem.shape[1]:
+            raise DimensionMismatch(f"fixed point has {p.size} neurons, memories have {mem.shape[1]}")
+        if mem is not None and bool(np.any(np.all(mem == p, axis=1))):
+            labels.append("stored")
+        elif mem is not None and bool(np.any(np.all(mem == -p, axis=1))):
+            labels.append("complement")
+        else:
+            labels.append("spurious")
+    return AttractorCensus(
+        fixed_points=tuple(points),
+        labels=tuple(labels),
+        stored_count=labels.count("stored"),
+        complement_count=labels.count("complement"),
+        spurious_count=labels.count("spurious"),
+    )
+
+
+def census_outcome(census, points, memories):
+    """A census's labels and counts, or the type and text of what it raised."""
+    try:
+        result = census(points, memories)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return result.labels, result.stored_count, result.complement_count, result.spurious_count
+
+
+@st.composite
+def census_cases(draw):
+    """Points and memories of n <= 12 neurons, with duplicate memories, a memory equal to
+    another's negation, points drawn from both, and now and then a point of another size
+    after the rest."""
+    n = draw(st.integers(1, 12))
+    vector = st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n)
+    memories = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("new", "duplicate", "negation"))) if memories else "new"
+        base = draw(st.sampled_from(memories)) if memories else None
+        memories.append(draw(vector) if kind == "new" else base if kind == "duplicate" else [-v for v in base])
+    known = memories + [[-v for v in m] for m in memories]
+    points = draw(st.lists(st.one_of(vector, st.sampled_from(known)) if known else vector, max_size=6))
+    if draw(st.booleans()):
+        width = draw(st.sampled_from([k for k in (n - 1, n + 1) if k >= 1]))
+        points.append(draw(st.lists(st.sampled_from((-1, 1)), min_size=width, max_size=width)))
+    return points, memories
+
+
 class TestClassify:
     def test_worked_census(self, worked_weights, two_memories):
         census = classify(enumerate_fixed_points(worked_weights), two_memories)
@@ -211,6 +266,17 @@ class TestClassify:
     def test_point_of_another_width(self, two_memories):
         with pytest.raises(DimensionMismatch):
             classify([[1, -1, 1]], two_memories)
+
+    @seed(3131)
+    @settings(max_examples=300, deadline=None)
+    @given(census_cases())
+    @example(([[1, -1], [1, -1, 1]], []))  # no memories: every point spurious, of any size
+    @example(([[1, -1], [-1, 1], [1, 1]], [[1, -1], [-1, 1], [1, -1]]))  # a negation pair and a duplicate
+    @example(([[1, -1], [1, 1, 1]], [[-1, 1]]))  # a point of another size after a valid one
+    @example(([[1, -1, 1], [-1, 1, -1]], MemorySet(vectors=np.array([[1, -1, 1]]))))  # int64, built by hand
+    def test_table_matches_the_scan(self, case):
+        points, memories = case
+        assert census_outcome(classify, points, memories) == census_outcome(scan_census, points, memories)
 
     def test_partition(self):
         rng = np.random.default_rng(29)

@@ -9,9 +9,12 @@ from assocmem import (
     DimensionMismatch,
     MemorySet,
     ParameterError,
+    SpreadOrder,
     ValidationError,
     as_amplitudes,
     as_bipolar,
+    classify,
+    collapse_sample,
     energy,
     enumerate_fixed_points,
     is_stored,
@@ -19,6 +22,7 @@ from assocmem import (
     normalize_start,
     order_from_proximity,
     parse_proximity,
+    recall_async,
     recall_sync,
     recall_sync_iterated,
     sgn,
@@ -271,6 +275,39 @@ class TestBipolar:
 def test_a_bool_inside_a_list_is_refused(call):
     # numpy would read the bool as 0 or 1 beside the numbers; a bool array is refused the same way
     with pytest.raises(ValidationError, match=r"(must be numeric|expects real input), got dtype bool$"):
+        call()
+
+
+RAGGED = [[0, 1], [1]]
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: validate_weights(RAGGED), DimensionMismatch),
+        (lambda: validate_proximity(RAGGED), ValidationError),
+        (lambda: as_bipolar([[1, -1], [1]]), ValidationError),
+        (lambda: recall_sync(WORKED_WEIGHTS, [[1, -1], [1], 1, 1]), ValidationError),
+        (lambda: recall_async(WORKED_WEIGHTS, ([1], [1, -1], 1, 1)), ValidationError),
+        (lambda: sgn(RAGGED), ValidationError),
+        (lambda: as_amplitudes([[0.6], [0.8, 0.0]]), ValidationError),
+        (lambda: collapse_sample([[0.6], [0.8, 0.0]], 0, 1), ValidationError),
+        (lambda: spread_full(WORKED_WEIGHTS, {0: 1}, proximity=RAGGED), ValidationError),
+        (lambda: order_from_proximity(RAGGED, {0}), ValidationError),
+        (lambda: order_from_proximity(np.ones((4, 4)) - np.eye(4), [[0, 1], [2]]), ParameterError),
+        (lambda: SpreadOrder([[0, 1], [2, 3, 4]], 1), ParameterError),
+        (lambda: recall_async(WORKED_WEIGHTS, (1, 1, 1, 1), schedule=[[0, 1], [2, 3, 4]]), ParameterError),
+        (lambda: classify([[[1, -1], [1]]], [[1, -1]]), ValidationError),
+        (lambda: validate_memory_set([[1, [1]]]), ValidationError),
+    ],
+    ids=["validate_weights", "validate_proximity", "as_bipolar", "recall_sync", "recall_async",
+         "sgn", "as_amplitudes", "collapse_sample", "spread_full proximity", "order_from_proximity",
+         "start set", "SpreadOrder", "schedule", "classify", "validate_memory_set"],
+)
+def test_a_ragged_list_is_refused(call, error):
+    # numpy cannot make such a list rectangular; it is read as an object array and refused
+    # by the library's own check, never with numpy's bare ValueError
+    with pytest.raises(error):
         call()
 
 

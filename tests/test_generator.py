@@ -142,6 +142,42 @@ class TestSpreadOrder:
         with pytest.raises(ParameterError, match="^start_count 4 exceeds the 3 neurons of the order$"):
             SpreadOrder(np.arange(3), 4)
 
+    def test_nested_start_set_is_refused(self):
+        # as a nested SpreadOrder or recall schedule is: it is not flattened into two seeds
+        for start in ([[1, 2]], np.array([[1], [2]]), [[]]):
+            with pytest.raises(ParameterError, match="^start set must be a flat collection of neuron indices$"):
+                order_from_proximity(PROX, start)
+
+    def test_start_beyond_int64_names_the_neuron_given(self):
+        # a uint64 start neuron is range-checked as given, never wrapped to a negative int64
+        with pytest.raises(ParameterError, match="^start neuron 9223372036854775809 out of range for 4 neurons$"):
+            order_from_proximity(PROX, np.array([2**63], dtype=np.uint64))
+        with pytest.raises(ParameterError, match="^start neuron 18446744073709551616 out of range for 4 neurons$"):
+            order_from_proximity(PROX, np.array([1, 2**64 - 1], dtype=np.uint64))
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            lambda: {2, 1},
+            lambda: {1: 0, 2: 0}.keys(),
+            lambda: range(1, 3),
+            lambda: (i for i in (2, 1, 2)),
+            lambda: np.array([2, 1], dtype=np.int8),
+            lambda: np.array([1, 2], dtype=np.uint16),
+            lambda: np.array([2, 1], dtype=np.int32),
+            lambda: np.array([1, 2], dtype=np.uint64),
+        ],
+        ids=["set", "dict keys", "range", "generator", "int8", "uint16", "int32", "uint64"],
+    )
+    def test_flat_start_sets_of_any_kind(self, start):
+        order = order_from_proximity(PROX, start())
+        assert order.permutation.dtype == np.int64
+        assert order.permutation.tolist() == [1, 2, 0, 3] and order.start_count == 2
+
+    def test_explicit_order_of_any_integer_width_is_held_as_int64(self):
+        order = SpreadOrder(np.array([2, 0, 1], dtype=np.uint8), 1)
+        assert order.permutation.dtype == np.int64 and list(order.permutation) == [2, 0, 1]
+
     def test_fields_are_the_permutation_and_the_start_count(self):
         assert [f.name for f in dataclasses.fields(SpreadOrder)] == ["permutation", "start_count"]
         assert order_from_proximity(PROX, {2, 3}).start_count == 2

@@ -597,7 +597,7 @@ MUTANTS = (
     ),
     Mutant(
         "proximity-mirror-gap-strict", CORE,
-        "_mirror_gap(arr, i).max() <= PROXIMITY_TOL", "_mirror_gap(arr, i).max() < PROXIMITY_TOL",
+        "gap.max() <= PROXIMITY_TOL", "gap.max() < PROXIMITY_TOL",
         (
             "tests/test_core.py::TestProximityValidation::test_faults_at_the_tolerance_are_accepted",
         ),
@@ -1092,6 +1092,72 @@ MUTANTS = (
             "tests/test_analysis.py::TestClassify::test_points_are_read_as_states[2x2]",
             "tests/test_analysis.py::TestClassify::test_points_are_read_as_states[not-bipolar]",
             "tests/test_analysis.py::TestClassify::test_points_are_read_as_states[bool]",
+        ),
+    ),
+    # the census labels a point by one table lookup, negations entered before memories
+    Mutant(
+        "census-stored-entered-before-complements", ANALYSIS,
+        '        table = dict.fromkeys(map(bytes, -mem), "complement")\n'
+        '        table.update(dict.fromkeys(map(bytes, mem), "stored"))\n',
+        '        table = dict.fromkeys(map(bytes, mem), "stored")\n'
+        '        table.update(dict.fromkeys(map(bytes, -mem), "complement"))\n',
+        (
+            "tests/test_analysis.py::TestClassify::test_stored_takes_precedence_over_complement",
+        ),
+    ),
+    Mutant(
+        "census-complements-keyed-by-the-memory", ANALYSIS,
+        "dict.fromkeys(map(bytes, -mem),", "dict.fromkeys(map(bytes, mem),",
+        (
+            "tests/test_analysis.py::TestClassify::test_worked_census",
+            "tests/test_analysis.py::TestClassify::test_table_matches_the_scan",
+        ),
+    ),
+    Mutant(
+        "census-size-check-dropped", ANALYSIS,
+        "        if mset is not None and p.size != mset.n:\n", "        if False:\n",
+        (
+            "tests/test_analysis.py::TestClassify::test_point_of_another_width",
+            "tests/test_analysis.py::TestClassify::test_table_matches_the_scan",
+        ),
+    ),
+    Mutant(
+        "census-keyed-in-the-memories-own-dtype", ANALYSIS,
+        "mset.vectors.astype(np.int8, copy=False)", "mset.vectors",
+        (
+            "tests/test_analysis.py::TestClassify::test_table_matches_the_scan",
+        ),
+    ),
+    # a ragged list is an object array, and a start set is flat and range-checked as given
+    Mutant(
+        "ragged-list-leaks-numpy-error", CORE,
+        "    except ValueError:\n        return np.fromiter(values, dtype=object)\n",
+        "    except TypeError:\n        return np.fromiter(values, dtype=object)\n",
+        (
+            "tests/test_core.py::test_a_ragged_list_is_refused[validate_weights]",
+            "tests/test_core.py::test_a_ragged_list_is_refused[start set]",
+            "tests/test_core.py::test_a_ragged_list_is_refused[validate_memory_set]",
+        ),
+    ),
+    Mutant(
+        "start-set-flattened", CORE,
+        "    if start.ndim != 1:\n", "    if False:\n",
+        (
+            "tests/test_generator.py::TestSpreadOrder::test_nested_start_set_is_refused",
+        ),
+    ),
+    Mutant(
+        "start-set-wrapped-to-int64-before-its-range-check", CORE,
+        "    start = np.unique(start)\n", "    start = np.unique(start.astype(np.int64))\n",
+        (
+            "tests/test_generator.py::TestSpreadOrder::test_start_beyond_int64_names_the_neuron_given",
+        ),
+    ),
+    Mutant(
+        "explicit-order-kept-at-its-own-width", GENERATOR,
+        "_frozen(perm.astype(np.int64))", "_frozen(perm.copy())",
+        (
+            "tests/test_generator.py::TestSpreadOrder::test_explicit_order_of_any_integer_width_is_held_as_int64",
         ),
     ),
     # a size numpy cannot allocate exits 5 with one line, not a traceback
