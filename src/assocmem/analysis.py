@@ -159,11 +159,9 @@ def classify(fixed_points, memories) -> AttractorCensus:
     mset = _memory_set(memories)
     table: dict[bytes, str] = {}
     if mset is not None:
-        # keyed as int8 states are, whatever dtype a hand-built MemorySet holds
-        mem = mset.vectors.astype(np.int8, copy=False)
         # negations first, so a memory that is also another's negation stays stored
-        table = dict.fromkeys(map(bytes, -mem), "complement")
-        table.update(dict.fromkeys(map(bytes, mem), "stored"))
+        table = dict.fromkeys(map(bytes, -mset.vectors), "complement")
+        table.update(dict.fromkeys(map(bytes, mset.vectors), "stored"))
     labels = []
     for p in points:
         if mset is not None and p.size != mset.n:

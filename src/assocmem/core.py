@@ -11,26 +11,30 @@ with their field are reported as flags, not resolved.
 Every function here is pure and every returned array is frozen, so values
 can be shared freely across threads or processes.
 
-A value is validated once. validate_weights and validate_proximity (and
-hebbian.train, formats.load_weights and formats.parse_proximity, which
-return the same kind of value) freeze the array they return and enter it
-in one table, _TRUSTED, and every later call of the same validator accepts
-that very object in O(1). Trust is the object's identity, its read-only
-flag and its dtype (int64 weights, float64 proximity), with no private
-copy: weakref.finalize drops an entry when its array dies, so an id found
-in the table names that very array. The entry of a matrix W = X^T X - m I
-that hebbian.train built from m < n memories with m n <= 2**53 keeps the
-float64 memory matrix X, for as long as W lives. _fields, the one owner of
-"the field of a state", then computes W s as (s X^T) X - m s in float64
-BLAS, in O(m n) per state instead of O(n^2); every product and partial sum
-is an integer of magnitude at most m n, so the fields are exact. Any other
-matrix (loaded, hand-written, copied, or trained with m >= n) gives its
-fields as the int64 product W s, exact by the bound of validate_weights,
-and _block_fields makes the same choice for the spread, one block of
-neurons at a time. A copy, slice or arithmetic result is a new object and
-is checked in full, and so is a trusted array while it is writeable again.
-Changing a trusted array and freezing it again voids the guarantee, since
-the change cannot be seen; such a matrix also keeps its old memories.
+A value is validated once. validate_weights, validate_proximity and
+validate_memory_set (and hebbian.train, formats.load_weights,
+formats.parse_proximity and formats.parse_memories, which return the same
+kinds of value) freeze the array they return and enter it in one table,
+_TRUSTED, and every later call of the same validator accepts that very
+object in O(1). Trust is the array's identity, its read-only flag and its
+dtype (int64 weights, float64 proximity, int8 memory vectors), with no
+private copy: weakref.finalize drops an entry when its array dies, so an id
+found in the table names that very array. A MemorySet is trusted by its
+vectors, never by its type: one built by hand is read as the rows it
+iterates and checked like any other collection. The entry of a matrix
+W = X^T X - m I that hebbian.train built from m < n memories with
+m n <= 2**53 keeps the float64 memory matrix X, for as long as W lives.
+_fields, the one owner of "the field of a state", then computes W s as
+(s X^T) X - m s in float64 BLAS, in O(m n) per state instead of O(n^2);
+every product and partial sum is an integer of magnitude at most m n, so
+the fields are exact. Any other matrix (loaded, hand-written, copied, or
+trained with m >= n) gives its fields as the int64 product W s, exact by
+the bound of validate_weights, and _block_fields makes the same choice for
+the spread, one block of neurons at a time. A copy, slice or arithmetic
+result is a new object and is checked in full, and so is a trusted array
+while it is writeable again. Changing a trusted array and freezing it again
+voids the guarantee, since the change cannot be seen; such a matrix also
+keeps its old memories.
 
 A raw proximity matrix passed to generator.order_from_proximity or
 generator.spread_full is used once: _checked_proximity checks it in full
@@ -42,20 +46,21 @@ names the first fault, so each proximity invariant is stated once.
 Indices are 0-based throughout the library; error messages and reports
 speak of "neuron 1" like a person would.
 
-One integer rule covers every count, pass budget, seed and neuron index
-the library takes: Python and numpy integers pass, and a float, a string,
-None or a bool is refused with ParameterError, never truncated or parsed.
-_whole checks a scalar against its least legal value and refuses a
-non-integer by the parameter's name, _seed checks a seed, _neuron one start
-neuron and _start_neurons a start set, in one numpy pass; _index_array
-requires an integer dtype of every collection of neuron indices (a start
-set, a spread order, a recall schedule) and refuses a Python list or tuple
-that holds a bool, which numpy would read as 0 or 1. A start value is an
-integer by the same rule, so True and 1.0 are no spin values. The same
-holds for the entries of a state, a memory, a weight or proximity matrix
-and an amplitude vector: each is read through _array, which gives a list
-or tuple that holds a bool back as a bool array, refused like one, and a
-ragged list back as an object array, refused like one too.
+One integer rule covers every count, pass budget, seed and neuron index the
+library takes: Python and numpy integers pass, and a float, a string, None
+or a bool is refused with ParameterError, never truncated or parsed. _whole
+checks a scalar against its least legal value and refuses a non-integer by
+the parameter's name, _seed checks a seed, _neuron one start neuron and
+_start_neurons a start set, in one numpy pass, or as Python ints when no
+one numpy integer dtype holds them; _index_array requires an integer dtype
+of every other collection of neuron indices (a spread order, a recall
+schedule) and refuses a Python list or tuple that holds a bool, which numpy
+would read as 0 or 1. A start value is an integer by the same rule, so True
+and 1.0 are no spin values. The same holds for the entries of a state, a
+memory, a weight or proximity matrix and an amplitude vector: each is read
+through _array, which gives a list or tuple that holds a bool back as a
+bool array, refused like one, and a ragged list back as an object array,
+refused like one too.
 """
 
 from __future__ import annotations
@@ -182,16 +187,26 @@ def _numeric(arr: np.ndarray, what: str) -> None:
 
 
 def _start_neurons(start_set, n: int) -> np.ndarray:
-    """The distinct neurons of a flat start set, sorted, refused unless each is one of n."""
-    start = _index_array(list(start_set), "start neuron indices must be integers")
-    if start.ndim != 1:
+    """The distinct neurons of a flat start set, sorted, refused unless each is one of n.
+
+    A set of integers in range is checked in one numpy pass. Any other set
+    is read again entry by entry as Python ints, so integers that no one
+    numpy integer dtype holds (2**64, or 2**63 beside -1) are range-checked
+    too, and the least neuron out of range is named; a float, a bool or a
+    string is refused as a non-integer.
+    """
+    start = _array(entries := list(start_set))
+    integral = not start.size or start.dtype.kind in "iu"
+    if integral and start.ndim != 1:
         raise ParameterError("start set must be a flat collection of neuron indices")
-    start = np.unique(start)
     if not start.size:
         raise ParameterError("start set is empty")
-    if start[0] < 0 or start[-1] >= n:
-        _neuron(int(start[(start < 0) | (start >= n)][0]), n)  # raises, naming the first offender
-    return start
+    if not integral or start.min() < 0 or start.max() >= n:
+        try:
+            start = np.array([_neuron(i, n) for i in sorted(map(_integer, entries))])
+        except TypeError:
+            raise ParameterError("start neuron indices must be integers") from None
+    return np.unique(start)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -221,7 +236,7 @@ def _trust(arr: np.ndarray, memories: np.ndarray | None = None) -> np.ndarray:
 
 def _trusted(value, dtype: type) -> bool:
     """True for an array _trust entered, still read-only, of ``dtype``: np.int64 asks
-    for weights, np.float64 for proximity."""
+    for weights, np.float64 for proximity, np.int8 for the vectors of a memory set."""
     return id(value) in _TRUSTED and value.dtype == dtype and not value.flags.writeable
 
 
@@ -329,10 +344,12 @@ def as_bipolar(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MemorySet:
-    """A validated collection of memories, all of the same dimension.
+    """A collection of memories, all of the same dimension.
 
     ``duplicates`` groups row indices of repeated vectors. Duplicates are
-    legal (they just weight the Hebbian sum) but worth surfacing.
+    legal (they just weight the Hebbian sum) but worth surfacing. Only a set
+    that validate_memory_set returned is validated: its int8 vectors are
+    trusted by identity. Any other MemorySet is read as its rows.
     """
 
     vectors: np.ndarray
@@ -356,11 +373,14 @@ class MemorySet:
 def validate_memory_set(memories) -> MemorySet:
     """Check that all memories are bipolar and share one dimension.
 
-    Accepts a MemorySet (returned unchanged), a 2-d array, or an iterable of
-    vectors. Raises ParameterError on an empty set, DimensionMismatch on
-    ragged input, and ValidationError on a value that is no collection at
-    all. Each row then goes through as_bipolar in turn, so a non-bipolar
-    set is refused with the first bad row's exception.
+    Accepts a 2-d array or an iterable of vectors. A set this function (or
+    parse_memories) returned is returned as it is, in O(1), while its int8
+    vectors stay read-only; any other MemorySet is read as the rows it
+    iterates and checked in full, its duplicates recomputed. Raises
+    ParameterError on an empty set, DimensionMismatch on ragged input, and
+    ValidationError on a value that is no collection at all. Each row then
+    goes through as_bipolar in turn, so a non-bipolar set is refused with
+    the first bad row's exception.
     """
     mset = _memory_set(memories)
     if mset is None:
@@ -371,7 +391,7 @@ def validate_memory_set(memories) -> MemorySet:
 def _memory_set(memories) -> MemorySet | None:
     """validate_memory_set(memories), or None for an empty collection of any kind,
     an iterator included, which has no length to ask first."""
-    if isinstance(memories, MemorySet):
+    if isinstance(memories, MemorySet) and _trusted(memories.vectors, BIPOLAR_DTYPE):
         return memories
     try:
         rows = iter(memories)
@@ -391,7 +411,7 @@ def _memory_set(memories) -> MemorySet | None:
         groups.setdefault(row.tobytes(), []).append(i)
     # groups are disjoint and listed by first member, so this order is also sorted
     duplicates = tuple(tuple(g) for g in groups.values() if len(g) > 1)
-    return MemorySet(vectors=_frozen(vectors), duplicates=duplicates)
+    return MemorySet(vectors=_trust(vectors), duplicates=duplicates)
 
 
 def _abs_total(w: np.ndarray) -> int:

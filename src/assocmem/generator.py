@@ -254,8 +254,6 @@ def retrieve_report(weights, start, memories=None, proximity=None, order=None) -
     fields None.
     """
     trace = spread_full(weights, start, proximity, order)
-    is_fp = len(trace.consistency_flags) == 0
-
     matched = nearest = distance = None
     mset = None if memories is None else _memory_set(memories)
     if mset is not None:
@@ -264,12 +262,11 @@ def retrieve_report(weights, start, memories=None, proximity=None, order=None) -
         dists = np.count_nonzero(mset.vectors != trace.final, axis=1)
         nearest = int(np.argmin(dists))
         distance = int(dists[nearest])
-        if distance == 0:
-            matched = nearest
+        matched = nearest if distance == 0 else None
     return RetrievalReport(
         trace=trace,
         matched_index=matched,
         nearest_index=nearest,
         nearest_distance=distance,
-        is_fixed_point=is_fp,
+        is_fixed_point=not trace.consistency_flags,
     )

@@ -22,6 +22,7 @@ resonance among k possible outputs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,9 +113,8 @@ def enumerate_reorganizations(n_levels: int) -> ReorganizationTable:
     n = _check_levels(n_levels)
     if n > _LIST_LIMIT:
         raise ParameterError(f"listing the {n * n} cases of {n} levels exceeds the limit n_levels <= {_LIST_LIMIT}")
-    raw = [(i, j, o) for i in range(n) for j in range(n) for o in (0, 1)]
-    reps = {min(case, _partner(case)) for case in raw}
-    cases = tuple(sorted(reps))
+    # product order is lexicographic, so the smaller members come out sorted
+    cases = tuple(c for c in itertools.product(range(n), range(n), (0, 1)) if c < _partner(c))
     table = ReorganizationTable(n_levels=n, cases=cases, distinct_count=len(cases))
     if table.distinct_count != n * n:
         raise AssertionError("quotient construction lost the exact n^2 count")

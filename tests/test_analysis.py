@@ -267,6 +267,11 @@ class TestClassify:
         with pytest.raises(DimensionMismatch):
             classify([[1, -1, 1]], two_memories)
 
+    def test_a_hand_built_memory_set_is_checked(self):
+        # 1.5 is no spin value: the set is refused, not cast to int8 and read as 1
+        with pytest.raises(ValidationError, match=r"^state entries must be \+1 or -1, neuron 1 has np.float64\(1.5\)$"):
+            classify([[1, -1, 1]], MemorySet(vectors=np.array([[1.5, -1, 1]])))
+
     @seed(3131)
     @settings(max_examples=300, deadline=None)
     @given(census_cases())
@@ -527,6 +532,12 @@ class TestComplementAsymmetry:
         points = {tuple(p) for p in enumerate_fixed_points(w)}
         assert (-1, -1, 1) not in points
         assert (-1, 1, -1) not in points
+
+    @pytest.mark.parametrize("bad", [0, 3])
+    def test_a_hand_built_memory_set_is_checked(self, worked_weights, bad):
+        vectors = np.array([[1, -1, 1, -1], [-1, 1, bad, 1]])
+        with pytest.raises(ValidationError, match=rf"^state entries must be \+1 or -1, neuron 3 has np.int64\({bad}\)$"):
+            complement_asymmetry_probe(worked_weights, MemorySet(vectors=vectors))
 
     def test_matches_enumeration(self):
         memories = [(1, 1, 1, 1), (1, -1, -1, 1)]

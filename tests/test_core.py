@@ -77,8 +77,14 @@ class TestSgn:
         assert sgn(c * v) == sgn(v)
 
 
+def read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
 # odd memory sets, each with its int8 rows and duplicate groups, or with the
-# exception type and message of its refusal; the refusals name the first bad row
+# exception type and message of its refusal; the refusals name the first bad row.
+# A MemorySet built by hand is read as its rows, whatever duplicates it claims.
 ODD_MEMORY_SETS = {
     "int8 array": (
         lambda: np.array([[1, -1, 1], [-1, 1, 1], [1, -1, 1]], dtype=np.int8),
@@ -163,6 +169,50 @@ ODD_MEMORY_SETS = {
         lambda: [np.array([True, False]), (1, 3)],
         (ValidationError, "state entries must be numeric, got dtype bool"),
     ),
+    "hand-built int64 set": (
+        lambda: MemorySet(vectors=np.array([[1, -1], [1, -1]])),
+        ([[1, -1], [1, -1]], ((0, 1),)),
+    ),
+    "hand-built read-only int8 set": (
+        lambda: MemorySet(vectors=read_only(np.array([[1, -1], [-1, 1], [1, -1]], dtype=np.int8)), duplicates=()),
+        ([[1, -1], [-1, 1], [1, -1]], ((0, 2),)),
+    ),
+    "hand-built set of tuples": (
+        lambda: MemorySet(vectors=((1.0, -1.0), (-1, 1)), duplicates=((0, 1),)),
+        ([[1, -1], [-1, 1]], ()),
+    ),
+    "hand-built set holding 2": (
+        lambda: MemorySet(vectors=np.array([[2, -1, 1]])),
+        (ValidationError, "state entries must be +1 or -1, neuron 1 has np.int64(2)"),
+    ),
+    "hand-built set holding 0": (
+        lambda: MemorySet(vectors=np.array([[1, -1], [1, 0]], dtype=np.int8)),
+        (ValidationError, "state entries must be +1 or -1, neuron 2 has np.int8(0)"),
+    ),
+    "hand-built set holding 1.5": (
+        lambda: MemorySet(vectors=np.array([[1.5, -1, 1]])),
+        (ValidationError, "state entries must be +1 or -1, neuron 1 has np.float64(1.5)"),
+    ),
+    "hand-built bool set": (
+        lambda: MemorySet(vectors=np.array([[True, False]])),
+        (ValidationError, "state entries must be numeric, got dtype bool"),
+    ),
+    "hand-built 1-d set": (
+        lambda: MemorySet(vectors=np.array([1, -1], dtype=np.int8)),
+        (ValidationError, "expected a 1-d state vector, got shape ()"),
+    ),
+    "hand-built ragged set": (
+        lambda: MemorySet(vectors=[(1, -1), (1,)]),
+        (DimensionMismatch, "memories have mixed dimensions [1, 2]"),
+    ),
+    "hand-built empty set": (
+        lambda: MemorySet(vectors=np.empty((0, 3), dtype=np.int8)),
+        (ParameterError, "memory set is empty"),
+    ),
+    "hand-built set of no vectors": (
+        lambda: MemorySet(vectors=None),
+        (ValidationError, "a memory set must be a collection of vectors, got a non-iterable MemorySet"),
+    ),
     "non-iterable int": (
         lambda: 5,
         (ValidationError, "a memory set must be a collection of vectors, got a non-iterable int"),
@@ -222,6 +272,30 @@ class TestMemoryValidation:
     def test_memoryset_passthrough(self):
         mset = validate_memory_set([(1, -1)])
         assert validate_memory_set(mset) is mset
+
+    @pytest.mark.parametrize(
+        "name", [name for name, (_, expected) in ODD_MEMORY_SETS.items() if not isinstance(expected[0], type)]
+    )
+    def test_a_validated_set_is_returned_as_it_is(self, name, tmp_path):
+        # trusted by its int8 vectors, as a weights or proximity array is by its own
+        build, _ = ODD_MEMORY_SETS[name]
+        mset = validate_memory_set(build())
+        assert validate_memory_set(mset) is mset
+        path = tmp_path / "memories.txt"
+        path.write_text("\n".join(" ".join(map(str, row)) for row in mset.vectors.tolist()) + "\n")
+        parsed = formats.parse_memories(path)
+        assert validate_memory_set(parsed) is parsed
+
+    def test_a_set_made_writeable_again_is_checked_again(self):
+        mset = validate_memory_set([(1, -1, 1), (-1, 1, 1)])
+        mset.vectors.setflags(write=True)
+        again = validate_memory_set(mset)
+        assert again is not mset and again.vectors is not mset.vectors
+        assert (again.vectors.tolist(), again.duplicates) == ([[1, -1, 1], [-1, 1, 1]], ())
+        assert validate_memory_set(again) is again
+        mset.vectors[1, 2] = 3
+        with pytest.raises(ValidationError, match=r"^state entries must be \+1 or -1, neuron 3 has np.int8\(3\)$"):
+            validate_memory_set(mset)
 
     def test_accepts_2d_array(self):
         arr = np.array([[1, -1], [-1, 1]])
@@ -638,6 +712,13 @@ class TestTrust:
             validate_weights(p)
         with pytest.raises(ValidationError, match="off-diagonal proximity must be positive"):
             validate_proximity(w)
+
+    def test_memory_vectors_and_weights_are_trusted_apart(self, w):
+        mset = validate_memory_set([(1, -1), (-1, 1)])
+        with pytest.raises(ValidationError, match=r"^weight diagonal must be zero, neuron 1 has 1$"):
+            validate_weights(mset.vectors)
+        with pytest.raises(ValidationError, match=r"^state entries must be \+1 or -1, neuron 1 has np.int64\(0\)$"):
+            validate_memory_set(MemorySet(vectors=w))
 
     def test_trusted_values_are_frozen(self, w):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from assocmem import (
     DimensionMismatch,
+    MemorySet,
     ParameterError,
     SpreadOrder,
     SpreadStep,
@@ -156,6 +157,20 @@ class TestSpreadOrder:
             order_from_proximity(PROX, np.array([1, 2**64 - 1], dtype=np.uint64))
 
     @pytest.mark.parametrize(
+        "start, named",
+        [([5, 2**63], 6), ([2**63, 5], 6), ([-1, 2**63], 0), ([2**64], 2**64 + 1)],
+        ids=["beyond int64", "beyond int64 first", "negative beside beyond int64", "beyond uint64"],
+    )
+    def test_start_beyond_any_one_integer_dtype_names_the_least_neuron(self, start, named):
+        # numpy reads these as float64 or object; as Python ints they are integers, and
+        # the least offender is named, as for any other start set; a float still is not
+        with pytest.raises(ParameterError, match=rf"^start neuron {named} out of range for 4 neurons$"):
+            order_from_proximity(PROX, start)
+        for refused in ([1.0, *start], [True, *start], ["1", *start]):
+            with pytest.raises(ParameterError, match="^start neuron indices must be integers$"):
+                order_from_proximity(PROX, refused)
+
+    @pytest.mark.parametrize(
         "start",
         [
             lambda: {2, 1},
@@ -166,8 +181,9 @@ class TestSpreadOrder:
             lambda: np.array([1, 2], dtype=np.uint16),
             lambda: np.array([2, 1], dtype=np.int32),
             lambda: np.array([1, 2], dtype=np.uint64),
+            lambda: [np.uint64(2), np.int64(1)],  # numpy reads the two together as float64
         ],
-        ids=["set", "dict keys", "range", "generator", "int8", "uint16", "int32", "uint64"],
+        ids=["set", "dict keys", "range", "generator", "int8", "uint16", "int32", "uint64", "uint64 beside int64"],
     )
     def test_flat_start_sets_of_any_kind(self, start):
         order = order_from_proximity(PROX, start())
@@ -546,6 +562,12 @@ class TestRetrieveReport:
         report2 = retrieve_report(w, {0: 1}, [(1, -1, 1, -1)])
         assert report2.matched_index is None
         assert report2.nearest_distance == 2
+
+    @pytest.mark.parametrize("bad", [0, 3])
+    def test_a_hand_built_memory_set_is_checked(self, worked_weights, bad):
+        vectors = np.array([[1, -1, 1, -1], [-1, 1, bad, 1]])
+        with pytest.raises(ValidationError, match=rf"^state entries must be \+1 or -1, neuron 3 has np.int64\({bad}\)$"):
+            retrieve_report(worked_weights, {0: 1}, MemorySet(vectors=vectors))
 
     def test_no_memories(self, worked_weights):
         report = retrieve_report(worked_weights, {0: 1}, [])

@@ -6,7 +6,9 @@ from hypothesis import example, given, strategies as st
 
 from assocmem import (
     DimensionMismatch,
+    MemorySet,
     ParameterError,
+    ValidationError,
     energy,
     is_stored,
     recall_async,
@@ -43,6 +45,13 @@ class TestTrain:
     def test_propagates_validation(self):
         with pytest.raises(DimensionMismatch):
             train([(1, 1), (1, 1, 1)])
+
+    def test_a_hand_built_memory_set_is_checked(self):
+        # a MemorySet is trusted by its validated vectors, not by its type
+        with pytest.raises(ValidationError, match=r"^state entries must be \+1 or -1, neuron 1 has np.int64\(2\)$"):
+            train(MemorySet(vectors=np.array([[2, -1, 1]])))
+        w = train(MemorySet(vectors=np.array([[1.0, -1.0, 1.0]])))
+        assert w.tolist() == [[0, -1, 1], [-1, 0, -1], [1, -1, 0]]
 
     @given(memory_sets)
     def test_symmetric_zero_diagonal_bounded(self, memories):

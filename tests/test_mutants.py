@@ -30,6 +30,24 @@ def test_a_moved_anchor_or_a_gone_test_is_stale():
     ]
 
 
+def test_a_replacement_equal_to_its_anchor_is_stale():
+    tool = _tool()
+    mutant = tool.MUTANTS[0]._replace(replacement=tool.MUTANTS[0].anchor)
+    assert tool.stale_reasons(mutant) == ["replacement equals its anchor"]
+
+
+def test_a_name_used_twice_is_stale(capsys):
+    # outcomes are keyed by name, so a repeated name would hide one outcome
+    tool = _tool()
+    first, second = tool.MUTANTS[:2]
+    twin = second._replace(name=first.name)
+    mutants = (first, twin)
+    assert [tool.stale_reasons(m, mutants) for m in mutants] == [["name used by 2 mutants"]] * 2
+    tool.MUTANTS = mutants
+    assert tool.main(["--check"]) == 1
+    assert capsys.readouterr().out.endswith("2 mutants, 2 stale\n")
+
+
 def test_failed_tests_and_uncollected_modules_do_not_pass():
     summary = "FAILED tests/test_a.py::test_x - AssertionError\nERROR tests/test_b.py - ImportError\n"
     listed = ["tests/test_a.py::test_x", "tests/test_a.py::test_y", "tests/test_b.py::TestB::test_z"]

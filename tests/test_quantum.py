@@ -117,6 +117,13 @@ class TestEnumerateReorganizations:
         assert len(table.cases) == table.distinct_count
         assert len(set(table.cases)) == len(table.cases)
 
+    def test_matches_the_set_and_sort_of_every_orbit_minimum(self):
+        # the cases are each orbit's smaller member, in sorted order
+        for n in range(1, 65):
+            raw = [(i, j, o) for i in range(n) for j in range(n) for o in (0, 1)]
+            reps = {min(case, (case[1], case[0], 1 - case[2])) for case in raw}
+            assert enumerate_reorganizations(n).cases == tuple(sorted(reps))
+
     def test_quotient_covers_every_raw_case(self):
         n = 5
         table = enumerate_reorganizations(n)

@@ -9,8 +9,11 @@ applies one mutant at a time, runs only that mutant's tests, and reports it:
     caught    every listed test fails
     survived  some listed test passes: a test is missing, so add one;
               never drop the mutant
-    stale     the anchor no longer occurs exactly once in its file, or a
-              listed test is no longer defined: update the entry
+    stale     the anchor no longer occurs exactly once in its file, a
+              listed test is no longer defined, the replacement equals
+              the anchor (no test could catch it), or another mutant has
+              the same name (its outcome would hide this one's): update
+              the entry
 
 A pytest run that ends in a usage or collection error (a listed node id
 that pytest cannot find, say) stops the whole run with pytest's output, so
@@ -131,6 +134,7 @@ MUTANTS = (
         "id(value) in _TRUSTED and value.dtype == dtype and", "id(value) in _TRUSTED and",
         (
             "tests/test_core.py::TestTrust::test_trust_is_kept_apart_per_kind",
+            "tests/test_core.py::TestTrust::test_memory_vectors_and_weights_are_trusted_apart",
         ),
     ),
     # a start set is checked once, by order_from_proximity or normalize_start, and a seed
@@ -1097,17 +1101,17 @@ MUTANTS = (
     # the census labels a point by one table lookup, negations entered before memories
     Mutant(
         "census-stored-entered-before-complements", ANALYSIS,
-        '        table = dict.fromkeys(map(bytes, -mem), "complement")\n'
-        '        table.update(dict.fromkeys(map(bytes, mem), "stored"))\n',
-        '        table = dict.fromkeys(map(bytes, mem), "stored")\n'
-        '        table.update(dict.fromkeys(map(bytes, -mem), "complement"))\n',
+        '        table = dict.fromkeys(map(bytes, -mset.vectors), "complement")\n'
+        '        table.update(dict.fromkeys(map(bytes, mset.vectors), "stored"))\n',
+        '        table = dict.fromkeys(map(bytes, mset.vectors), "stored")\n'
+        '        table.update(dict.fromkeys(map(bytes, -mset.vectors), "complement"))\n',
         (
             "tests/test_analysis.py::TestClassify::test_stored_takes_precedence_over_complement",
         ),
     ),
     Mutant(
         "census-complements-keyed-by-the-memory", ANALYSIS,
-        "dict.fromkeys(map(bytes, -mem),", "dict.fromkeys(map(bytes, mem),",
+        "dict.fromkeys(map(bytes, -mset.vectors),", "dict.fromkeys(map(bytes, mset.vectors),",
         (
             "tests/test_analysis.py::TestClassify::test_worked_census",
             "tests/test_analysis.py::TestClassify::test_table_matches_the_scan",
@@ -1121,11 +1125,24 @@ MUTANTS = (
             "tests/test_analysis.py::TestClassify::test_table_matches_the_scan",
         ),
     ),
+    # a memory set is trusted by its checked int8 vectors, never by its type
     Mutant(
-        "census-keyed-in-the-memories-own-dtype", ANALYSIS,
-        "mset.vectors.astype(np.int8, copy=False)", "mset.vectors",
+        "memory-set-trusted-by-type", CORE,
+        "    if isinstance(memories, MemorySet) and _trusted(memories.vectors, BIPOLAR_DTYPE):\n",
+        "    if isinstance(memories, MemorySet):\n",
         (
-            "tests/test_analysis.py::TestClassify::test_table_matches_the_scan",
+            "tests/test_core.py::TestMemoryValidation::test_a_set_made_writeable_again_is_checked_again",
+            "tests/test_hebbian.py::TestTrain::test_a_hand_built_memory_set_is_checked",
+            "tests/test_analysis.py::TestClassify::test_a_hand_built_memory_set_is_checked",
+        ),
+    ),
+    Mutant(
+        "memory-set-vectors-frozen-not-trusted", CORE,
+        "    return MemorySet(vectors=_trust(vectors), duplicates=duplicates)\n",
+        "    return MemorySet(vectors=_frozen(vectors), duplicates=duplicates)\n",
+        (
+            "tests/test_core.py::TestMemoryValidation::test_a_validated_set_is_returned_as_it_is[int8 array]",
+            "tests/test_core.py::TestMemoryValidation::test_a_set_made_writeable_again_is_checked_again",
         ),
     ),
     # a ragged list is an object array, and a start set is flat and range-checked as given
@@ -1141,16 +1158,31 @@ MUTANTS = (
     ),
     Mutant(
         "start-set-flattened", CORE,
-        "    if start.ndim != 1:\n", "    if False:\n",
+        "    if integral and start.ndim != 1:\n", "    if False:\n",
         (
             "tests/test_generator.py::TestSpreadOrder::test_nested_start_set_is_refused",
         ),
     ),
     Mutant(
         "start-set-wrapped-to-int64-before-its-range-check", CORE,
-        "    start = np.unique(start)\n", "    start = np.unique(start.astype(np.int64))\n",
+        "sorted(map(_integer, entries))", "sorted(map(_integer, start.astype(np.int64)))",
         (
             "tests/test_generator.py::TestSpreadOrder::test_start_beyond_int64_names_the_neuron_given",
+        ),
+    ),
+    Mutant(
+        "start-set-beyond-one-dtype-names-its-first-offender", CORE,
+        "for i in sorted(map(_integer, entries))]", "for i in map(_integer, entries)]",
+        (
+            "tests/test_generator.py::TestSpreadOrder::test_start_beyond_any_one_integer_dtype_names_the_least_neuron[beyond int64 first]",
+        ),
+    ),
+    Mutant(
+        "start-set-beyond-one-dtype-leaks-type-error", CORE,
+        "        except TypeError:\n            raise ParameterError(\"start neuron indices must be integers\")",
+        "        except ValueError:\n            raise ParameterError(\"start neuron indices must be integers\")",
+        (
+            "tests/test_generator.py::TestSpreadOrder::test_start_beyond_any_one_integer_dtype_names_the_least_neuron[beyond uint64]",
         ),
     ),
     Mutant(
@@ -1179,13 +1211,19 @@ def _defines(source: str, node_id: str) -> bool:
     return all(re.search(rf"^\s*{kw} {re.escape(name)}\b", source, re.MULTILINE) for kw, name in names)
 
 
-def stale_reasons(mutant: Mutant) -> list[str]:
-    """Why ``mutant`` cannot be run as written against the checkout; empty when it can."""
+def stale_reasons(mutant: Mutant, mutants=MUTANTS) -> list[str]:
+    """Why ``mutant`` cannot be run as written against the checkout, one of ``mutants``;
+    empty when it can."""
     reasons = []
     target = ROOT / mutant.path
     count = target.read_text(encoding="utf-8").count(mutant.anchor) if target.is_file() else 0
     if count != 1:
         reasons.append(f"anchor occurs {count} times in {mutant.path}")
+    if mutant.replacement == mutant.anchor:
+        reasons.append("replacement equals its anchor")
+    namesakes = sum(m.name == mutant.name for m in mutants)
+    if namesakes > 1:
+        reasons.append(f"name used by {namesakes} mutants")
     if not mutant.tests:
         reasons.append("lists no test")
     for node_id in mutant.tests:
@@ -1223,11 +1261,14 @@ def _pytest(work: Path, tests) -> list[str]:
 
 
 def run(mutants) -> dict[str, str]:
-    """Each mutant's outcome (caught, survived or stale), from a copy of src/ and tests/."""
+    """Each mutant's outcome (caught, survived or stale), from a copy of src/ and tests/.
+
+    Outcomes are keyed by name: a name used twice makes both its mutants stale.
+    """
     outcomes: dict[str, str] = {}
     runnable = []
     for mutant in mutants:
-        reasons = stale_reasons(mutant)
+        reasons = stale_reasons(mutant, mutants)
         if reasons:
             outcomes[mutant.name] = "stale"
             print(f"stale     {mutant.name}: {'; '.join(reasons)}", flush=True)
@@ -1267,12 +1308,11 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--check", action="store_true", help="check anchors and test names only, run no test")
     args = parser.parse_args(argv)
     if args.check:
-        stale = {m.name: stale_reasons(m) for m in MUTANTS}
-        for name, reasons in stale.items():
-            if reasons:
-                print(f"stale     {name}: {'; '.join(reasons)}")
-        print(f"{len(MUTANTS)} mutants, {sum(map(bool, stale.values()))} stale")
-        return int(any(stale.values()))
+        stale = [(m.name, reasons) for m in MUTANTS if (reasons := stale_reasons(m, MUTANTS))]
+        for name, reasons in stale:
+            print(f"stale     {name}: {'; '.join(reasons)}")
+        print(f"{len(MUTANTS)} mutants, {len(stale)} stale")
+        return int(bool(stale))
     start = time.perf_counter()
     outcomes = run(MUTANTS)
     counts = {k: list(outcomes.values()).count(k) for k in ("caught", "survived", "stale")}
