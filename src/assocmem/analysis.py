@@ -34,9 +34,10 @@ The trials run through _sweep, the one loop over seeded trials, whose
 docstring states the reproducibility rule: a report is bit-identical no
 matter how its trials are scheduled or parallelized. Trial t of load m
 draws the stream of SeedSequence(entropy=seed, spawn_key=(m, t)), seeded
-in bulk: _stream_words hashes the (seed, m) part of that key once and every
-t of the load in one numpy pass, giving PCG64 the very words SeedSequence
-would, so a trial pays for no SeedSequence of its own.
+in bulk: numpy's SeedSequence mixes the (seed, m) prefix of that key once
+per load, and _stream_words hashes only t, for every trial of the load in
+one numpy pass, giving PCG64 the very words SeedSequence would, so a trial
+pays for no SeedSequence of its own.
 """
 
 from __future__ import annotations
@@ -201,14 +202,18 @@ class CapacityReport:
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
 # a trial index is one 32-bit entropy word of its stream's key
 _TRIAL_LIMIT = 2**32
 
 
-def _words32(value: int) -> list[int]:
-    """The 32-bit words of an integer >= 0, least significant first; 0 is one word."""
-    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+def _word_count(value: int) -> int:
+    """The number of 32-bit entropy words SeedSequence makes of an integer >= 0; 0 is one word."""
+    return -(-max(value.bit_length(), 1) // 32)
+
+
+def _hash_constants(first: int, mult: int, count: int) -> np.ndarray:
+    """``count`` successive values of a SeedSequence hash constant from ``first``, as uint32."""
+    return np.array([first * pow(mult, k, 2**32) % 2**32 for k in range(count)], dtype=np.uint32)
 
 
 def _xorshift(value):
@@ -219,44 +224,29 @@ def _stream_words(seed: int, key: tuple[int, ...], trials: int) -> np.ndarray:
     """Row t is SeedSequence(entropy=seed, spawn_key=(*key, t)).generate_state(4, np.uint64).
 
     A trials x 4 uint64 array, for 0 <= t < trials <= 2**32, where t is one
-    entropy word. SeedSequence hashes its entropy words into a pool of four,
-    in order: the seed's words, padded with zeros to four because a spawn
-    key follows, then the key's words, then t. So the pool before t is
-    mixed once, in Python ints masked to 32 bits, and t is mixed into it and
-    the pool hashed out, as generate_state does, in one numpy pass over all
-    t. The same functions serve both: on a uint32 array every product wraps
-    as the mask would.
+    entropy word. numpy's SeedSequence mixes the (seed, key) prefix: the
+    pool of SeedSequence(entropy=seed, spawn_key=key) is the pool before t,
+    and by then its hash constant has advanced four times per assembled
+    entropy word: the seed's words, padded with zeros to four because a key
+    follows, then the key's words. Only t is hashed here, as generate_state would
+    after it, in one uint32 pass over all trials: t is mixed into the four
+    pool words, a trials x 4 array, and the pool hashed out into eight
+    32-bit words, a trials x 8 array; every product wraps as SeedSequence's
+    uint32 arithmetic does.
     """
-    const = _INIT_A
+    from numpy.random import SeedSequence  # see _sweep: only a sweep loads numpy.random
 
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        return _xorshift(value * const & _MASK32)
-
-    def mix(x, y):
-        return _xorshift((_MIX_L * x & _MASK32) - _MIX_R * y & _MASK32)
-
-    entropy = _words32(seed)
-    entropy += [0] * (4 - len(entropy))
-    entropy += [word for k in key for word in _words32(k)]
-    entropy.append(np.arange(trials, dtype=np.uint32))
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        pool = [mix(p, hashmix(word)) for p in pool]
-    # generate_state(4, np.uint64): eight 32-bit outputs, two per word, low first
-    out = np.empty((trials, 8), dtype="<u4")
-    const = _INIT_B
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * _MULT_B & _MASK32
-        out[:, i] = _xorshift(value * const & _MASK32)
-    return out.view("<u8").astype(np.uint64, copy=False)
+    pool = SeedSequence(entropy=seed, spawn_key=key).pool
+    words = max(_word_count(seed), 4) + sum(map(_word_count, key))
+    # hashmix of t for each pool word in turn: the constant before, and after, each step
+    a = _hash_constants(_INIT_A * pow(_MULT_A, 4 * words, 2**32), _MULT_A, 5)
+    t = np.arange(trials, dtype=np.uint32)[:, None]
+    pool = _xorshift(_MIX_L * pool - _MIX_R * _xorshift((t ^ a[:4]) * a[1:]))
+    # generate_state(4, np.uint64): eight 32-bit outputs, two per word, low first, its
+    # constant restarted from _INIT_B
+    b = _hash_constants(_INIT_B, _MULT_B, 9)
+    out = _xorshift((np.tile(pool, 2) ^ b[:8]) * b[1:])
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 class _StreamWords:
@@ -291,11 +281,12 @@ def _sweep(trial, loads, trials: int, seed: int, workers: int) -> np.ndarray:
     next experiment to run here must add its own tag at the front of the
     key, so that no two experiments share a stream.
 
-    The streams are seeded in bulk: _stream_words gives the PCG64 seeds of
-    all trials of a load at once, and each task's PCG64 reads its own through
-    _StreamWords. So t is one entropy word, at most 2**32 trials per load,
-    and a trial must not call spawn on its generator: numpy raises
-    TypeError, as _StreamWords cannot spawn.
+    The streams are seeded in bulk: numpy's SeedSequence mixes the (seed,
+    load) prefix once per load, _stream_words hashes only t to give the
+    PCG64 seeds of all trials of that load at once, and each task's PCG64
+    reads its own through _StreamWords. So t is one entropy word, at most
+    2**32 trials per load, and a trial must not call spawn on its
+    generator: numpy raises TypeError, as _StreamWords cannot spawn.
 
     ``workers`` > 1 deals the tasks, in row-major order, round-robin to
     min(workers, CPUs, tasks) threads of a pool; one runs inline, with no

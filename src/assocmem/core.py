@@ -349,7 +349,9 @@ class MemorySet:
     ``duplicates`` groups row indices of repeated vectors. Duplicates are
     legal (they just weight the Hebbian sum) but worth surfacing. Only a set
     that validate_memory_set returned is validated: its int8 vectors are
-    trusted by identity. Any other MemorySet is read as its rows.
+    trusted by identity. Any other MemorySet is read as its rows, and its
+    len, m and n answer from them, or raise ValidationError where the rows
+    form no m x n table.
     """
 
     vectors: np.ndarray
@@ -357,11 +359,19 @@ class MemorySet:
 
     @property
     def m(self) -> int:
-        return int(self.vectors.shape[0])
+        return self._table()[0]
 
     @property
     def n(self) -> int:
-        return int(self.vectors.shape[1])
+        return self._table()[1]
+
+    def _table(self) -> tuple[int, ...]:
+        """The (m, n) of the rows this set holds, a hand-built set's too; ValidationError
+        unless they form an m x n table."""
+        shape = _array(self.vectors).shape
+        if len(shape) != 2:
+            raise ValidationError(f"memory vectors must form an m x n table, got shape {shape}")
+        return shape
 
     def __iter__(self):
         return iter(self.vectors)
@@ -446,7 +456,8 @@ def validate_weights(weights) -> np.ndarray:
     if arr.dtype.kind == "f":
         if not np.all(np.isfinite(arr)) or not np.all(arr == np.round(arr)):
             raise ValidationError("weight entries must be integers")
-        if np.any(np.abs(arr) > FLOAT_EXACT_LIMIT):
+        # compared in a dtype that holds 2**53: float16 does not, and a wider float keeps its own
+        if np.any(np.abs(arr) > np.result_type(arr, np.float64).type(FLOAT_EXACT_LIMIT)):
             raise ValidationError("float weight entries must lie within +-2**53, where every integer is exact")
     elif arr.dtype == np.uint64:
         if int(arr.max()) > np.iinfo(np.int64).max:

@@ -455,19 +455,38 @@ class TestStreamWords:
     """The seeds _sweep gives PCG64 are those SeedSequence(entropy=seed, spawn_key=(load, t)) gives."""
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**200), load=st.integers(1, 2**60), trials=st.integers(1, 6))
-    @example(seed=0, load=1, trials=3)
-    @example(seed=2**32 - 1, load=15, trials=3)
-    @example(seed=2**32, load=30, trials=3)
-    @example(seed=2**128 - 1, load=45, trials=3)
-    @example(seed=2**128 + 1, load=45, trials=3)  # five entropy words: none is padding
-    @example(seed=7, load=2**32, trials=3)  # two words of load
-    def test_words_are_the_seed_sequence_state(self, seed, load, trials):
-        words = analysis._stream_words(seed, (load,), trials)
+    @given(
+        seed=st.integers(0, 2**200),
+        key=st.lists(st.integers(0, 2**70), min_size=1, max_size=2).map(tuple),
+        trials=st.integers(1, 6),
+    )
+    @example(seed=0, key=(1,), trials=3)
+    @example(seed=2**32 - 1, key=(15,), trials=3)
+    @example(seed=2**32, key=(30,), trials=3)
+    @example(seed=2**128 - 1, key=(45,), trials=3)
+    @example(seed=2**128 + 1, key=(45,), trials=3)  # five entropy words: none is padding
+    @example(seed=7, key=(2**32,), trials=3)  # two words of load
+    @example(seed=7, key=(0, 45), trials=3)  # a (tag, load) key
+    def test_words_are_the_seed_sequence_state(self, seed, key, trials):
+        words = analysis._stream_words(seed, key, trials)
         assert words.shape == (trials, 4) and words.dtype == np.uint64
         for t in range(trials):
-            want = np.random.SeedSequence(entropy=seed, spawn_key=(load, t)).generate_state(4, np.uint64)
+            want = np.random.SeedSequence(entropy=seed, spawn_key=(*key, t)).generate_state(4, np.uint64)
             np.testing.assert_array_equal(words[t], want)
+
+    # seeds of one to seven entropy words, padded to four and not; keys of a load m, of a
+    # two-word load and of a (tag, load) pair
+    @pytest.mark.parametrize("trials", [1, 50, 4097])
+    @pytest.mark.parametrize("key", [(15,), (2**33,), (3, 45)], ids=["m", "2**33", "tag-load"])
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**32 - 1, 2**32, 2**128, 2**200 + 3], ids=["0", "1", "2**32-1", "2**32", "2**128", "2**200+3"]
+    )
+    def test_rows_on_a_grid_are_the_seed_sequence_state(self, seed, key, trials):
+        words = analysis._stream_words(seed, key, trials)
+        assert words.shape == (trials, 4) and words.dtype == np.uint64
+        for t, row in enumerate(words):
+            want = np.random.SeedSequence(entropy=seed, spawn_key=(*key, t)).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(row, want)
 
     def test_indices_past_16_bits(self):
         # the xorshift folds the high half of each word into the low half

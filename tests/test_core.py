@@ -1,4 +1,5 @@
 import json
+import operator
 import re
 
 import numpy as np
@@ -201,9 +202,18 @@ ODD_MEMORY_SETS = {
         lambda: MemorySet(vectors=np.array([1, -1], dtype=np.int8)),
         (ValidationError, "expected a 1-d state vector, got shape ()"),
     ),
+    "hand-built set of lists": (
+        lambda: MemorySet(vectors=[[1, -1, 1], [-1, 1, 1], [1, -1, 1]]),
+        ([[1, -1, 1], [-1, 1, 1], [1, -1, 1]], ((0, 2),)),
+    ),
+    "hand-built set of one tuple": (lambda: MemorySet(vectors=((1, -1),)), ([[1, -1]], ())),
     "hand-built ragged set": (
         lambda: MemorySet(vectors=[(1, -1), (1,)]),
         (DimensionMismatch, "memories have mixed dimensions [1, 2]"),
+    ),
+    "hand-built ragged set of arrays": (
+        lambda: MemorySet(vectors=(np.array([1, -1, 1], dtype=np.int8), np.array([1, -1]))),
+        (DimensionMismatch, "memories have mixed dimensions [2, 3]"),
     ),
     "hand-built empty set": (
         lambda: MemorySet(vectors=np.empty((0, 3), dtype=np.int8)),
@@ -296,6 +306,21 @@ class TestMemoryValidation:
         mset.vectors[1, 2] = 3
         with pytest.raises(ValidationError, match=r"^state entries must be \+1 or -1, neuron 3 has np.int8\(3\)$"):
             validate_memory_set(mset)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", [name for name in ODD_MEMORY_SETS if name.startswith("hand-built")])
+    def test_a_hand_built_set_answers_from_its_rows(self, name):
+        # len, m and n read the rows a hand-built set holds, whatever their values, and
+        # refuse rows that form no m x n table
+        mset = ODD_MEMORY_SETS[name][0]()
+        if name in {"hand-built 1-d set", "hand-built ragged set", "hand-built ragged set of arrays",
+                    "hand-built set of no vectors"}:
+            for accessor in (len, operator.attrgetter("m"), operator.attrgetter("n")):
+                with pytest.raises(ValidationError, match=r"^memory vectors must form an m x n table, got shape"):
+                    accessor(mset)
+            return
+        m, n = np.shape(mset.vectors)
+        assert (len(mset), mset.m, mset.n) == (m, m, n)
 
     def test_accepts_2d_array(self):
         arr = np.array([[1, -1], [-1, 1]])
@@ -427,7 +452,21 @@ class TestWeightsValidation:
         with pytest.raises(ValidationError, match="2\\*\\*62"):
             validate_weights(w)
 
-    @pytest.mark.parametrize("big", [2.0**53 + 2, 1e300])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.longdouble])
+    def test_every_float_width_is_checked_without_a_warning(self, dtype):
+        # 2**53 overflows float16: the bound is compared in a dtype that holds it
+        assert validate_weights(np.array([[0, 1], [1, 0]], dtype=dtype)).tolist() == [[0, 1], [1, 0]]
+        if np.finfo(dtype).maxexp > 54:
+            with pytest.raises(ValidationError, match=r"\+-2\*\*53"):
+                validate_weights(np.array([[0, 2.0**54], [2.0**54, 0]], dtype=dtype))
+
+    @pytest.mark.parametrize(
+        "big",
+        [2.0**53 + 2, 1e300]
+        # exact in a longdouble wider than float64, where it would round to 2**53
+        + [pytest.param(np.longdouble(2**53) + 1, id="longdouble 2**53+1")] * (np.finfo(np.longdouble).nmant > 52),
+    )
     def test_inexact_floats_rejected(self, big):
         with pytest.raises(ValidationError, match="2\\*\\*53"):
             validate_weights(np.array([[0.0, big], [big, 0.0]]))

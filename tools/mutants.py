@@ -986,17 +986,6 @@ MUTANTS = (
     ),
     # the one loop over seeded trials: its spawn key, its dealing and the rows read from it
     Mutant(
-        "sweep-spawn-key-reversed", ANALYSIS,
-        "    entropy += [word for k in key for word in _words32(k)]\n"
-        "    entropy.append(np.arange(trials, dtype=np.uint32))\n",
-        "    entropy.append(np.arange(trials, dtype=np.uint32))\n"
-        "    entropy += [word for k in key for word in _words32(k)]\n",
-        (
-            "tests/test_analysis.py::TestCapacity::test_trial_matches_int64_oracle",
-            "tests/test_golden.py::test_report_bytes[capacity_small.json]",
-        ),
-    ),
-    Mutant(
         "sweep-load-dropped-from-the-key", ANALYSIS,
         "_stream_words(seed, (load,), trials)", "_stream_words(seed, (), trials)",
         (
@@ -1007,18 +996,58 @@ MUTANTS = (
     # the streams seeded in bulk: SeedSequence's pool, its output hash, and the one
     # request the seed wrapper answers
     Mutant(
-        "stream-t-mixed-before-the-load", ANALYSIS,
-        "    for word in entropy[4:]:\n", "    for word in entropy[:3:-1]:\n",
+        "stream-padding-dropped-from-the-word-count", ANALYSIS,
+        "    words = max(_word_count(seed), 4) + sum(map(_word_count, key))\n",
+        "    words = _word_count(seed) + sum(map(_word_count, key))\n",
         (
+            "tests/test_analysis.py::TestStreamWords::test_rows_on_a_grid_are_the_seed_sequence_state[0-m-50]",
+            "tests/test_analysis.py::TestStreamWords::test_rows_on_a_grid_are_the_seed_sequence_state[2**32-tag-load-1]",
+            "tests/test_analysis.py::TestStreamWords::test_first_draws_are_the_seed_sequence_stream[0-1-0]",
+            "tests/test_golden.py::test_report_bytes[capacity_small.json]",
+        ),
+    ),
+    Mutant(
+        "stream-constant-advanced-three-times-per-word", ANALYSIS,
+        "_INIT_A * pow(_MULT_A, 4 * words, 2**32)", "_INIT_A * pow(_MULT_A, 3 * words, 2**32)",
+        (
+            "tests/test_analysis.py::TestStreamWords::test_rows_on_a_grid_are_the_seed_sequence_state[1-m-1]",
+            "tests/test_analysis.py::TestStreamWords::test_rows_on_a_grid_are_the_seed_sequence_state[2**200+3-tag-load-4097]",
+            "tests/test_golden.py::test_report_bytes[capacity_workers.json]",
+        ),
+    ),
+    Mutant(
+        "stream-pool-taken-without-the-key", ANALYSIS,
+        "    pool = SeedSequence(entropy=seed, spawn_key=key).pool\n",
+        "    pool = SeedSequence(seed).pool\n",
+        (
+            "tests/test_analysis.py::TestStreamWords::test_rows_on_a_grid_are_the_seed_sequence_state[0-m-1]",
+            "tests/test_analysis.py::TestStreamWords::test_rows_on_a_grid_are_the_seed_sequence_state[2**128-2**33-50]",
+            "tests/test_golden.py::test_report_bytes[capacity_m_over_n.json]",
+        ),
+    ),
+    Mutant(
+        "stream-output-constants-not-restarted", ANALYSIS,
+        "    b = _hash_constants(_INIT_B, _MULT_B, 9)\n", "    b = _hash_constants(int(a[-1]), _MULT_B, 9)\n",
+        (
+            "tests/test_analysis.py::TestStreamWords::test_rows_on_a_grid_are_the_seed_sequence_state[2**32-1-m-1]",
+            "tests/test_analysis.py::TestStreamWords::test_rows_on_a_grid_are_the_seed_sequence_state[2**32-2**33-4097]",
+            "tests/test_golden.py::test_report_bytes[capacity_small.json]",
+        ),
+    ),
+    Mutant(
+        "stream-t-hashed-with-the-constant-before-its-step", ANALYSIS,
+        "_xorshift((t ^ a[:4]) * a[1:])", "_xorshift((t ^ a[:4]) * a[:4])",
+        (
+            "tests/test_analysis.py::TestStreamWords::test_rows_on_a_grid_are_the_seed_sequence_state[1-tag-load-50]",
             "tests/test_analysis.py::TestStreamWords::test_words_are_the_seed_sequence_state",
         ),
     ),
     Mutant(
-        "stream-seed-words-not-padded", ANALYSIS,
-        "    entropy += [0] * (4 - len(entropy))\n", "",
+        "stream-pool-words-hashed-out-in-pairs", ANALYSIS,
+        "np.tile(pool, 2)", "np.repeat(pool, 2, axis=1)",
         (
-            "tests/test_analysis.py::TestStreamWords::test_words_are_the_seed_sequence_state",
-            "tests/test_analysis.py::TestStreamWords::test_first_draws_are_the_seed_sequence_stream[0-1-0]",
+            "tests/test_analysis.py::TestStreamWords::test_rows_on_a_grid_are_the_seed_sequence_state[2**128-m-50]",
+            "tests/test_analysis.py::TestStreamWords::test_indices_past_16_bits",
         ),
     ),
     Mutant(
@@ -1143,6 +1172,41 @@ MUTANTS = (
         (
             "tests/test_core.py::TestMemoryValidation::test_a_validated_set_is_returned_as_it_is[int8 array]",
             "tests/test_core.py::TestMemoryValidation::test_a_set_made_writeable_again_is_checked_again",
+        ),
+    ),
+    # a hand-built set answers len, m and n from its rows, or refuses rows that form no table
+    Mutant(
+        "memory-set-shape-read-from-an-array-only", CORE,
+        "        shape = _array(self.vectors).shape\n", "        shape = self.vectors.shape\n",
+        (
+            "tests/test_core.py::TestMemoryValidation::test_a_hand_built_set_answers_from_its_rows[hand-built set of lists]",
+            "tests/test_core.py::TestMemoryValidation::test_a_hand_built_set_answers_from_its_rows[hand-built set of one tuple]",
+            "tests/test_core.py::TestMemoryValidation::test_a_hand_built_set_answers_from_its_rows[hand-built ragged set]",
+        ),
+    ),
+    Mutant(
+        "memory-set-shape-never-refused", CORE,
+        "        if len(shape) != 2:\n            raise ValidationError(", "        if False:\n            raise ValidationError(",
+        (
+            "tests/test_core.py::TestMemoryValidation::test_a_hand_built_set_answers_from_its_rows[hand-built 1-d set]",
+            "tests/test_core.py::TestMemoryValidation::test_a_hand_built_set_answers_from_its_rows[hand-built set of no vectors]",
+            "tests/test_core.py::TestMemoryValidation::test_a_hand_built_set_answers_from_its_rows[hand-built ragged set of arrays]",
+        ),
+    ),
+    # the float bound 2**53, compared in a dtype that holds it and at the entries' own width
+    Mutant(
+        "float-bound-cast-to-the-entries-dtype", CORE,
+        "np.abs(arr) > np.result_type(arr, np.float64).type(FLOAT_EXACT_LIMIT)", "np.abs(arr) > FLOAT_EXACT_LIMIT",
+        (
+            "tests/test_core.py::TestWeightsValidation::test_every_float_width_is_checked_without_a_warning[float16]",
+        ),
+    ),
+    Mutant(
+        "float-entries-rounded-to-float64-before-the-bound", CORE,
+        "np.abs(arr) > np.result_type(arr, np.float64).type(FLOAT_EXACT_LIMIT)",
+        "np.abs(arr.astype(np.float64)) > FLOAT_EXACT_LIMIT",
+        (
+            "tests/test_core.py::TestWeightsValidation::test_inexact_floats_rejected[longdouble 2**53+1]",
         ),
     ),
     # a ragged list is an object array, and a start set is flat and range-checked as given
